@@ -88,12 +88,9 @@ func RunContext(ctx context.Context, bench string, cfg Config) (Result, error) {
 
 // Batch runs many matrix cells over shared materialized workload
 // traces: each benchmark's trace is generated once per (seed, thread,
-// budget) and every (mode, engine, depth) cell replays it. Exact-mode
-// outcomes are bit-identical to Run. Safe for concurrent use.
+// budget) and every (mode, engine, depth) cell replays it. Run is a
+// one-cell Batch. Safe for concurrent use.
 type Batch = sim.Batch
-
-// BatchCell is one (benchmark, config) cell for Batch.RunAll.
-type BatchCell = sim.BatchCell
 
 // NewBatch returns a Batch with a default-bounded trace cache.
 func NewBatch() *Batch { return sim.NewBatch() }
@@ -154,16 +151,18 @@ func (c *Comparison) GainOver(a, b Mode) float64 {
 }
 
 // Compare runs bench under each requested mode with a shared base
-// configuration (cfg's Mode field is overridden per run).
+// configuration (cfg's Mode field is overridden per run). The modes
+// share one Batch, so the workload trace is generated once.
 func Compare(bench string, cfg Config, modes ...Mode) (*Comparison, error) {
 	if len(modes) == 0 {
 		modes = []Mode{NP, PS, MS, PMS}
 	}
 	out := &Comparison{Benchmark: bench, ByMode: make(map[Mode]Result, len(modes))}
+	batch := NewBatch()
 	for _, m := range modes {
 		c := cfg
 		c.Mode = m
-		res, err := Run(bench, c)
+		res, err := batch.Run(bench, c)
 		if err != nil {
 			return nil, fmt.Errorf("asdsim: %s/%v: %w", bench, m, err)
 		}

@@ -580,7 +580,7 @@ func serve(args []string) {
 	leaseTTL := fs.Duration("lease-ttl", 15*time.Second, "lease TTL before an unrenewed task is reclaimed (coordinator)")
 	workerTTL := fs.Duration("worker-ttl", 10*time.Second, "worker liveness TTL (coordinator)")
 	name := fs.String("name", "", "worker label shown by the coordinator (default hostname)")
-	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof endpoints under /debug/pprof/")
+	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof endpoints under /debug/pprof/ and runtime memstats at /debug/vars")
 	observe := fs.Bool("observe", true, "attach per-run telemetry (flight recorder, sparklines, depth table)")
 	provDir := fs.String("prov", "", "provenance sidecar directory; records per-prefetch lineage and serves /explain and /diff (local role)")
 	fs.Parse(args)

@@ -30,6 +30,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -145,6 +146,7 @@ func run() int {
 
 	exit := 0
 	var baseline uint64
+	batch := sim.NewBatch() // every mode replays one materialized trace
 	for _, ms := range strings.Split(*modes, ",") {
 		mode, err := sim.ParseMode(ms)
 		if err != nil {
@@ -191,7 +193,7 @@ func run() int {
 
 		var res sim.Result
 		if *sample {
-			sres, err := sim.Sampled(*bench, cfg, sim.SampleConfig{
+			sres, err := batch.RunSampled(context.Background(), *bench, cfg, sim.SampleConfig{
 				Period: *samplePeriod, Warmup: *sampleWarmup, Detail: *sampleDetail,
 				FuncWarmup: *sampleFuncWarm, Confidence: *sampleConf,
 			})
@@ -208,7 +210,7 @@ func run() int {
 				sres.CILo, sres.CIHi, sres.Windows, sres.EstIPC, sres.EstCycles, gain, sres.WallSeconds)
 		} else {
 			var err error
-			res, err = sim.Run(*bench, cfg)
+			res, err = batch.Run(*bench, cfg)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1

@@ -108,10 +108,6 @@ type Options struct {
 	// the same (benchmark, seed, threads, budget) materialize their
 	// workload trace once per pool instead of once per job.
 	Run RunFunc
-	// NoSharedTraces reverts the default Run to per-job sim.RunContext
-	// (live generators, no trace cache). Outcomes are bit-identical
-	// either way; this only trades memory for trace regeneration.
-	NoSharedTraces bool
 	// Metrics receives the pool's counters; one is created if nil.
 	Metrics *Metrics
 	// Instrument, when set, is invoked before every attempt. The
@@ -140,9 +136,8 @@ var ErrPoolClosed = errors.New("farm: pool closed")
 type Pool struct {
 	opts    Options
 	metrics *Metrics
-	// batch is the pool's shared-trace runner (nil under
-	// Options.NoSharedTraces); the default Run and all sampled jobs go
-	// through it.
+	// batch is the pool's shared-trace runner; the default Run and all
+	// sampled jobs go through it.
 	batch *sim.Batch
 
 	mu     sync.Mutex
@@ -167,19 +162,10 @@ func New(opts Options) *Pool {
 	if opts.Backoff <= 0 {
 		opts.Backoff = 50 * time.Millisecond
 	}
-	var batch *sim.Batch
-	if !opts.NoSharedTraces {
-		batch = sim.NewBatch()
-	}
+	batch := sim.NewBatch()
 	if opts.Run == nil {
-		if batch != nil {
-			opts.Run = func(ctx context.Context, s Spec) (sim.Result, error) {
-				return batch.RunContext(ctx, s.Benchmark, s.Config)
-			}
-		} else {
-			opts.Run = func(ctx context.Context, s Spec) (sim.Result, error) {
-				return sim.RunContext(ctx, s.Benchmark, s.Config)
-			}
+		opts.Run = func(ctx context.Context, s Spec) (sim.Result, error) {
+			return batch.RunContext(ctx, s.Benchmark, s.Config)
 		}
 	}
 	if opts.Metrics == nil {
@@ -199,14 +185,8 @@ func New(opts Options) *Pool {
 func (p *Pool) Workers() int { return p.opts.Workers }
 
 // TraceCacheStats reports the pool's shared-trace cache effectiveness:
-// traces generated (Misses) and jobs that reused one (Hits). Zero under
-// Options.NoSharedTraces.
-func (p *Pool) TraceCacheStats() workload.TraceCacheStats {
-	if p.batch == nil {
-		return workload.TraceCacheStats{}
-	}
-	return p.batch.CacheStats()
-}
+// traces generated (Misses) and jobs that reused one (Hits).
+func (p *Pool) TraceCacheStats() workload.TraceCacheStats { return p.batch.CacheStats() }
 
 // Metrics returns the pool's live counters.
 func (p *Pool) Metrics() *Metrics { return p.metrics }
@@ -329,7 +309,7 @@ func (p *Pool) attempt(ctx context.Context, spec Spec, o *Outcome) (res sim.Resu
 		}
 	}()
 	if spec.Sample != nil {
-		sres, serr := p.runSampled(actx, spec)
+		sres, serr := p.batch.RunSampled(actx, spec.Benchmark, spec.Config, *spec.Sample)
 		if serr != nil {
 			return sim.Result{}, serr
 		}
@@ -337,15 +317,6 @@ func (p *Pool) attempt(ctx context.Context, spec Spec, o *Outcome) (res sim.Resu
 		return sres.AsResult(), nil
 	}
 	return p.opts.Run(actx, spec)
-}
-
-// runSampled executes one sampled attempt, through the pool's
-// shared-trace batch when it has one.
-func (p *Pool) runSampled(ctx context.Context, spec Spec) (sim.SampledResult, error) {
-	if p.batch != nil {
-		return p.batch.RunSampled(ctx, spec.Benchmark, spec.Config, *spec.Sample)
-	}
-	return sim.SampledContext(ctx, spec.Benchmark, spec.Config, *spec.Sample)
 }
 
 // RunBatch submits every spec, waits for all of them, and returns

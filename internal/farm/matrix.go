@@ -27,7 +27,8 @@ type Matrix struct {
 	Engine string `json:"engine,omitempty"`
 	// Threads is the SMT width (default 1).
 	Threads int `json:"threads,omitempty"`
-	// Budget is instructions per thread (default 1,000,000).
+	// Budget is instructions per thread (default 1,000,000, at most
+	// sim.MaxInstrBudget).
 	Budget uint64 `json:"budget,omitempty"`
 	// Seed drives workload randomness (default 1).
 	Seed uint64 `json:"seed,omitempty"`

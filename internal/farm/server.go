@@ -45,7 +45,6 @@ type Server struct {
 	runner     Runner
 	store      *Store
 	pprof      bool
-	expvar     *expvar.Map
 	telemetry  *Telemetry
 	provenance *Provenance
 	// sseInterval is the /events push period; tests shrink it.
@@ -56,11 +55,6 @@ type Server struct {
 	jobs     map[string]*serverJob
 	shutdown chan struct{} // closed by Shutdown; nil until first Handler use
 }
-
-// farmJobsVar is the process-wide expvar map live per-job counters are
-// published under ("farm.jobs" in /debug/vars). Registered once: expvar
-// panics on duplicate names, and tests build several Servers.
-var farmJobsVar = expvar.NewMap("farm.jobs")
 
 // serverJob tracks one submitted matrix through the pool.
 type serverJob struct {
@@ -84,7 +78,7 @@ func NewServer(pool *Pool, store *Store) *Server {
 // Coordinator — in the same HTTP API.
 func NewServerFor(r Runner, store *Store) *Server {
 	return &Server{runner: r, store: store, jobs: make(map[string]*serverJob),
-		expvar: farmJobsVar, sseInterval: time.Second, shutdown: make(chan struct{})}
+		sseInterval: time.Second, shutdown: make(chan struct{})}
 }
 
 // AttachTelemetry registers the aggregator feeding the Prometheus
@@ -148,7 +142,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // EnablePprof mounts net/http/pprof profiling endpoints under
-// /debug/pprof/ on the next Handler call. Off by default: the profiler
+// /debug/pprof/, and expvar's command line and runtime memstats at
+// /debug/vars, on the next Handler call. Off by default: the profiler
 // exposes stacks and heap contents, so callers opt in (asdfarm serve
 // -pprof).
 func (s *Server) EnablePprof() { s.pprof = true }
@@ -167,13 +162,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /flightrec/{id}", s.handleFlightrecBundle)
 	mux.HandleFunc("GET /explain/{key}", s.handleExplain)
 	mux.HandleFunc("GET /diff/{a}/{b}", s.handleDiff)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	if s.pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		mux.Handle("GET /debug/vars", expvar.Handler())
 	}
 	return mux
 }
@@ -209,10 +204,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j.id = fmt.Sprintf("job-%d", s.seq)
 	s.jobs[j.id] = j
 	s.mu.Unlock()
-	// Publish the job's live counters: expvar.Func re-evaluates
-	// summary() on every /debug/vars read, so the values track the
-	// running pool without bookkeeping.
-	s.expvar.Set(j.id, expvar.Func(func() any { return j.summary() }))
 
 	go func() {
 		defer cancel()

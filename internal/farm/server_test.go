@@ -145,6 +145,17 @@ func TestServerErrors(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// A budget past sim.MaxInstrBudget would materialize an unbounded
+	// trace; it is refused at submission.
+	resp, err = http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"benchmarks":["tpcc"],"budget":2147483648}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized budget: status %d, want 400", resp.StatusCode)
+	}
+	resp.Body.Close()
+
 	resp, err = http.Get(srv.URL + "/jobs/job-999")
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +164,35 @@ func TestServerErrors(t *testing.T) {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// The debug routes are mounted only by EnablePprof, and /debug/vars
+// serves the runtime memstats perfbench's traced farm run reads.
+func TestServerDebugRoutes(t *testing.T) {
+	pool := New(Options{Workers: 1})
+	defer pool.Close()
+	for _, on := range []bool{false, true} {
+		s := NewServer(pool, nil)
+		if on {
+			s.EnablePprof()
+		}
+		srv := httptest.NewServer(s.Handler())
+		resp, err := http.Get(srv.URL + "/debug/vars")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !on {
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("without pprof: /debug/vars status %d, want 404", resp.StatusCode)
+			}
+			resp.Body.Close()
+		} else if vars := decode[struct {
+			Memstats struct{ TotalAlloc, NumGC uint64 } `json:"memstats"`
+		}](t, resp); vars.Memstats.TotalAlloc == 0 {
+			t.Errorf("with pprof: /debug/vars has no memstats")
+		}
+		srv.Close()
+	}
 }
 
 // Cancelling a running job stops it without finishing the matrix.

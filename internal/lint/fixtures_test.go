@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"strings"
 	"testing"
 
 	"asdsim/internal/lint"
@@ -41,4 +42,27 @@ func TestWirecheckFixture(t *testing.T) {
 
 func TestSimtimeFixture(t *testing.T) {
 	linttest.Run(t, "testdata/simtime", lint.SimtimeAnalyzer)
+}
+
+// A helper reachable from two //asd:hotpath roots is attributed to the
+// root declared first on every load: the closure walk is seeded in
+// source order, so the "(hot: called from X)" text of a finding never
+// varies between runs.
+func TestHotpathAttributionNamesFirstRoot(t *testing.T) {
+	const src = `package p
+
+//asd:hotpath
+func first() { shared() }
+
+//asd:hotpath
+func second() { shared() }
+
+func shared() { _ = make([]int, 4) }
+`
+	for i := 0; i < 100; i++ {
+		got := messages(checkSource(t, src, lint.NoallocAnalyzer), "hotpath-noalloc")
+		if len(got) != 1 || !strings.Contains(got[0], "(hot: called from first)") {
+			t.Fatalf("load %d: got %q, want one finding attributed to first", i, got)
+		}
+	}
 }

@@ -44,6 +44,8 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+
+	"asdsim/internal/lint/flow"
 )
 
 // An Analyzer is one static check.
@@ -397,9 +399,6 @@ func (pkg *Package) funcObj(fn *ast.FuncDecl) *types.Func {
 // hotState is the per-package hot-path computation shared by the
 // noalloc and noperturb analyzers and by facts export.
 type hotState struct {
-	// decls maps every function object declared in the package to its
-	// declaration.
-	decls map[*types.Func]*ast.FuncDecl
 	// closure is the set of functions reachable from //asd:hotpath
 	// roots through same-package static calls, stopping at trusted
 	// boundaries. Values record how the function entered the closure
@@ -424,71 +423,45 @@ func (pkg *Package) hotpath(cfg *Config) *hotState {
 	}
 	pkg.buildDirectives()
 	h := &hotState{
-		decls:       map[*types.Func]*ast.FuncDecl{},
 		closure:     map[*ast.FuncDecl]string{},
 		roots:       map[*ast.FuncDecl]bool{},
 		trustedObjs: map[*types.Func]bool{},
 	}
 	pkg.hot = h
 
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			obj := pkg.funcObj(fn)
-			if obj == nil {
-				continue
-			}
-			h.decls[obj] = fn
-			trusted := false
-			for _, pass := range hotpathPasses {
-				if _, ok := pkg.funcTrustReason(fn, pass); ok {
-					trusted = true
-				}
-			}
-			if trusted {
+	// Roots seed the walk in source order, so a function reachable
+	// from several roots is always attributed to the one declared
+	// first.
+	cg := flow.BuildCallGraph(pkg.Fset, pkg.Files, pkg.Types, pkg.Info.Defs, pkg.StaticCallee)
+	var queue []*types.Func
+	for _, obj := range cg.Funcs() {
+		fn := cg.Decls[obj]
+		for _, pass := range hotpathPasses {
+			if _, ok := pkg.funcTrustReason(fn, pass); ok {
 				h.trustedObjs[obj] = true
 			}
-			if pkg.funcIsHotpathRoot(fn) {
-				h.roots[fn] = true
-			}
+		}
+		if pkg.funcIsHotpathRoot(fn) {
+			h.roots[fn] = true
+			h.closure[fn] = "//asd:hotpath"
+			queue = append(queue, obj)
 		}
 	}
 
-	// Breadth-first closure over same-package static calls. Dynamic
-	// calls (interfaces, func values) contribute no edges here; the
-	// analyzers police them per call site.
-	var queue []*ast.FuncDecl
-	for fn := range h.roots {
-		h.closure[fn] = "//asd:hotpath"
-		queue = append(queue, fn)
-	}
+	// Breadth-first closure over the static call graph. Dynamic calls
+	// (interfaces, func values) contribute no edges; the analyzers
+	// police them per call site.
 	for len(queue) > 0 {
-		fn := queue[0]
+		caller := queue[0]
 		queue = queue[1:]
-		from := fn.Name.Name
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+		for _, callee := range cg.Callees[caller] {
+			decl := cg.Decls[callee]
+			if h.trustedObjs[callee] || h.closure[decl] != "" {
+				continue
 			}
-			callee := pkg.StaticCallee(call)
-			if callee == nil || callee.Pkg() != pkg.Types {
-				return true
-			}
-			if h.trustedObjs[callee] {
-				return true
-			}
-			decl := h.decls[callee]
-			if decl == nil || h.closure[decl] != "" {
-				return true
-			}
-			h.closure[decl] = "called from " + from
-			queue = append(queue, decl)
-			return true
-		})
+			h.closure[decl] = "called from " + caller.Name()
+			queue = append(queue, callee)
+		}
 	}
 	return h
 }

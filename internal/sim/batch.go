@@ -9,13 +9,13 @@ import (
 	"asdsim/internal/workload"
 )
 
-// Batch runs many matrix cells over shared materialized workload
-// traces: each benchmark's trace is generated once (per seed, thread
-// and budget) and every (mode, engine, depth) cell replays it through
-// a private cursor. Exact-mode outcomes are bit-for-bit identical to
-// sim.Run — record consumption depends only on the trace source and
-// the instruction budget, never on memory-system timing — so the only
-// thing shared between cells is immutable trace data.
+// Batch runs matrix cells over shared materialized workload traces:
+// each benchmark's trace is generated once (per seed, thread and
+// budget) and every (mode, engine, depth) cell replays it through a
+// private cursor. Record consumption depends only on the trace and the
+// instruction budget, never on memory-system timing, so the only thing
+// shared between cells is immutable trace data. Every run goes through
+// a Batch: sim.Run is a one-cell Batch.
 //
 // A Batch is safe for concurrent use: cells may run in parallel from
 // many goroutines against one Batch.
@@ -24,13 +24,7 @@ type Batch struct {
 }
 
 // NewBatch returns a Batch with a default-bounded trace cache.
-func NewBatch() *Batch { return NewBatchSize(0) }
-
-// NewBatchSize returns a Batch whose trace cache is bounded to
-// maxBytes (values <= 0 use workload.DefaultTraceCacheBytes).
-func NewBatchSize(maxBytes int64) *Batch {
-	return &Batch{cache: workload.NewTraceCache(maxBytes)}
-}
+func NewBatch() *Batch { return &Batch{cache: workload.NewTraceCache(0)} }
 
 // CacheStats reports trace-cache effectiveness: (Misses) traces
 // generated, (Hits) cells that reused one.
@@ -38,18 +32,20 @@ func (b *Batch) CacheStats() workload.TraceCacheStats { return b.cache.Stats() }
 
 // Run simulates benchmark bench under cfg, reusing the batch's
 // materialized trace for (bench, cfg.Seed, cfg.Threads, cfg.InstrBudget)
-// across calls. Results are bit-identical to sim.Run(bench, cfg).
+// across calls.
 func (b *Batch) Run(bench string, cfg Config) (Result, error) {
 	return b.RunContext(context.Background(), bench, cfg)
 }
 
-// RunContext is Run with cancellation.
+// RunContext is Run with cancellation: trace generation and the
+// simulation both poll ctx and abort promptly with ctx's error when it
+// is cancelled or its deadline passes.
 func (b *Batch) RunContext(ctx context.Context, bench string, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	start := time.Now() //asd:allow determinism wall-clock throughput stamp; excluded from serialized Results
-	r, err := b.buildRunner(bench, cfg)
+	r, err := b.buildRunner(ctx, bench, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -61,39 +57,17 @@ func (b *Batch) RunContext(ctx context.Context, bench string, cfg Config) (Resul
 	return res, nil
 }
 
-// RunAll runs every (benchmark, config) cell sequentially through the
-// shared-trace path, in order. Callers wanting parallelism should fan
-// out their own goroutines over RunContext (the farm does); RunAll is
-// the simple serial driver.
-func (b *Batch) RunAll(ctx context.Context, cells []BatchCell) ([]Result, error) {
-	out := make([]Result, 0, len(cells))
-	for _, c := range cells {
-		res, err := b.RunContext(ctx, c.Benchmark, c.Config)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// BatchCell is one (benchmark, config) matrix cell for Batch.RunAll.
-type BatchCell struct {
-	Benchmark string
-	Config    Config
-}
-
 // buildRunner assembles a runner whose threads replay the batch's
 // materialized traces through private cursors, with the ground-truth
 // stream-length histograms injected from materialization time.
-func (b *Batch) buildRunner(bench string, cfg Config) (*runner, error) {
+func (b *Batch) buildRunner(ctx context.Context, bench string, cfg Config) (*runner, error) {
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
 	}
 	r := newRunnerShell(cfg)
 	for t := 0; t < cfg.Threads; t++ {
-		mt, err := b.cache.Get(prof, cfg.Seed, t, cfg.InstrBudget)
+		mt, err := b.cache.Get(ctx, prof, cfg.Seed, t, cfg.InstrBudget)
 		if err != nil {
 			return nil, err
 		}

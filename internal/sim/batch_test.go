@@ -11,10 +11,10 @@ import (
 )
 
 // TestGoldenBatchMatchesSerial extends the golden determinism contract
-// to the shared-trace path: every cell of the 16-cell golden matrix run
-// through Batch must serialize byte-identically to the committed golden
-// Result of the serial sim.Run path. One Batch serves the whole matrix,
-// so all eight cells of a benchmark replay a single materialized trace.
+// to trace sharing: every cell of the 16-cell golden matrix run through
+// one Batch must serialize byte-identically to the committed golden
+// Result of a one-cell sim.Run. All eight cells of a benchmark replay a
+// single materialized trace, so no cell may leave state behind in it.
 func TestGoldenBatchMatchesSerial(t *testing.T) {
 	dir := filepath.Join("testdata", "golden")
 	b := NewBatch()
@@ -36,7 +36,7 @@ func TestGoldenBatchMatchesSerial(t *testing.T) {
 					t.Fatalf("missing golden (regenerate with -update-golden): %v", err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Errorf("batched Result JSON diverged from golden %s — shared-trace path must be bit-identical to sim.Run", name)
+					t.Errorf("batched Result JSON diverged from golden %s — a shared trace must replay bit-identically to a one-cell sim.Run", name)
 				}
 			})
 		}
@@ -92,38 +92,6 @@ func TestBatchFanOutRace(t *testing.T) {
 		wj, _ := json.Marshal(want)
 		if !bytes.Equal(gj, wj) {
 			t.Errorf("cell %s/%s/%s: concurrent batched result differs from serial", c.bench, c.cfg.Mode, c.cfg.Engine)
-		}
-	}
-}
-
-// TestBatchRunAll covers the serial driver: results arrive in cell
-// order and match the direct path.
-func TestBatchRunAll(t *testing.T) {
-	b := NewBatch()
-	cfg := Default(PMS, goldenBudget)
-	cells := []BatchCell{
-		{Benchmark: "GemsFDTD", Config: cfg},
-		{Benchmark: "milc", Config: cfg},
-	}
-	results, err := b.RunAll(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results, want 2", len(results))
-	}
-	for i, c := range cells {
-		if results[i].Benchmark != c.Benchmark {
-			t.Errorf("result %d: benchmark %q, want %q", i, results[i].Benchmark, c.Benchmark)
-		}
-		want, err := Run(c.Benchmark, c.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gj, _ := json.Marshal(results[i])
-		wj, _ := json.Marshal(want)
-		if !bytes.Equal(gj, wj) {
-			t.Errorf("RunAll result %d differs from serial Run", i)
 		}
 	}
 }

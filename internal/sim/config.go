@@ -90,7 +90,8 @@ type Config struct {
 	Engine EngineKind
 	// Threads is the SMT width (1 or 2).
 	Threads int
-	// InstrBudget is the per-thread instruction budget.
+	// InstrBudget is the per-thread instruction budget, at most
+	// MaxInstrBudget.
 	InstrBudget uint64
 	// Seed drives all workload randomness.
 	Seed uint64
@@ -180,6 +181,12 @@ func ParseEngine(s string) (EngineKind, error) {
 	}
 }
 
+// MaxInstrBudget bounds Config.InstrBudget. Every run materializes each
+// thread's trace before simulating it, at 16 B per memory record, and
+// the built-in profiles average one record per 23-81 instructions, so
+// the bound caps one thread's trace at about 0.75 GB.
+const MaxInstrBudget = 1 << 30
+
 // Validate reports the first problem with the configuration.
 func (c *Config) Validate() error {
 	switch {
@@ -191,6 +198,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: Threads must be 1 or 2, got %d", c.Threads)
 	case c.InstrBudget == 0:
 		return fmt.Errorf("sim: zero instruction budget")
+	case c.InstrBudget > MaxInstrBudget:
+		return fmt.Errorf("sim: instruction budget %d exceeds the limit of %d", c.InstrBudget, uint64(MaxInstrBudget))
 	case c.Window == 0 || c.MaxOutstanding <= 0:
 		return fmt.Errorf("sim: invalid CPU window/outstanding")
 	case c.HitOverlap == 0:

@@ -3,8 +3,11 @@ package sim
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
+
+	"asdsim/internal/workload"
 )
 
 // A cancelled context must abort the run promptly with the context's
@@ -19,6 +22,8 @@ func TestRunContextCancelled(t *testing.T) {
 }
 
 // A deadline must interrupt a run that would otherwise take far longer.
+// On a fresh one-cell Batch it lands in trace generation;
+// TestDeadlineInterruptsCachedRun covers the simulation loops.
 func TestRunContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -29,6 +34,47 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v; the loop is not observing ctx", elapsed)
+	}
+}
+
+// With the trace already cached, RunContext and RunSampled reach their
+// simulation loops well before a short deadline passes, so the deadline
+// can only be observed by the loops' own polls: the exact loop's, and
+// the sampled loop's per-period poll, which wraps the error.
+func TestDeadlineInterruptsCachedRun(t *testing.T) {
+	const bench, budget = "GemsFDTD", 20_000_000
+	cfg := Default(PMS, budget)
+	b := NewBatch()
+	prof, err := workload.ByName(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.cache.Get(context.Background(), prof, cfg.Seed, 0, budget); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, wrap string
+		run        func(context.Context) error
+	}{
+		{"exact", "", func(ctx context.Context) error {
+			_, err := b.RunContext(ctx, bench, cfg)
+			return err
+		}},
+		{"sampled", "sampled run aborted", func(ctx context.Context) error {
+			_, err := b.RunSampled(ctx, bench, cfg, DefaultSampleConfig())
+			return err
+		}},
+	} {
+		hits := b.CacheStats().Hits
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		err := tc.run(ctx)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), tc.wrap) {
+			t.Fatalf("%s: got %v, want context.DeadlineExceeded wrapped as %q", tc.name, err, tc.wrap)
+		}
+		if st := b.CacheStats(); st.Misses != 1 || st.Hits != hits+1 {
+			t.Fatalf("%s: cache %+v, want the warmed trace replayed", tc.name, st)
+		}
 	}
 }
 

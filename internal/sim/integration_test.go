@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"asdsim/internal/mc"
-	"asdsim/internal/trace"
-	"asdsim/internal/workload"
 )
 
 // Conservation: every demand read the MC accepted was either served from
@@ -60,63 +58,6 @@ func TestDemandTrafficInvariantAcrossMS(t *testing.T) {
 	if np.Instructions != ms.Instructions {
 		t.Errorf("instructions differ: NP=%d MS=%d", np.Instructions, ms.Instructions)
 	}
-}
-
-// Replaying a generator-written trace must reproduce the generator-driven
-// run exactly: same cycles, same MC statistics.
-func TestRunTraceMatchesRun(t *testing.T) {
-	cfg := Default(PMS, 200_000)
-	direct, err := Run("wrf", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, _ := workload.ByName("wrf")
-	g := workload.MustGenerator(prof, cfg.Seed, 0)
-	// Capture enough records to cover the instruction budget.
-	recs := trace.Collect(trace.Limit(g, 100_000), 0)
-	replay, err := RunTrace("wrf-replay", []trace.Source{trace.NewSliceSource(recs)}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Cycles != replay.Cycles {
-		t.Errorf("cycles differ: direct=%d replay=%d", direct.Cycles, replay.Cycles)
-	}
-	if direct.MC != replay.MC {
-		t.Errorf("MC stats differ:\ndirect %+v\nreplay %+v", direct.MC, replay.MC)
-	}
-}
-
-func TestRunTraceSourceCountMismatch(t *testing.T) {
-	cfg := Default(NP, 1000)
-	if _, err := RunTrace("x", nil, cfg); err == nil {
-		t.Error("expected error for missing sources")
-	}
-	cfg.Threads = 2
-	if _, err := RunTrace("x", []trace.Source{trace.NewSliceSource(nil)}, cfg); err == nil {
-		t.Error("expected error for 1 source with 2 threads")
-	}
-}
-
-// A trace that runs out before the budget must still terminate cleanly.
-func TestRunTraceShortTrace(t *testing.T) {
-	cfg := Default(MS, 1_000_000)
-	recs := trace.Collect(trace.Limit(workload.MustGenerator(mustProf(t, "lbm"), 1, 0), 500), 0)
-	res, err := RunTrace("short", []trace.Source{trace.NewSliceSource(recs)}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Instructions == 0 || res.Cycles == 0 {
-		t.Errorf("short trace produced no progress: %+v", res)
-	}
-}
-
-func mustProf(t *testing.T, name string) workload.Profile {
-	t.Helper()
-	p, err := workload.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 // Schedulers change ordering, never correctness: all commands complete

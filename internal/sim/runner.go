@@ -16,7 +16,6 @@ import (
 	"asdsim/internal/prefetch"
 	"asdsim/internal/stats"
 	"asdsim/internal/trace"
-	"asdsim/internal/workload"
 )
 
 // Result is the outcome of one simulation run.
@@ -113,7 +112,6 @@ type flight struct {
 type runner struct {
 	cfg     Config
 	threads []*cpu.Thread
-	gens    []*workload.Generator
 	hier    *cache.Hierarchy
 	dram    *dram.DRAM
 	ctrl    *mc.Controller
@@ -127,10 +125,8 @@ type runner struct {
 	cmdID      uint64
 	lastLine   []mem.Line // per-thread last accessed line (PS observation)
 
-	// trueLens, when non-nil, are per-thread ground-truth stream-length
-	// histograms collected at trace materialization time; collect merges
-	// them instead of live generator state (the batched path replays a
-	// materialized trace, so there are no live generators).
+	// trueLens are the per-thread ground-truth stream-length histograms
+	// collected at trace materialization time; collect merges them.
 	trueLens []*stats.Histogram
 
 	// Fast-forward recent-line filter (sampled mode only, one table per
@@ -142,10 +138,10 @@ type runner struct {
 	ffSeenAt [][]uint32
 	ffTick   []uint32
 
-	// ffRecs/ffSrcs, when non-nil (batched runners only), expose each
-	// thread's materialized records and cursor so reuse-bounded
-	// fast-forward can skip runs of records in one bulk step instead of
-	// fetching them one at a time.
+	// ffRecs/ffSrcs expose each thread's materialized records and
+	// cursor so reuse-bounded fast-forward can skip runs of records in
+	// one bulk step instead of fetching them one at a time. A test
+	// clears them to run the per-record reference loop instead.
 	ffRecs [][]trace.Record
 	ffSrcs []*trace.SliceSource
 }
@@ -182,88 +178,17 @@ var ErrDeadlock = errors.New("sim: memory-system deadlock")
 // cancellation checks; a power of two so the check compiles to a mask.
 const ctxCheckInterval = 1024
 
-// Run simulates benchmark bench under cfg and returns the results.
+// Run simulates benchmark bench under cfg and returns the results. It
+// is a one-cell Batch.
 func Run(bench string, cfg Config) (Result, error) {
-	return RunContext(context.Background(), bench, cfg)
+	return NewBatch().Run(bench, cfg)
 }
 
-// RunContext is Run with cancellation: the simulation polls ctx between
-// event-loop iterations and aborts promptly with ctx's error when it is
-// cancelled or its deadline passes.
+// RunContext is Run with cancellation: trace generation and the
+// simulation both poll ctx and abort promptly with ctx's error when it
+// is cancelled or its deadline passes.
 func RunContext(ctx context.Context, bench string, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	start := time.Now() //asd:allow determinism wall-clock throughput stamp; excluded from serialized Results
-	r, err := buildRunner(bench, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := r.loop(ctx); err != nil {
-		return Result{}, err
-	}
-	res := r.collect(bench)
-	res.stamp(start)
-	return res, nil
-}
-
-// RunTrace simulates arbitrary per-thread trace sources (one per
-// configured thread) under cfg — the replay path for traces written by
-// cmd/tracegen or collected externally. Ground-truth stream statistics
-// (Result.TrueLengths) are unavailable in this mode.
-func RunTrace(name string, sources []trace.Source, cfg Config) (Result, error) {
-	return RunTraceContext(context.Background(), name, sources, cfg)
-}
-
-// RunTraceContext is RunTrace with cancellation.
-func RunTraceContext(ctx context.Context, name string, sources []trace.Source, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if len(sources) != cfg.Threads {
-		return Result{}, fmt.Errorf("sim: %d trace sources for %d threads", len(sources), cfg.Threads)
-	}
-	start := time.Now() //asd:allow determinism wall-clock throughput stamp; excluded from serialized Results
-	r := newRunnerShell(cfg)
-	for t, src := range sources {
-		th := cpu.NewThread(t, src, cpu.Config{
-			Window:             cfg.Window,
-			MaxOutstanding:     cfg.MaxOutstanding,
-			BudgetInstructions: cfg.InstrBudget,
-		})
-		th.SetObserver(r.cfg.Obs)
-		r.threads = append(r.threads, th)
-	}
-	if err := r.loop(ctx); err != nil {
-		return Result{}, err
-	}
-	res := r.collect(name)
-	res.stamp(start)
-	return res, nil
-}
-
-// buildRunner assembles the system for one named-benchmark run.
-func buildRunner(bench string, cfg Config) (*runner, error) {
-	prof, err := workload.ByName(bench)
-	if err != nil {
-		return nil, err
-	}
-	r := newRunnerShell(cfg)
-	for t := 0; t < cfg.Threads; t++ {
-		g, err := workload.NewGenerator(prof, cfg.Seed, t)
-		if err != nil {
-			return nil, err
-		}
-		r.gens = append(r.gens, g)
-		th := cpu.NewThread(t, g, cpu.Config{
-			Window:             cfg.Window,
-			MaxOutstanding:     cfg.MaxOutstanding,
-			BudgetInstructions: cfg.InstrBudget,
-		})
-		th.SetObserver(r.cfg.Obs)
-		r.threads = append(r.threads, th)
-	}
-	return r, nil
+	return NewBatch().RunContext(ctx, bench, cfg)
 }
 
 // newRunnerShell wires the memory system (caches, MC, DRAM, prefetchers)
@@ -645,14 +570,8 @@ func (r *runner) collect(bench string) Result {
 		res.PSIssued = r.ps.Issued
 	}
 	res.TrueLengths = stats.NewHistogram(16)
-	if r.trueLens != nil {
-		for _, h := range r.trueLens {
-			merge(res.TrueLengths, h)
-		}
-	} else {
-		for _, g := range r.gens {
-			merge(res.TrueLengths, g.TrueLengths)
-		}
+	for _, h := range r.trueLens {
+		merge(res.TrueLengths, h)
 	}
 	if len(r.engines) > 0 {
 		if eng, ok := r.engines[0].(*core.Engine); ok {
@@ -674,13 +593,4 @@ func merge(dst, src *stats.Histogram) {
 			dst.ObserveN(i, c)
 		}
 	}
-}
-
-// newRunnerForTest builds (but does not run) a runner; tests use it to
-// inspect internal component state after a run.
-func newRunnerForTest(bench string, cfg Config) (*runner, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return buildRunner(bench, cfg)
 }

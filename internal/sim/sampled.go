@@ -153,32 +153,20 @@ func (s *SampledResult) AsResult() Result {
 }
 
 // Sampled runs benchmark bench under cfg with SMARTS-style systematic
-// sampling and returns a CPI estimate with confidence interval.
+// sampling and returns a CPI estimate with confidence interval. It is a
+// one-cell Batch.
 func Sampled(bench string, cfg Config, sc SampleConfig) (SampledResult, error) {
 	return SampledContext(context.Background(), bench, cfg, sc)
 }
 
 // SampledContext is Sampled with cancellation.
 func SampledContext(ctx context.Context, bench string, cfg Config, sc SampleConfig) (SampledResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return SampledResult{}, err
-	}
-	sc = sc.WithDefaults()
-	if err := sc.Validate(); err != nil {
-		return SampledResult{}, err
-	}
-	start := time.Now() //asd:allow determinism wall-clock throughput stamp; excluded from serialized results
-	r, err := buildRunner(bench, cfg)
-	if err != nil {
-		return SampledResult{}, err
-	}
-	return runSampled(ctx, r, bench, sc, start)
+	return NewBatch().RunSampled(ctx, bench, cfg, sc)
 }
 
-// RunSampled is the shared-trace sampled path: like SampledContext but
-// replaying the batch's materialized trace for bench instead of driving
-// live generators, so a sweep's sampled cells also amortize trace
-// generation.
+// RunSampled is the sampled counterpart of RunContext: it replays the
+// batch's materialized trace for bench under the sampling schedule sc,
+// so a sweep's sampled cells also amortize trace generation.
 func (b *Batch) RunSampled(ctx context.Context, bench string, cfg Config, sc SampleConfig) (SampledResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return SampledResult{}, err
@@ -188,7 +176,7 @@ func (b *Batch) RunSampled(ctx context.Context, bench string, cfg Config, sc Sam
 		return SampledResult{}, err
 	}
 	start := time.Now() //asd:allow determinism wall-clock throughput stamp; excluded from serialized results
-	r, err := b.buildRunner(bench, cfg)
+	r, err := b.buildRunner(ctx, bench, cfg)
 	if err != nil {
 		return SampledResult{}, err
 	}
@@ -375,10 +363,10 @@ func (r *runner) fastForward(target, warmFrom uint64) {
 	r.bumpFFWindow()
 	for ti, th := range r.threads {
 		if warmFrom > th.Instructions && r.ffRecs != nil {
-			// Batched runner: skip the unmodeled run of records in bulk.
-			// A record is skipped iff its retirement stays below
-			// warmFrom — exactly the records the per-record loop below
-			// would consume and ignore.
+			// Skip the unmodeled run of records in bulk. A record is
+			// skipped iff its retirement stays below warmFrom — exactly
+			// the records the per-record loop below, kept as the
+			// reference, would consume and ignore.
 			recs, src := r.ffRecs[ti], r.ffSrcs[ti]
 			pos, instr := src.Pos(), th.Instructions
 			for pos < len(recs) {

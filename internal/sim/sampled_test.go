@@ -38,10 +38,11 @@ func TestSampledDeterministic(t *testing.T) {
 	}
 }
 
-// The batched sampled path must match the live-generator path bit for
-// bit — with full functional warming and with the reuse-bounded
-// FuncWarmup schedule, whose bulk record skip is a pure optimization of
-// the per-record consume-and-ignore loop.
+// The bulk record skip in fastForward is a pure optimization of its
+// per-record consume-and-ignore loop: a runner whose record views are
+// cleared falls back to that reference loop and must reproduce the
+// estimate bit for bit, with full functional warming and with the
+// reuse-bounded FuncWarmup schedule whose gaps the bulk skip covers.
 func TestSampledBatchMatchesLive(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -51,17 +52,23 @@ func TestSampledBatchMatchesLive(t *testing.T) {
 		{"reuse-bounded", SampleConfig{Period: 150_000, Warmup: 4_000, Detail: 8_000, FuncWarmup: 100_000, Confidence: 0.95}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Default(MS, 700_000)
-			live, err := SampledContext(context.Background(), "GemsFDTD", cfg, tc.sc)
+			ctx, cfg := context.Background(), Default(MS, 700_000)
+			b := NewBatch()
+			bulk, err := b.RunSampled(ctx, "GemsFDTD", cfg, tc.sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batched, err := NewBatch().RunSampled(context.Background(), "GemsFDTD", cfg, tc.sc)
+			r, err := b.buildRunner(ctx, "GemsFDTD", cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if jl, jb := sampledJSON(t, live), sampledJSON(t, batched); jl != jb {
-				t.Fatalf("live and batched sampled runs diverge:\n%s\n%s", jl, jb)
+			r.ffRecs, r.ffSrcs = nil, nil
+			perRecord, err := runSampled(ctx, r, "GemsFDTD", tc.sc.WithDefaults(), time.Now())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if jb, jp := sampledJSON(t, bulk), sampledJSON(t, perRecord); jb != jp {
+				t.Fatalf("bulk-skip and per-record sampled runs diverge:\n%s\n%s", jb, jp)
 			}
 		})
 	}
@@ -125,8 +132,9 @@ func TestSampledValidation(t *testing.T) {
 	}
 }
 
-// Cancellation reaches the sampled loop: a pre-cancelled context aborts
-// before completing, and a short deadline interrupts a long run.
+// Cancellation stops a sampled run: a pre-cancelled context aborts
+// before generating the trace, and a short deadline interrupts a long
+// run.
 func TestSampledContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -138,6 +146,8 @@ func TestSampledContextCancelled(t *testing.T) {
 	}
 }
 
+// On a fresh one-cell Batch the deadline lands in trace generation;
+// TestDeadlineInterruptsCachedRun covers the sampled loop.
 func TestSampledContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -151,13 +161,17 @@ func TestSampledContextDeadline(t *testing.T) {
 	}
 }
 
-// Batch.RunContext honours cancellation too (the exact path's context
-// plumbing is shared with sim.RunContext, but the batched runner builds
-// differently — cover it directly).
+// Batch.RunContext honours cancellation before it simulates: a
+// cancelled run stops before materializing its trace and caches
+// nothing.
 func TestBatchRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewBatch().RunContext(ctx, "GemsFDTD", Default(PMS, 50_000_000)); !errors.Is(err, context.Canceled) {
+	b := NewBatch()
+	if _, err := b.RunContext(ctx, "GemsFDTD", Default(PMS, MaxInstrBudget)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if st := b.CacheStats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("cancelled run left %+v in the trace cache", st)
 	}
 }

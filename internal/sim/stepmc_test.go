@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"asdsim/internal/mem"
@@ -12,7 +13,7 @@ import (
 // fast-forward never oversteps the target even when the wake cycle lies
 // beyond it.
 func TestStepMCToGuards(t *testing.T) {
-	r, err := newRunnerForTest("GemsFDTD", Default(NP, 1000))
+	r, err := NewBatch().buildRunner(context.Background(), "GemsFDTD", Default(NP, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}

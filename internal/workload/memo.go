@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -42,6 +43,20 @@ func (m *MaterializedTrace) sizeBytes() int64 {
 // cpu.Thread's fetch condition exactly. The same (profile, seed,
 // thread, budget) always yields byte-identical records.
 func Materialize(prof Profile, seed uint64, thread int, budget uint64) (*MaterializedTrace, error) {
+	return materialize(context.Background(), prof, seed, thread, budget)
+}
+
+// materializeCheckInterval is how many records pass between context
+// checks during generation; a power of two so the check is a mask.
+const materializeCheckInterval = 4096
+
+// materialize is Materialize with cancellation: generation polls ctx
+// every materializeCheckInterval records and returns ctx's error,
+// dropping the partial trace, once it is cancelled.
+func materialize(ctx context.Context, prof Profile, seed uint64, thread int, budget uint64) (*MaterializedTrace, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	g, err := NewGenerator(prof, seed, thread)
 	if err != nil {
 		return nil, err
@@ -50,7 +65,15 @@ func Materialize(prof Profile, seed uint64, thread int, budget uint64) (*Materia
 	// append growth.
 	est := int(budget/(uint64(prof.MeanGap)+1)) + 16
 	mt := &MaterializedTrace{Records: make([]trace.Record, 0, est)}
+	done := ctx.Done()
 	for mt.Instructions < budget {
+		if done != nil && len(mt.Records)%materializeCheckInterval == 0 {
+			select {
+			case <-done:
+				return nil, ctx.Err()
+			default:
+			}
+		}
 		rec, _ := g.Next() // generators never end
 		mt.Records = append(mt.Records, rec)
 		mt.Instructions += uint64(rec.Gap) + 1
@@ -83,12 +106,13 @@ type traceKey struct {
 	budget  uint64
 }
 
-// cacheEntry is one cache slot. Generation runs under once so
-// concurrent getters of the same key share a single materialization
-// (and the cache lock is never held while generating).
+// cacheEntry is one cache slot. The first getter of a key generates
+// the trace and closes done; concurrent getters of the same key wait on
+// done and share that single materialization (the cache lock is never
+// held while generating).
 type cacheEntry struct {
 	key  traceKey
-	once sync.Once
+	done chan struct{}
 	mt   *MaterializedTrace
 	err  error
 
@@ -100,7 +124,7 @@ type cacheEntry struct {
 
 // TraceCacheStats is a point-in-time snapshot of cache effectiveness.
 type TraceCacheStats struct {
-	// Hits counts Gets served from an already-materialized trace;
+	// Hits counts Gets that found their key cached or in generation;
 	// Misses counts Gets that had to generate.
 	Hits, Misses uint64
 	// Evictions counts traces dropped by the LRU byte budget.
@@ -145,35 +169,63 @@ func NewTraceCache(maxBytes int64) *TraceCache {
 
 // Get returns the materialized trace for (prof, seed, thread, budget),
 // generating and caching it on first use. Concurrent Gets of the same
-// key share one generation.
-func (c *TraceCache) Get(prof Profile, seed uint64, thread int, budget uint64) (*MaterializedTrace, error) {
+// key share one generation. Get returns ctx's error once ctx is
+// cancelled, whether it is generating or waiting; a cancelled
+// generation caches nothing, and the getters waiting on it whose own
+// ctx is still live generate the trace anew.
+func (c *TraceCache) Get(ctx context.Context, prof Profile, seed uint64, thread int, budget uint64) (*MaterializedTrace, error) {
 	key := traceKey{profile: ProfileHash(prof), seed: seed, thread: thread, budget: budget}
+	for {
+		c.mu.Lock()
+		e := c.entries[key]
+		fresh := e == nil
+		if fresh {
+			e = &cacheEntry{key: key, done: make(chan struct{})}
+			c.entries[key] = e
+			c.misses++
+		} else {
+			c.hits++
+		}
+		c.mu.Unlock()
 
-	c.mu.Lock()
-	e := c.entries[key]
-	fresh := e == nil
-	if fresh {
-		e = &cacheEntry{key: key}
-		c.entries[key] = e
-		c.misses++
-	} else {
-		c.hits++
+		if fresh {
+			e.generate(ctx, prof, seed, thread, budget)
+		} else {
+			select {
+			case <-e.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		mt, err := c.settle(e)
+		if err != nil && !fresh && ctx.Err() == nil {
+			continue // its getter's cancellation, not ours: generate anew
+		}
+		return mt, err
 	}
-	c.mu.Unlock()
+}
 
-	e.once.Do(func() { e.mt, e.err = Materialize(prof, seed, thread, budget) })
+// generate materializes e's trace and releases its waiters, even if
+// generation panics.
+func (e *cacheEntry) generate(ctx context.Context, prof Profile, seed uint64, thread int, budget uint64) {
+	defer close(e.done)
+	e.mt, e.err = materialize(ctx, prof, seed, thread, budget)
+}
 
+// settle files a finished entry: a failed one is dropped so a later Get
+// can retry (e.g. after a cancellation, or after the caller registers a
+// fixed profile under the same content), a successful one becomes the
+// most recently used.
+func (c *TraceCache) settle(e *cacheEntry) (*MaterializedTrace, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.err != nil {
-		// Drop failed entries so a later Get can retry (e.g. after the
-		// caller registers a fixed profile under the same content).
-		if c.entries[key] == e {
-			delete(c.entries, key)
+		if c.entries[e.key] == e {
+			delete(c.entries, e.key)
 		}
 		return nil, e.err
 	}
-	if c.entries[key] != e {
+	if c.entries[e.key] != e {
 		// Evicted (or replaced) while this caller was waiting on the
 		// generation; the trace itself is immutable and still valid, so
 		// serve it without touching the LRU accounting.

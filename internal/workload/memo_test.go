@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 // Materialize must be a pure function of (profile, seed, thread,
@@ -98,18 +101,18 @@ func TestTraceCacheHitMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewTraceCache(0)
-	a, err := c.Get(prof, 1, 0, 50_000)
+	a, err := c.Get(context.Background(), prof, 1, 0, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Get(prof, 1, 0, 50_000)
+	b, err := c.Get(context.Background(), prof, 1, 0, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("second Get of the same key returned a different trace")
 	}
-	if _, err := c.Get(prof, 1, 0, 60_000); err != nil {
+	if _, err := c.Get(context.Background(), prof, 1, 0, 60_000); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -130,12 +133,12 @@ func TestTraceCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewTraceCache(1) // below any single trace: only the newest survives
-	a, err := c.Get(prof, 1, 0, 50_000)
+	a, err := c.Get(context.Background(), prof, 1, 0, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantLen := len(a.Records)
-	if _, err := c.Get(prof, 2, 0, 50_000); err != nil {
+	if _, err := c.Get(context.Background(), prof, 2, 0, 50_000); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Entries != 1 {
@@ -145,7 +148,7 @@ func TestTraceCacheEviction(t *testing.T) {
 	if len(a.Records) != wantLen {
 		t.Fatal("evicted trace mutated")
 	}
-	if _, err := c.Get(prof, 1, 0, 50_000); err != nil {
+	if _, err := c.Get(context.Background(), prof, 1, 0, 50_000); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Misses != 3 {
@@ -170,7 +173,7 @@ func TestTraceCacheConcurrentSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			mt, err := c.Get(prof, 1, 0, 100_000)
+			mt, err := c.Get(context.Background(), prof, 1, 0, 100_000)
 			if err != nil {
 				t.Error(err)
 				return
@@ -186,6 +189,71 @@ func TestTraceCacheConcurrentSingleflight(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != 1 || st.Hits != n-1 {
 		t.Fatalf("stats = %+v, want 1 miss / %d hits", st, n-1)
+	}
+}
+
+// Of two Gets of one key, cancelling the one that generates must not
+// fail the one waiting on it: the waiter's own ctx is live, so it
+// generates the trace anew. Run under -race this also covers the
+// handover between the two generations.
+func TestTraceCacheWaiterOutlivesCancelledGenerator(t *testing.T) {
+	prof, err := ByName("milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 20_000_000
+	// The cancel must land while the first generation is still running
+	// (tens of milliseconds); a host that stalls this goroutine longer
+	// than that gets another try.
+	for attempt := 1; ; attempt++ {
+		c := NewTraceCache(0)
+		// waitFor polls the cache's counters: the generator has
+		// registered once Misses is 1, the waiter has joined it once
+		// Hits is 1.
+		waitFor := func(what string, ok func(TraceCacheStats) bool) {
+			t.Helper()
+			for deadline := time.Now().Add(10 * time.Second); !ok(c.Stats()); time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("timed out waiting for %s: %+v", what, c.Stats())
+				}
+			}
+		}
+		genCtx, cancelGen := context.WithCancel(context.Background())
+		genErr := make(chan error, 1)
+		go func() {
+			_, err := c.Get(genCtx, prof, 1, 0, budget)
+			genErr <- err
+		}()
+		waitFor("the generator", func(st TraceCacheStats) bool { return st.Misses == 1 })
+		var (
+			mt     *MaterializedTrace
+			mtErr  error
+			waited = make(chan struct{})
+		)
+		go func() {
+			defer close(waited)
+			mt, mtErr = c.Get(context.Background(), prof, 1, 0, budget)
+		}()
+		waitFor("the waiter", func(st TraceCacheStats) bool { return st.Hits == 1 })
+		cancelGen()
+		gerr := <-genErr
+		<-waited
+		if gerr == nil && attempt < 5 {
+			continue // the first generation finished before the cancel
+		}
+		if !errors.Is(gerr, context.Canceled) {
+			t.Fatalf("generator: got %v, want context.Canceled", gerr)
+		}
+		if mtErr != nil {
+			t.Fatalf("waiter failed with the generator's cancellation: %v", mtErr)
+		}
+		if mt.Instructions < budget {
+			t.Fatalf("waiter's trace covers %d instructions, want >= %d", mt.Instructions, budget)
+		}
+		if st := c.Stats(); st.Entries != 1 || st.Misses != 2 {
+			t.Fatalf("stats = %+v, want the waiter's generation as the one entry (2 misses)", st)
+		}
+		return
 	}
 }
 
