@@ -46,23 +46,37 @@ type Cache struct {
 	Hits     uint64
 }
 
-// New returns a cache of sizeBytes with the given associativity, using
-// the global mem.LineSize. sizeBytes must be assoc*LineSize*2^k.
-func New(name string, sizeBytes, assoc int) *Cache {
-	if sizeBytes <= 0 || assoc <= 0 {
-		panic(fmt.Sprintf("cache %s: non-positive geometry", name))
+// MaxLevelBytes bounds one cache level's capacity (1 GiB). Every level's
+// tag array is allocated up front at 8 B per line, so the bound caps one
+// level's tag array at 64 MiB.
+const MaxLevelBytes = 1 << 30
+
+// checkLevel reports why sizeBytes and assoc cannot form a cache level,
+// or nil: both must be positive, assoc at most maxAssoc, sizeBytes at
+// most MaxLevelBytes and a whole number of assoc-line sets.
+func checkLevel(name string, sizeBytes, assoc int) error {
+	switch {
+	case sizeBytes <= 0 || assoc <= 0:
+		return fmt.Errorf("cache %s: non-positive geometry (size %d, assoc %d)", name, sizeBytes, assoc)
+	case assoc > maxAssoc:
+		return fmt.Errorf("cache %s: assoc %d exceeds packed-LRU limit %d", name, assoc, maxAssoc)
+	case sizeBytes > MaxLevelBytes:
+		return fmt.Errorf("cache %s: size %d exceeds the limit of %d", name, sizeBytes, MaxLevelBytes)
+	case sizeBytes%(assoc*mem.LineSize) != 0:
+		return fmt.Errorf("cache %s: size %d is not a multiple of assoc %d x %d-byte lines", name, sizeBytes, assoc, mem.LineSize)
 	}
-	if assoc > maxAssoc {
-		panic(fmt.Sprintf("cache %s: assoc %d exceeds packed-LRU limit %d", name, assoc, maxAssoc))
+	return nil
+}
+
+// New returns a cache of sizeBytes with the given associativity, using
+// the global mem.LineSize. It panics on a geometry checkLevel rejects;
+// Config.Validate reports the same problems as errors.
+func New(name string, sizeBytes, assoc int) *Cache {
+	if err := checkLevel(name, sizeBytes, assoc); err != nil {
+		panic(err.Error())
 	}
 	lines := sizeBytes / mem.LineSize
-	if lines*mem.LineSize != sizeBytes {
-		panic(fmt.Sprintf("cache %s: size %d not a multiple of line size", name, sizeBytes))
-	}
 	sets := lines / assoc
-	if sets*assoc != lines {
-		panic(fmt.Sprintf("cache %s: %d lines not divisible by assoc %d", name, lines, assoc))
-	}
 	c := &Cache{
 		name:  name,
 		sets:  sets,
@@ -253,24 +267,6 @@ func (c *Cache) InsertAbsent(l mem.Line, dirty bool) (Victim, bool) {
 	return v, evicted
 }
 
-// InsertLRU places line into the LRU position of its set (used for
-// low-confidence fills). Behaviour otherwise matches Insert.
-func (c *Cache) InsertLRU(l mem.Line, dirty bool) (Victim, bool) {
-	v, ev := c.Insert(l, dirty)
-	if set, way := c.find(l); way >= 0 {
-		// Demote from MRU (where Insert put it) to LRU: remove its
-		// nibble and re-append at the back.
-		ord := c.order[set]
-		p := c.posOf(ord, way)
-		top := c.assoc - 1
-		keepLow := ord & (1<<(4*p) - 1)
-		mid := ord >> (4 * (p + 1)) << (4 * p) // nibbles above p shift down
-		mid &= 1<<(4*top) - 1
-		c.order[set] = keepLow | mid&^(1<<(4*p)-1) | uint64(way)<<(4*top)
-	}
-	return v, ev
-}
-
 // Invalidate removes line if present, returning whether it was present
 // and dirty.
 func (c *Cache) Invalidate(l mem.Line) (present, dirty bool) {
@@ -291,14 +287,15 @@ func (c *Cache) HitRate() float64 {
 	return float64(c.Hits) / float64(c.Accesses)
 }
 
-// Reset clears contents and statistics. Stale tags are harmless (the
-// valid mask rejects them) and the recency orders stay valid
-// permutations, so only the per-set masks need clearing.
+// Reset clears contents and statistics. It is outcome-neutral without
+// touching the tag or recency arrays: a stale tag never matches, since
+// the valid mask rejects it, and a set's victim comes from its recency
+// order only once the set is full again, by which time every way has
+// been refilled and moved to the front, so the order is wholly
+// rewritten.
 func (c *Cache) Reset() {
-	for s := range c.valid {
-		c.valid[s] = 0
-		c.dirty[s] = 0
-	}
+	clear(c.valid)
+	clear(c.dirty)
 	c.Accesses = 0
 	c.Hits = 0
 }

@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +26,8 @@ func TestNewPanics(t *testing.T) {
 		"zero assoc":   func() { New("x", 1024, 0) },
 		"ragged":       func() { New("x", 1000, 2) },
 		"indivisible ": func() { New("x", 5*128, 2) },
+		"assoc > 16":   func() { New("x", 17*128, 17) },
+		"above 1 GiB":  func() { New("x", MaxLevelBytes+128, 1) },
 	}
 	for name, f := range cases {
 		func() {
@@ -106,16 +111,6 @@ func TestInvalidateMissing(t *testing.T) {
 	c := New("t", 128*4, 2)
 	if present, _ := c.Invalidate(9); present {
 		t.Error("invalidate of absent line reported present")
-	}
-}
-
-func TestInsertLRU(t *testing.T) {
-	c := New("t", 2*128*4, 2) // 4 sets 2 ways
-	c.Insert(0, false)
-	c.InsertLRU(4, false) // 4 goes to LRU slot despite being newest
-	v, ev := c.Insert(8, false)
-	if !ev || v.Line != 4 {
-		t.Fatalf("evicted %v, want 4 (the LRU-inserted line)", v)
 	}
 }
 
@@ -356,6 +351,124 @@ func TestSetOfPathsAgree(t *testing.T) {
 			} else if ev {
 				t.Fatalf("sets=%d: unexpected eviction %+v at line %d", sets, v, l)
 			}
+		}
+	}
+}
+
+// cacheOp is one step of a random cache workout.
+type cacheOp struct {
+	kind  int // 0 Lookup, 1 Insert, 2 Lookup then InsertAbsent on a miss, 3 Invalidate
+	line  mem.Line
+	store bool
+}
+
+func randomOps(rng *rand.Rand, n, lines int) []cacheOp {
+	ops := make([]cacheOp, n)
+	for i := range ops {
+		ops[i] = cacheOp{kind: rng.Intn(4), line: mem.Line(rng.Intn(lines)), store: rng.Intn(3) == 0}
+	}
+	return ops
+}
+
+// apply runs ops on c and logs every outcome: hits, victims with their
+// dirty bits, and invalidations.
+func apply(c *Cache, ops []cacheOp) []string {
+	var log []string
+	for _, op := range ops {
+		switch op.kind {
+		case 0:
+			log = append(log, fmt.Sprint("lookup ", op.line, c.Lookup(op.line, op.store)))
+		case 1:
+			v, ev := c.Insert(op.line, op.store)
+			log = append(log, fmt.Sprint("insert ", op.line, v, ev))
+		case 2:
+			if c.Lookup(op.line, op.store) {
+				log = append(log, fmt.Sprint("fill-hit ", op.line))
+				break
+			}
+			v, ev := c.InsertAbsent(op.line, op.store)
+			log = append(log, fmt.Sprint("fill ", op.line, v, ev))
+		case 3:
+			present, dirty := c.Invalidate(op.line)
+			log = append(log, fmt.Sprint("invalidate ", op.line, present, dirty))
+		}
+	}
+	return append(log, fmt.Sprint("stats ", c.Accesses, c.Hits))
+}
+
+// contents lists every valid way as set/way/tag/dirty.
+func contents(c *Cache) []string {
+	var out []string
+	for s := 0; s < c.sets; s++ {
+		for w := 0; w < c.assoc; w++ {
+			if c.valid[s]>>w&1 == 1 {
+				out = append(out, fmt.Sprint(s, w, c.tags[s*c.assoc+w], c.dirty[s]>>w&1))
+			}
+		}
+	}
+	return out
+}
+
+// TestResetMatchesFreshCache pins Reset's claim that leaving the tag and
+// recency arrays untouched is outcome-neutral: after one random workout
+// and a Reset, a second workout gives exactly the hits, victims, dirty
+// bits, statistics and final contents a fresh cache gives. The line
+// range is a few times the capacity, so sets fill, evict and are
+// invalidated back below full.
+func TestResetMatchesFreshCache(t *testing.T) {
+	for _, g := range []struct {
+		name        string
+		size, assoc int
+	}{
+		{"pow2-8x4", 8 * 4 * mem.LineSize, 4},
+		{"3x4-sets-5way", 12 * 5 * mem.LineSize, 5},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			lines := 4 * g.size / mem.LineSize
+			for seed := int64(1); seed <= 20; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				first, second := randomOps(rng, 3000, lines), randomOps(rng, 3000, lines)
+
+				reused := New("reused", g.size, g.assoc)
+				apply(reused, first)
+				reused.Reset()
+				got := apply(reused, second)
+				fresh := New("fresh", g.size, g.assoc)
+				want := apply(fresh, second)
+
+				if !slices.Equal(got, want) {
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("seed %d op %d: reused cache %q, fresh cache %q", seed, i, got[i], want[i])
+						}
+					}
+				}
+				if !slices.Equal(contents(reused), contents(fresh)) {
+					t.Fatalf("seed %d: contents differ after the second workout", seed)
+				}
+			}
+		})
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	def := DefaultConfig()
+	if err := def.Validate(); err != nil {
+		t.Fatalf("default geometry rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*Config){
+		"zero L1 size":     func(c *Config) { c.L1Size = 0 },
+		"negative L2 size": func(c *Config) { c.L2Size = -128 },
+		"zero L3 assoc":    func(c *Config) { c.L3Assoc = 0 },
+		"assoc above 16":   func(c *Config) { c.L2Assoc, c.L2Size = 17, 17*mem.LineSize*64 },
+		"ragged size":      func(c *Config) { c.L1Size = 1000 },
+		"indivisible":      func(c *Config) { c.L2Size = 5 * mem.LineSize * 3 }, // 15 lines, 10 ways
+		"L3 above 1 GiB":   func(c *Config) { c.L3Size = MaxLevelBytes + 12*mem.LineSize },
+	} {
+		c := DefaultConfig()
+		mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -59,6 +59,22 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate reports the first level whose geometry New would reject:
+// a non-positive size or associativity, associativity above 16, a size
+// above MaxLevelBytes, or a size that is not a multiple of associativity
+// times the line size.
+func (c *Config) Validate() error {
+	for _, l := range [...]struct {
+		name        string
+		size, assoc int
+	}{{"L1D", c.L1Size, c.L1Assoc}, {"L2", c.L2Size, c.L2Assoc}, {"L3", c.L3Size, c.L3Assoc}} {
+		if err := checkLevel(l.name, l.size, l.assoc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Hierarchy is the three-level Power5+ data-cache hierarchy. The L3 acts
 // as a victim cache of the L2: L2 evictions land in L3 and L3 hits are
 // promoted back into L2/L1.

@@ -114,6 +114,31 @@ func TestRetrySucceedsAfterTransientPanic(t *testing.T) {
 	}
 }
 
+// A job whose cache geometry cache.New would panic on fails with the
+// validation error, not as a recovered panic, whether it runs exact or
+// sampled, and with telemetry attached.
+func TestBadCacheGeometryFailsWithoutPanic(t *testing.T) {
+	pool := New(Options{Workers: 2, Backoff: time.Millisecond, Instrument: NewTelemetry().Instrument})
+	defer pool.Close()
+	bad := testSpec("GemsFDTD", sim.MS)
+	bad.Config.Cache.L2Assoc = 17
+	bad.Retries = 1
+	sampled := bad
+	sampled.Sample = &sim.SampleConfig{Period: 2_000, Warmup: 200, Detail: 500}
+	out, err := pool.RunBatch(context.Background(), []Spec{bad, sampled}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range out {
+		if o.OK() || !strings.Contains(o.Err, "assoc 17") {
+			t.Errorf("job %d: error %q, want the geometry rejected", i, o.Err)
+		}
+		if len(o.Panics) != 0 {
+			t.Errorf("job %d: bad geometry panicked: %s", i, o.Panics[0])
+		}
+	}
+}
+
 // Cancelling the batch context must abort queued and running jobs
 // without retrying them.
 func TestBatchCancellation(t *testing.T) {

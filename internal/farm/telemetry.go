@@ -74,23 +74,19 @@ func NewTelemetry() *Telemetry {
 		sparks: make(map[string]Spark)}
 }
 
-// Instrument implements the farm Options.Instrument contract.
+// Instrument implements the farm Options.Instrument contract. The
+// attempt's flight recorder returns its ring to the pool once absorbed.
 func (t *Telemetry) Instrument(spec Spec) (*obs.Bus, func(res *sim.Result, err error)) {
 	label := spec.Benchmark + "/" + spec.Mode.String()
-	cfg, _ := json.Marshal(spec.Config)
-	key := spec.Key()
 	rec := flightrec.New(flightrec.Options{
 		Label:     label,
 		Detectors: flightrec.DefaultDetectors(spec.Config.MC.CAQCap),
-		Config:    cfg,
-		Key:       key,
-		Node:      t.Node,
-		TraceID:   span.TraceIDFromKey(key),
 	})
 	sampler := obs.NewSampler(0)
 	fin := func(res *sim.Result, err error) {
 		rec.Finish()
 		t.absorb(spec, label, sampler, rec)
+		rec.Release()
 	}
 	return obs.NewBus(sampler, rec), fin
 }
@@ -126,6 +122,11 @@ func (t *Telemetry) absorb(spec Spec, label string, sampler *obs.Sampler, rec *f
 			if b.Trigger == tr && len(t.bundles) < t.maxBundles() {
 				t.bundleSeq++
 				a.BundleID = fmt.Sprintf("b%d", t.bundleSeq)
+				// Only a retained bundle pays for the run's identity:
+				// spec key, node, trace and serialized config.
+				b.Key, b.Node = spec.Key(), t.Node
+				b.TraceID = span.TraceIDFromKey(b.Key)
+				b.Config, _ = json.Marshal(spec.Config)
 				t.bundles = append(t.bundles, TriageBundle{ID: a.BundleID, Bundle: b})
 				break
 			}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"asdsim/internal/metrics"
+	"asdsim/internal/obs/span"
 	"asdsim/internal/sim"
 )
 
@@ -201,6 +202,23 @@ func TestFlightrecEndpointServesBundles(t *testing.T) {
 	bundle := decode[map[string]any](t, jr)
 	if bundle["label"] != "GemsFDTD/MS" {
 		t.Errorf("bundle label = %v", bundle["label"])
+	}
+	// A retained bundle carries the run's identity, stamped at
+	// retention: its spec key, the trace derived from it, and the
+	// serialized config.
+	or, err := http.Get(srv.URL + "/jobs/" + id + "?format=outcomes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := decode[[]CanonicalOutcome](t, or)
+	if len(outs) != 1 {
+		t.Fatalf("got %d outcomes, want 1", len(outs))
+	}
+	if bundle["key"] != outs[0].Key || bundle["trace_id"] != span.TraceIDFromKey(outs[0].Key) {
+		t.Errorf("bundle key/trace_id = %v/%v, want %s/%s", bundle["key"], bundle["trace_id"], outs[0].Key, span.TraceIDFromKey(outs[0].Key))
+	}
+	if cfg, ok := bundle["config"].(map[string]any); !ok || cfg["Mode"] != float64(sim.MS) {
+		t.Errorf("bundle config = %v, want the run's MS config", bundle["config"])
 	}
 
 	rr, err := http.Get(srv.URL + "/flightrec/" + bid + "?format=report")

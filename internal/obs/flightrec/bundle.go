@@ -38,8 +38,9 @@ type DepthRow struct {
 type Bundle struct {
 	Label string `json:"label"`
 	// Key, Node and TraceID carry the farm job identity, the executing
-	// node, and the distributed trace this run belonged to (when the
-	// run was cluster-executed); empty for standalone runs.
+	// node, and the distributed trace this run belonged to. The farm
+	// stamps them, and Config, on the bundles it retains; the recorder
+	// leaves all four empty.
 	Key     string `json:"key,omitempty"`
 	Node    string `json:"node,omitempty"`
 	TraceID string `json:"trace_id,omitempty"`
@@ -62,7 +63,7 @@ type Bundle struct {
 	// EventsSeen counts all ring writes before capture; when it
 	// exceeds len(Events) the ring has wrapped.
 	EventsSeen uint64 `json:"events_seen"`
-	// Config is the run's serialized configuration, when provided.
+	// Config is the run's serialized configuration, when stamped.
 	Config json.RawMessage `json:"config,omitempty"`
 }
 
@@ -82,9 +83,6 @@ func (r *Recorder) capture(t Trigger) *Bundle {
 	}
 	return &Bundle{
 		Label:      r.opts.Label,
-		Key:        r.opts.Key,
-		Node:       r.opts.Node,
-		TraceID:    r.opts.TraceID,
 		Epoch:      r.lastEpoch,
 		Trigger:    t,
 		Windows:    append([]Window(nil), r.recent...),
@@ -92,7 +90,6 @@ func (r *Recorder) capture(t Trigger) *Bundle {
 		Depths:     depthRows(&r.depths),
 		Events:     recs,
 		EventsSeen: r.head,
-		Config:     r.opts.Config,
 	}
 }
 

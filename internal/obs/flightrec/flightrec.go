@@ -4,9 +4,10 @@
 // healthy the recorder costs one ring write per retained event and a
 // handful of counter updates; when a detector trips it captures a
 // self-contained triage bundle — the last-N events, the recent window
-// series, a decision-time stream-length histogram, the per-depth
-// prefetch table and the run's configuration — so a pathological run
-// can be diagnosed without re-running it under a full trace.
+// series, a decision-time stream-length histogram and the per-depth
+// prefetch table (the farm adds the run's configuration and job
+// identity to the bundles it keeps) — so a pathological run can be
+// diagnosed without re-running it under a full trace.
 //
 // The recorder is an obs.Sink; it reuses the bus's nil fast path, so a
 // run without a recorder attached pays only the usual one-branch probe
@@ -15,7 +16,7 @@
 package flightrec
 
 import (
-	"encoding/json"
+	"sync"
 
 	"asdsim/internal/obs"
 	"asdsim/internal/stats"
@@ -44,16 +45,6 @@ type Options struct {
 	Detectors []Detector
 	// Label names the run in bundles and reports ("GemsFDTD/MS").
 	Label string
-	// Config, when non-nil, is the run's serialized configuration,
-	// embedded verbatim in every bundle.
-	Config json.RawMessage
-	// Key, Node and TraceID tag bundles with the farm job identity
-	// (spec key), the executing node's name, and the distributed trace
-	// the run belongs to, so a triage bundle pulled off a cluster
-	// worker correlates with the batch trace. All optional.
-	Key     string
-	Node    string
-	TraceID string
 }
 
 // Window is one closed detector-evaluation window's aggregate of the
@@ -138,7 +129,7 @@ func New(opts Options) *Recorder {
 	}
 	return &Recorder{
 		opts:  opts,
-		ring:  make([]obs.Event, size),
+		ring:  takeRing(size),
 		mask:  uint64(size - 1),
 		slh:   stats.NewHistogram(slhBuckets),
 		armed: append([]Detector(nil), opts.Detectors...),
@@ -263,6 +254,33 @@ func (r *Recorder) Finish() {
 		r.close()
 		r.started = false
 	}
+}
+
+// ringPool recycles released event rings (4096 events, ~229 KB, at
+// the default size) across recorders.
+var ringPool sync.Pool
+
+// takeRing returns a pooled ring of size events, or a new one. A pooled
+// ring keeps its previous recorder's events; the snapshot reads only
+// the newest min(head, len) slots, which the new recorder has written.
+func takeRing(size int) []obs.Event {
+	if p, ok := ringPool.Get().(*[]obs.Event); ok && len(*p) == size {
+		return *p
+	}
+	return make([]obs.Event, size)
+}
+
+// Release returns the recorder's event ring to a package pool for a
+// later recorder to reuse. Call it once the run is over and its
+// bundles have been read: bundles are copies and stay valid, but the
+// recorder must receive no further events.
+func (r *Recorder) Release() {
+	if r.ring == nil {
+		return
+	}
+	ring := r.ring
+	r.ring = nil
+	ringPool.Put(&ring)
 }
 
 // Triggers returns every detector firing, in order.

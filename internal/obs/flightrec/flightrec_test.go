@@ -127,7 +127,7 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 
 func TestBundleJSONAndReportRoundTrip(t *testing.T) {
 	rec := flightrec.New(flightrec.Options{
-		Label: "bench/MS", WindowCycles: 1000, Config: json.RawMessage(`{"mode":2}`),
+		Label: "bench/MS", WindowCycles: 1000,
 		Detectors: []flightrec.Detector{&flightrec.LatePrefetchSpike{Ratio: 0.5, MinUseful: 4}},
 	})
 	rec.Emit(obs.Event{Kind: obs.KindASDPrefetchDecision, Cycle: 10, V1: 3, V2: 1})
@@ -138,6 +138,7 @@ func TestBundleJSONAndReportRoundTrip(t *testing.T) {
 		t.Fatalf("want 1 bundle, got %d", len(rec.Bundles()))
 	}
 	b := rec.Bundles()[0]
+	b.Config = json.RawMessage(`{"mode":2}`) // as the farm stamps a bundle it retains
 
 	var buf bytes.Buffer
 	if err := b.WriteJSON(&buf); err != nil {

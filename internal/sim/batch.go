@@ -2,8 +2,10 @@ package sim
 
 import (
 	"context"
+	"sync"
 	"time"
 
+	"asdsim/internal/cache"
 	"asdsim/internal/cpu"
 	"asdsim/internal/trace"
 	"asdsim/internal/workload"
@@ -17,14 +19,26 @@ import (
 // shared between cells is immutable trace data. Every run goes through
 // a Batch: sim.Run is a one-cell Batch.
 //
+// A Batch also recycles cache hierarchies: a finished cell hands its
+// hierarchy back, and the next cell of the same geometry Resets and
+// reuses it instead of allocating and zeroing the tag arrays again
+// (~2.8 MB at the default geometry). A Batch therefore retains one idle
+// hierarchy per cell that has run concurrently, per geometry, for as
+// long as the Batch lives.
+//
 // A Batch is safe for concurrent use: cells may run in parallel from
 // many goroutines against one Batch.
 type Batch struct {
 	cache *workload.TraceCache
+
+	mu   sync.Mutex
+	idle map[cache.Config][]*cache.Hierarchy // finished cells' hierarchies, by geometry
 }
 
 // NewBatch returns a Batch with a default-bounded trace cache.
-func NewBatch() *Batch { return &Batch{cache: workload.NewTraceCache(0)} }
+func NewBatch() *Batch {
+	return &Batch{cache: workload.NewTraceCache(0), idle: make(map[cache.Config][]*cache.Hierarchy)}
+}
 
 // CacheStats reports trace-cache effectiveness: (Misses) traces
 // generated, (Hits) cells that reused one.
@@ -49,6 +63,7 @@ func (b *Batch) RunContext(ctx context.Context, bench string, cfg Config) (Resul
 	if err != nil {
 		return Result{}, err
 	}
+	defer b.release(r)
 	if err := r.loop(ctx); err != nil {
 		return Result{}, err
 	}
@@ -59,18 +74,24 @@ func (b *Batch) RunContext(ctx context.Context, bench string, cfg Config) (Resul
 
 // buildRunner assembles a runner whose threads replay the batch's
 // materialized traces through private cursors, with the ground-truth
-// stream-length histograms injected from materialization time.
+// stream-length histograms injected from materialization time. It
+// fetches every trace before taking a hierarchy, so a run that fails or
+// is cancelled while its trace materializes takes none.
 func (b *Batch) buildRunner(ctx context.Context, bench string, cfg Config) (*runner, error) {
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
 	}
-	r := newRunnerShell(cfg)
+	mts := make([]*workload.MaterializedTrace, 0, 2)
 	for t := 0; t < cfg.Threads; t++ {
 		mt, err := b.cache.Get(ctx, prof, cfg.Seed, t, cfg.InstrBudget)
 		if err != nil {
 			return nil, err
 		}
+		mts = append(mts, mt)
+	}
+	r := newRunnerShell(cfg, b.takeHierarchy(cfg.Cache))
+	for t, mt := range mts {
 		src := trace.NewSliceSource(mt.Records)
 		th := cpu.NewThread(t, src, cpu.Config{
 			Window:             cfg.Window,
@@ -84,4 +105,31 @@ func (b *Batch) buildRunner(ctx context.Context, bench string, cfg Config) (*run
 		r.ffSrcs = append(r.ffSrcs, src)
 	}
 	return r, nil
+}
+
+// takeHierarchy returns an idle hierarchy of geometry cfg, Reset, or a
+// new one when none is idle.
+func (b *Batch) takeHierarchy(cfg cache.Config) *cache.Hierarchy {
+	b.mu.Lock()
+	var h *cache.Hierarchy
+	if idle := b.idle[cfg]; len(idle) > 0 {
+		h = idle[len(idle)-1]
+		b.idle[cfg] = idle[:len(idle)-1]
+	}
+	b.mu.Unlock()
+	if h == nil {
+		return cache.NewHierarchy(cfg)
+	}
+	h.Reset()
+	return h
+}
+
+// release hands a finished runner's hierarchy back for the next cell,
+// detached from the run's probe bus so the idle hierarchy does not keep
+// the run's sinks alive.
+func (b *Batch) release(r *runner) {
+	r.hier.SetObserver(nil)
+	b.mu.Lock()
+	b.idle[r.cfg.Cache] = append(b.idle[r.cfg.Cache], r.hier)
+	b.mu.Unlock()
 }

@@ -205,6 +205,9 @@ func (c *Config) Validate() error {
 	case c.HitOverlap == 0:
 		return fmt.Errorf("sim: HitOverlap must be positive")
 	}
+	if err := c.Cache.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	return nil
 }
 

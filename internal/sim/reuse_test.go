@@ -1,0 +1,115 @@
+package sim
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"runtime"
+	"testing"
+
+	"asdsim/internal/cache"
+	"asdsim/internal/workload"
+)
+
+// tinyCache is a 4 KB/24 KB/48 KB, 4-way hierarchy: small enough that
+// streaming benchmarks fill and evict L2 and L3 sets within a short
+// cell, which the default geometry never does at golden budgets.
+func tinyCache() cache.Config {
+	c := cache.DefaultConfig()
+	c.L1Size, c.L1Assoc = 4<<10, 4
+	c.L2Size, c.L2Assoc = 24<<10, 4
+	c.L3Size, c.L3Assoc = 48<<10, 4
+	return c
+}
+
+// TestBatchReuseMatchesFreshBatch checks that a recycled hierarchy
+// carries nothing from its previous cell into the next: after an
+// eviction-heavy cell, every cell of several benchmarks x four modes run
+// through the same Batch must serialize byte-identically to that cell on
+// a fresh Batch.
+func TestBatchReuseMatchesFreshBatch(t *testing.T) {
+	b := NewBatch()
+	heavy := Default(PMS, 300_000)
+	heavy.Cache = tinyCache()
+	if _, err := b.Run("bwaves", heavy); err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range []string{"bwaves", "leslie3d", "GemsFDTD", "tpcc"} {
+		for _, mode := range []Mode{NP, PS, MS, PMS} {
+			cfg := Default(mode, 60_000)
+			cfg.Cache = tinyCache()
+			got, err := b.Run(bench, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewBatch().Run(bench, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gj, _ := json.Marshal(got)
+			wj, _ := json.Marshal(want)
+			if !bytes.Equal(gj, wj) {
+				t.Errorf("%s/%s: the reused hierarchy's Result differs from a fresh Batch's:\n%s\n%s", bench, mode, gj, wj)
+			}
+			// With the processor-side prefetcher on, the streaming
+			// benchmarks hit in L2 and L3, so their sets fill and evict.
+			streaming := (bench == "bwaves" || bench == "leslie3d") && (mode == PS || mode == PMS)
+			if streaming && (want.L2HitRate == 0 || want.L3HitRate == 0) {
+				t.Errorf("%s/%s: L2/L3 hit rates %v/%v; the geometry no longer fills L2 and L3 sets", bench, mode, want.L2HitRate, want.L3HitRate)
+			}
+		}
+	}
+	if n := len(b.idle[tinyCache()]); n != 1 {
+		t.Errorf("%d idle hierarchies after serial cells, want the one every cell reused", n)
+	}
+}
+
+// TestBatchCellAllocation is the allocation gate for a warm cell: once a
+// Batch holds the traces and a hierarchy, a cell allocates only its
+// per-cell MC, DRAM, engine and PS state, not the ~2.8 MB of tag arrays
+// a fresh hierarchy costs. A cancelled cell, which fails while
+// fetching its trace, must not allocate a hierarchy either.
+func TestBatchCellAllocation(t *testing.T) {
+	const budget = 20_000
+	const limit = 64 << 10
+	type cell struct {
+		bench string
+		cfg   Config
+	}
+	var cells []cell
+	for _, bench := range workload.FocusBenchmarks() {
+		for _, mode := range []Mode{NP, PS, MS, PMS} {
+			cells = append(cells, cell{bench, Default(mode, budget)})
+		}
+	}
+	perCell := func(run func(c cell)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, c := range cells {
+			run(c)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(len(cells))
+	}
+
+	b := NewBatch()
+	warm := func(c cell) {
+		if _, err := b.Run(c.bench, c.cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perCell(warm) // materializes the traces and the first hierarchy
+	if got := perCell(warm); got >= limit {
+		t.Errorf("a warm cell allocates %d B, want under %d", got, limit)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got := perCell(func(c cell) {
+		if _, err := NewBatch().RunContext(ctx, c.bench, c.cfg); err == nil {
+			t.Fatal("a cancelled cell ran")
+		}
+	}); got >= limit {
+		t.Errorf("a cancelled cell allocates %d B, want under %d", got, limit)
+	}
+}

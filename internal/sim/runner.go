@@ -191,11 +191,11 @@ func RunContext(ctx context.Context, bench string, cfg Config) (Result, error) {
 	return NewBatch().RunContext(ctx, bench, cfg)
 }
 
-// newRunnerShell wires the memory system (caches, MC, DRAM, prefetchers)
+// newRunnerShell wires the memory system (MC, DRAM, prefetchers) around
+// hier, a cache hierarchy of geometry cfg.Cache in its reset state,
 // without threads.
-func newRunnerShell(cfg Config) *runner {
-	r := &runner{cfg: cfg, flights: make(map[mem.Line]*flight), lastLine: make([]mem.Line, cfg.Threads)}
-	r.hier = cache.NewHierarchy(cfg.Cache)
+func newRunnerShell(cfg Config, hier *cache.Hierarchy) *runner {
+	r := &runner{cfg: cfg, hier: hier, flights: make(map[mem.Line]*flight), lastLine: make([]mem.Line, cfg.Threads)}
 	r.dram = dram.New(cfg.DRAM)
 
 	var adaptive *core.AdaptiveScheduler

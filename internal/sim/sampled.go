@@ -180,6 +180,7 @@ func (b *Batch) RunSampled(ctx context.Context, bench string, cfg Config, sc Sam
 	if err != nil {
 		return SampledResult{}, err
 	}
+	defer b.release(r)
 	return runSampled(ctx, r, bench, sc, start)
 }
 

@@ -43,7 +43,7 @@ func TestSampledDeterministic(t *testing.T) {
 // cleared falls back to that reference loop and must reproduce the
 // estimate bit for bit, with full functional warming and with the
 // reuse-bounded FuncWarmup schedule whose gaps the bulk skip covers.
-func TestSampledBatchMatchesLive(t *testing.T) {
+func TestSampledBulkSkipMatchesPerRecord(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		sc   SampleConfig

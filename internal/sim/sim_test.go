@@ -41,12 +41,20 @@ func TestConfigValidate(t *testing.T) {
 		"threads": func(c *Config) { c.Threads = 3 },
 		"budget":  func(c *Config) { c.InstrBudget = 0 },
 		"window":  func(c *Config) { c.Window = 0 },
+		// Geometries cache.New panics on come back from Run as errors.
+		"L1 size":       func(c *Config) { c.Cache.L1Size = 0 },
+		"L2 assoc":      func(c *Config) { c.Cache.L2Assoc = 17 },
+		"L3 ragged":     func(c *Config) { c.Cache.L3Size += 64 },
+		"L3 over 1 GiB": func(c *Config) { c.Cache.L3Size = 2 << 30 },
 	}
 	for name, f := range cases {
 		c := Default(NP, 1000)
 		f(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", name)
+		}
+		if _, err := Run("GemsFDTD", c); err == nil {
+			t.Errorf("%s: Run accepted the config", name)
 		}
 	}
 }

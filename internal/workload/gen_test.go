@@ -318,6 +318,9 @@ func TestRegisterCustomProfile(t *testing.T) {
 	if err := Register(p); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
+	// Leave the registry as found, or a repeat run (-count=2) finds a
+	// duplicate here and an extra profile in TestAllProfilesValid.
+	t.Cleanup(func() { delete(profiles, p.Name) })
 	if _, err := ByName("custom-test-profile"); err != nil {
 		t.Errorf("registered profile not found: %v", err)
 	}
