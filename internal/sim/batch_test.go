@@ -11,9 +11,9 @@ import (
 )
 
 // TestGoldenBatchMatchesSerial extends the golden determinism contract
-// to trace sharing: every cell of the 16-cell golden matrix run through
+// to trace sharing: every cell of the 20-cell golden matrix run through
 // one Batch must serialize byte-identically to the committed golden
-// Result of a one-cell sim.Run. All eight cells of a benchmark replay a
+// Result of a one-cell sim.Run. All ten cells of a benchmark replay a
 // single materialized trace, so no cell may leave state behind in it.
 func TestGoldenBatchMatchesSerial(t *testing.T) {
 	dir := filepath.Join("testdata", "golden")
@@ -46,7 +46,7 @@ func TestGoldenBatchMatchesSerial(t *testing.T) {
 		t.Fatalf("expected trace reuse across the matrix, got stats %+v", st)
 	}
 	// 2 benchmarks × 1 thread × one (seed, budget) each → 2 generations;
-	// the other 14 cells are hits.
+	// the other 18 cells are hits.
 	if st.Misses != 2 {
 		t.Errorf("expected 2 trace generations for 2 benchmarks, got %d", st.Misses)
 	}

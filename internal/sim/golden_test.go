@@ -26,7 +26,8 @@ const goldenBudget = 60_000
 
 // goldenMatrix is the seed matrix of the determinism contract: two
 // benchmarks (one stream-heavy, one mixed) across all four modes and two
-// memory-side engines.
+// memory-side engines, plus the P5-style engine in the two modes that
+// run a memory-side engine.
 func goldenMatrix() []Config {
 	var cfgs []Config
 	for _, mode := range []Mode{NP, PS, MS, PMS} {
@@ -35,6 +36,11 @@ func goldenMatrix() []Config {
 			cfg.Engine = eng
 			cfgs = append(cfgs, cfg)
 		}
+	}
+	for _, mode := range []Mode{MS, PMS} {
+		cfg := Default(mode, goldenBudget)
+		cfg.Engine = EngineP5Style
+		cfgs = append(cfgs, cfg)
 	}
 	return cfgs
 }
