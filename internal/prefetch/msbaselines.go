@@ -1,6 +1,9 @@
 package prefetch
 
-import "asdsim/internal/mem"
+import (
+	"asdsim/internal/mem"
+	"asdsim/internal/stream"
+)
 
 // MSEngine is the interface a memory-side prefetch engine presents to the
 // memory controller: it observes the MC-level demand-Read stream and
@@ -55,31 +58,20 @@ type P5StyleConfig struct {
 // Fig. 11 comparison isolates the decision policy, not table size.
 func DefaultP5StyleConfig() P5StyleConfig { return P5StyleConfig{Slots: 8, Lifetime: 4096} }
 
-type p5Slot struct {
-	valid     bool
-	last      mem.Line
-	length    int
-	dir       int
-	expiresAt uint64
-}
-
 // P5Style is the "no ASD + P5-style prefetcher" baseline of Fig. 11: a
 // classic n=2 stream prefetcher in the memory controller. It waits for
 // two consecutive Reads and then prefetches the next line on every
 // subsequent stream advance; its stopping criterion is the stream dying —
 // i.e. one useless prefetch per stream, exactly the cost the paper's
-// introduction analyses.
+// introduction analyses. A new stream takes a vacant slot or is not
+// tracked.
 type P5Style struct {
-	cfg   P5StyleConfig
-	slots []p5Slot
+	t stream.Table
 
 	// Issued counts emitted prefetches.
 	Issued uint64
 
 	out []mem.Line // reusable nomination scratch
-	// minExpiry is a lower bound on the earliest slot expiry, letting
-	// the per-cycle Tick sweep early-exit while nothing has run out.
-	minExpiry uint64
 }
 
 // NewP5Style returns the Power5-style in-MC baseline.
@@ -87,84 +79,34 @@ func NewP5Style(cfg P5StyleConfig) *P5Style {
 	if cfg.Slots <= 0 || cfg.Lifetime == 0 {
 		panic("prefetch: invalid P5Style config")
 	}
-	return &P5Style{cfg: cfg, slots: make([]p5Slot, cfg.Slots), minExpiry: ^uint64(0)}
+	return &P5Style{t: stream.NewTable(cfg.Slots, cfg.Lifetime)}
 }
 
 // ObserveRead implements MSEngine.
 //
 //asd:hotpath
 func (p *P5Style) ObserveRead(line mem.Line, now uint64) []mem.Line {
-	p.Tick(now)
-	for i := range p.slots {
-		s := &p.slots[i]
-		if !s.valid {
-			continue
+	p.t.Expire(now, nil)
+	i, step := p.t.Match(line)
+	switch {
+	case i < 0:
+		if v := p.t.Vacant(); v >= 0 {
+			p.t.Start(v, line, now)
 		}
-		var dir int
-		switch line {
-		case s.last:
-			s.expiresAt = now + p.cfg.Lifetime
-			p.noteExpiry(s.expiresAt)
-			return nil
-		case s.last.Next(+1):
-			dir = +1
-		case s.last.Next(-1):
-			dir = -1
-		default:
-			continue
-		}
-		if s.length >= 2 && dir != s.dir {
-			continue
-		}
-		s.dir = dir
-		s.length++
-		s.last = line
-		s.expiresAt = now + p.cfg.Lifetime
-		p.noteExpiry(s.expiresAt)
-		// n=2 policy: from the second consecutive Read onward, always
-		// pull the next line.
-		p.Issued++
-		p.out = append(p.out[:0], line.Next(dir))
-		return p.out
-	}
-	for i := range p.slots {
-		s := &p.slots[i]
-		if s.valid {
-			continue
-		}
-		*s = p5Slot{valid: true, last: line, length: 1, expiresAt: now + p.cfg.Lifetime}
-		p.noteExpiry(s.expiresAt)
+		return nil
+	case step == 0:
+		p.t.Refresh(i, now)
 		return nil
 	}
-	return nil
+	p.t.Extend(i, step, now)
+	// n=2 policy: from the second consecutive Read onward, always pull
+	// the next line.
+	p.Issued++
+	p.out = append(p.out[:0], line.Next(step))
+	return p.out
 }
 
-// noteExpiry lowers the cached expiry bound to cover a refreshed slot.
-func (p *P5Style) noteExpiry(at uint64) {
-	if at < p.minExpiry {
-		p.minExpiry = at
-	}
-}
-
-// Tick implements MSEngine. The sweep is skipped while the earliest
-// possible expiry is still in the future (no slot can have run out).
+// Tick implements MSEngine.
 //
 //asd:hotpath
-func (p *P5Style) Tick(now uint64) {
-	if now < p.minExpiry {
-		return
-	}
-	min := ^uint64(0)
-	for i := range p.slots {
-		s := &p.slots[i]
-		if !s.valid {
-			continue
-		}
-		if s.expiresAt <= now {
-			s.valid = false
-		} else if s.expiresAt < min {
-			min = s.expiresAt
-		}
-	}
-	p.minExpiry = min
-}
+func (p *P5Style) Tick(now uint64) { p.t.Expire(now, nil) }

@@ -114,6 +114,34 @@ func TestPSEntryExpiry(t *testing.T) {
 	}
 }
 
+// TestPSVictimRule pins the replacement rule of a full detection table:
+// the victim is entry 0 unless an unconfirmed entry expires sooner. So a
+// confirmed stream in entry 0 that expires first is evicted while two
+// younger unconfirmed entries stay.
+func TestPSVictimRule(t *testing.T) {
+	cfg := DefaultPSConfig()
+	cfg.DetectEntries = 3
+	cfg.Lifetime = 1000
+	p := NewPS(cfg)
+	p.ObserveMiss(100, 0)
+	p.ObserveMiss(101, 1) // entry 0 confirmed, expires at 1001
+	p.ObserveMiss(500, 2) // entry 1 unconfirmed, expires at 1002
+	p.ObserveMiss(900, 3) // entry 2 unconfirmed, expires at 1003
+	p.ObserveMiss(2000, 4)
+	if heads := []mem.Line{p.t.Slots[0].Last, p.t.Slots[1].Last, p.t.Slots[2].Last}; heads[0] != 2000 || heads[1] != 500 || heads[2] != 900 {
+		t.Fatalf("heads after the first eviction = %v, want [2000 500 900]", heads)
+	}
+	if p.ActiveStreams() != 0 {
+		t.Errorf("active = %d, want 0: the confirmed stream was the victim", p.ActiveStreams())
+	}
+	// Entry 0 now expires at 1004, after unconfirmed entry 1.
+	p.ObserveMiss(3000, 5)
+	if p.t.Slots[0].Last != 2000 || p.t.Slots[1].Last != 3000 {
+		t.Errorf("second eviction took heads %d, %d; want entry 1 replaced by 3000",
+			p.t.Slots[0].Last, p.t.Slots[1].Last)
+	}
+}
+
 func TestNextLine(t *testing.T) {
 	n := NewNextLine()
 	got := n.ObserveRead(7, 0)

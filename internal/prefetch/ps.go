@@ -4,7 +4,10 @@
 // Fig. 11 — a next-line prefetcher and a Power5-style stream prefetcher.
 package prefetch
 
-import "asdsim/internal/mem"
+import (
+	"asdsim/internal/mem"
+	"asdsim/internal/stream"
+)
 
 // PSConfig parameterises the processor-side prefetcher.
 type PSConfig struct {
@@ -36,23 +39,15 @@ type Request struct {
 	IntoL1 bool
 }
 
-// psEntry is one stream-detection slot.
-type psEntry struct {
-	valid     bool
-	last      mem.Line
-	dir       int
-	confirmed bool
-	depth     int // current L2-bound prefetch distance (ramps to L2Ahead)
-	expiresAt uint64
-}
-
 // PS is the Power5+-style processor-side stream prefetcher. It observes
 // L1 demand misses and emits prefetch requests that the CPU model turns
 // into cache fills or memory reads (which reach the memory controller
-// indistinguishable from demand reads, as the paper notes).
+// indistinguishable from demand reads, as the paper notes). Its
+// detection entries are a stream.Table; a committed slot is a confirmed
+// stream.
 type PS struct {
-	cfg     PSConfig
-	entries []psEntry
+	cfg PSConfig
+	t   stream.Table
 
 	// Issued counts prefetch requests emitted.
 	Issued uint64
@@ -60,12 +55,6 @@ type PS struct {
 	Confirmations uint64
 
 	out []Request // reusable request scratch
-	// minExpiry is a lower bound on the earliest entry expiry, letting
-	// the per-miss expiry sweep early-exit while nothing has run out.
-	minExpiry uint64
-	// nConfirmed tracks how many valid entries are confirmed, so the
-	// MaxStreams check needs no table scan.
-	nConfirmed int
 }
 
 // NewPS returns a processor-side prefetcher.
@@ -73,14 +62,7 @@ func NewPS(cfg PSConfig) *PS {
 	if cfg.DetectEntries <= 0 || cfg.MaxStreams <= 0 || cfg.L2Ahead < 1 || cfg.Lifetime == 0 {
 		panic("prefetch: invalid PS config")
 	}
-	return &PS{cfg: cfg, entries: make([]psEntry, cfg.DetectEntries), minExpiry: ^uint64(0)}
-}
-
-// noteExpiry lowers the cached expiry bound to cover a refreshed entry.
-func (p *PS) noteExpiry(at uint64) {
-	if at < p.minExpiry {
-		p.minExpiry = at
-	}
+	return &PS{cfg: cfg, t: stream.NewTable(cfg.DetectEntries, cfg.Lifetime)}
 }
 
 // ObserveMiss presents an L1 demand-miss line at CPU cycle now and
@@ -90,112 +72,64 @@ func (p *PS) noteExpiry(at uint64) {
 //
 //asd:hotpath
 func (p *PS) ObserveMiss(line mem.Line, now uint64) []Request {
-	// Expire stale entries (skipped while the earliest possible expiry
-	// is still in the future: no entry can have run out).
-	if now >= p.minExpiry {
-		min := ^uint64(0)
-		for i := range p.entries {
-			e := &p.entries[i]
-			if !e.valid {
-				continue
-			}
-			if e.expiresAt <= now {
-				e.valid = false
-				if e.confirmed {
-					p.nConfirmed--
-				}
-			} else if e.expiresAt < min {
-				min = e.expiresAt
-			}
-		}
-		p.minExpiry = min
-	}
-	// Match against an existing entry (the expected next line in either
-	// the entry's direction, or confirm direction on second miss).
-	for i := range p.entries {
-		e := &p.entries[i]
-		if !e.valid {
-			continue
-		}
-		var dir int
-		switch line {
-		case e.last:
-			// Re-miss of the tracked line (MSHR merge window):
-			// refresh, do not allocate a duplicate entry.
-			e.expiresAt = now + p.cfg.Lifetime
-			p.noteExpiry(e.expiresAt)
+	p.t.Expire(now, nil)
+	i, step := p.t.Match(line)
+	switch {
+	case i < 0:
+		p.allocate(line, now)
+		return nil
+	case step == 0:
+		// Re-miss of the tracked line (MSHR merge window): refresh, do
+		// not allocate a duplicate entry.
+		p.t.Refresh(i, now)
+		return nil
+	case p.t.Slots[i].State == stream.Fresh:
+		// Second consecutive miss: confirm if a stream slot is free
+		// (MaxStreams bounds confirmed entries).
+		if p.t.Committed() >= p.cfg.MaxStreams {
 			return nil
-		case e.last.Next(+1):
-			dir = +1
-		case e.last.Next(-1):
-			dir = -1
-		default:
-			continue
 		}
-		if !e.confirmed {
-			// Second consecutive miss: confirm if a stream slot is
-			// free (MaxStreams bounds confirmed entries).
-			if p.confirmedCount() >= p.cfg.MaxStreams {
-				return nil
-			}
-			e.confirmed = true
-			p.nConfirmed++
-			e.dir = dir
-			e.depth = 1
-			p.Confirmations++
-			e.last = line
-			e.expiresAt = now + p.cfg.Lifetime
-			p.noteExpiry(e.expiresAt)
-			// Confirmation: pull only the next line. The L2-bound
-			// distance ramps on subsequent advances, so a stream that
-			// dies young has wasted at most one prefetch — the cost
-			// the paper's introduction attributes to an n=2 policy.
-			p.Issued++
-			p.out = append(p.out[:0], Request{Line: line.Next(e.dir), IntoL1: true})
-			return p.out
-		}
-		if dir != e.dir {
-			continue
-		}
-		e.last = line
-		e.expiresAt = now + p.cfg.Lifetime
-		p.noteExpiry(e.expiresAt)
-		if e.depth < p.cfg.L2Ahead {
-			e.depth++
-		}
-		// Steady state: one line ahead into L1, depth lines ahead into
-		// L2 (depth reaches L2Ahead after the ramp).
-		p.out = append(p.out[:0],
-			Request{Line: line.Next(e.dir), IntoL1: true},
-			Request{Line: line.Next(e.dir * e.depth), IntoL1: false},
-		)
-		p.Issued += 2
+		p.t.Extend(i, step, now)
+		p.Confirmations++
+		// Confirmation: pull only the next line. The L2-bound distance
+		// ramps on subsequent advances, so a stream that dies young has
+		// wasted at most one prefetch — the cost the paper's
+		// introduction attributes to an n=2 policy.
+		p.Issued++
+		p.out = append(p.out[:0], Request{Line: line.Next(step), IntoL1: true})
 		return p.out
 	}
-	// New potential stream: allocate (evict the oldest unconfirmed, or
-	// the oldest entry if all are confirmed).
-	idx := -1
-	var oldest uint64 = ^uint64(0)
-	for i := range p.entries {
-		e := &p.entries[i]
-		if !e.valid {
-			idx = i
-			break
-		}
-		if e.expiresAt < oldest && (!e.confirmed || idx == -1) {
-			oldest = e.expiresAt
-			idx = i
-		}
-	}
-	if p.entries[idx].valid && p.entries[idx].confirmed {
-		p.nConfirmed--
-	}
-	p.entries[idx] = psEntry{valid: true, last: line, expiresAt: now + p.cfg.Lifetime}
-	p.noteExpiry(now + p.cfg.Lifetime)
-	return nil
+	p.t.Extend(i, step, now)
+	// Steady state: one line ahead into L1, and into L2 a distance that
+	// grows by one per advance from 1 at confirmation up to L2Ahead.
+	depth := min(p.t.Slots[i].Length-1, p.cfg.L2Ahead)
+	p.out = append(p.out[:0],
+		Request{Line: line.Next(step), IntoL1: true},
+		Request{Line: line.Next(step * depth), IntoL1: false},
+	)
+	p.Issued += 2
+	return p.out
 }
 
-func (p *PS) confirmedCount() int { return p.nConfirmed }
+// allocate starts a new potential stream at line. It takes the first
+// vacant entry. In a full table the victim is entry 0, unless an
+// unconfirmed entry expires sooner: then it is the unconfirmed entry that
+// expires first. So a confirmed stream in entry 0 can be evicted while
+// unconfirmed entries stay.
+//
+//asd:hotpath
+func (p *PS) allocate(line mem.Line, now uint64) {
+	victim := p.t.Vacant()
+	if victim < 0 {
+		victim = 0
+		for i, s := range p.t.Slots {
+			if s.State == stream.Fresh && s.ExpiresAt < p.t.Slots[victim].ExpiresAt {
+				victim = i
+			}
+		}
+	}
+	p.t.Start(victim, line, now)
+}
 
 // ActiveStreams returns the number of confirmed streams (reporting).
-func (p *PS) ActiveStreams() int { return p.confirmedCount() }
+func (p *PS) ActiveStreams() int { return p.t.Committed() }

@@ -1,7 +1,9 @@
 // Package stream implements the Stream Filter of the paper's §3.3: a
 // small table of slots, one per Read stream observed at the memory
 // controller, tracking each stream's last address, length, direction, and
-// lifetime. Stream terminations feed the Stream Length Histogram.
+// lifetime. Stream terminations feed the Stream Length Histogram. The
+// slot table itself (Table) also serves the baseline stream prefetchers
+// in package prefetch.
 package stream
 
 import (
@@ -49,34 +51,22 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's configuration: 8 slots. The lifetime
-// value is not given in the paper; 2048 CPU cycles rides out several DRAM
+// value is not given in the paper; 1280 CPU cycles rides out several DRAM
 // round-trips between consecutive stream reads while still letting dead
 // streams vacate their slots before the filter thrashes.
 func DefaultConfig() Config { return Config{Slots: 8, Lifetime: 1280} }
 
-// slot is one tracked stream.
-type slot struct {
-	valid     bool
-	last      mem.Line
-	length    int
-	dir       mem.Direction
-	expiresAt uint64
-}
-
-// Filter is the Stream Filter.
+// Filter is the Stream Filter, the paper's policy over a Table: a Read
+// that repeats or continues a tracked stream refreshes or extends it, a
+// new stream takes the first vacant slot, and with none vacant the Read
+// counts as a length-1 stream that prefetches nothing.
 type Filter struct {
-	cfg    Config
-	slots  []slot
+	t      Table
 	onEnd  EndFunc
 	onSlot SlotFunc
 
-	// minExpiry is a lower bound on the earliest expiresAt among valid
-	// slots (^uint64(0) when none can expire), letting the per-cycle
-	// expiry sweep early-exit while nothing has run out.
-	minExpiry uint64
-
 	// lastNow is the most recent cycle presented to Observe or Tick; it
-	// stamps slot-end hooks fired from FlushEpoch, which has no cycle of
+	// stamps slot-end hooks, which FlushEpoch fires without a cycle of
 	// its own.
 	lastNow uint64
 
@@ -97,7 +87,7 @@ func NewFilter(cfg Config, onEnd EndFunc) *Filter {
 	if cfg.Lifetime == 0 {
 		panic("stream: Lifetime must be positive")
 	}
-	return &Filter{cfg: cfg, slots: make([]slot, cfg.Slots), onEnd: onEnd, minExpiry: ^uint64(0)}
+	return &Filter{t: NewTable(cfg.Slots, cfg.Lifetime), onEnd: onEnd}
 }
 
 // SetSlotHook installs (or clears, with nil) the slot-lifecycle hook.
@@ -124,54 +114,29 @@ type Observation struct {
 func (f *Filter) Observe(line mem.Line, now uint64) Observation {
 	f.Observations++
 	f.lastNow = now
-	f.expire(now)
+	f.t.Expire(now, f.retire)
 
-	// A Read matching the most recent element of a tracked stream
-	// extends it. Per §3.3 a slot of length 1 has not committed to a
-	// direction yet: a Read one line below flips it to Negative.
-	for i := range f.slots {
-		s := &f.slots[i]
-		if !s.valid {
-			continue
-		}
-		switch {
-		case line == s.last.Next(int(s.dir)):
-			s.length++
-			s.last = line
-			s.expiresAt = now + f.cfg.Lifetime
-			f.noteExpiry(s.expiresAt)
-			if f.onSlot != nil {
-				f.onSlot(SlotExtend, now, line, s.length, s.dir) //asd:allow hotpath-noalloc provenance hook wired once before the run; the recorder's handler is itself checked
-			}
-			return Observation{Length: s.length, Dir: s.dir, Tracked: true}
-		case s.length == 1 && line == s.last.Next(-1):
-			s.dir = mem.Down
-			s.length = 2
-			s.last = line
-			s.expiresAt = now + f.cfg.Lifetime
-			f.noteExpiry(s.expiresAt)
-			if f.onSlot != nil {
-				f.onSlot(SlotExtend, now, line, 2, mem.Down) //asd:allow hotpath-noalloc provenance hook wired once before the run; the recorder's handler is itself checked
-			}
-			return Observation{Length: 2, Dir: mem.Down, Tracked: true}
-		case line == s.last:
-			// Repeated access to the stream head: refresh lifetime,
-			// no length change.
+	// A Read one line past a tracked stream's last element extends it;
+	// per §3.3 a Fresh slot commits to a direction here, so a Read one
+	// line below makes it Negative. Re-reading the last element only
+	// refreshes the slot's lifetime.
+	if i, step := f.t.Match(line); i >= 0 {
+		if step == 0 {
 			f.Repeats++
-			s.expiresAt = now + f.cfg.Lifetime
-			f.noteExpiry(s.expiresAt)
-			return Observation{Length: s.length, Dir: s.dir, Tracked: true}
+			f.t.Refresh(i, now)
+		} else {
+			f.t.Extend(i, step, now)
 		}
+		s := f.t.Slots[i]
+		if step != 0 && f.onSlot != nil {
+			f.onSlot(SlotExtend, now, line, s.Length, s.Dir()) //asd:allow hotpath-noalloc provenance hook wired once before the run; the recorder's handler is itself checked
+		}
+		return Observation{Length: s.Length, Dir: s.Dir(), Tracked: true}
 	}
 
 	// Not part of any stream: allocate a vacant slot if there is one.
-	for i := range f.slots {
-		s := &f.slots[i]
-		if s.valid {
-			continue
-		}
-		*s = slot{valid: true, last: line, length: 1, dir: mem.Up, expiresAt: now + f.cfg.Lifetime}
-		f.noteExpiry(s.expiresAt)
+	if i := f.t.Vacant(); i >= 0 {
+		f.t.Start(i, line, now)
 		if f.onSlot != nil {
 			f.onSlot(SlotBirth, now, line, 1, mem.Up) //asd:allow hotpath-noalloc provenance hook wired once before the run; the recorder's handler is itself checked
 		}
@@ -184,37 +149,14 @@ func (f *Filter) Observe(line mem.Line, now uint64) Observation {
 	return Observation{Length: 1, Dir: mem.Up, Tracked: false}
 }
 
-// noteExpiry lowers the cached expiry bound to cover a refreshed slot.
-func (f *Filter) noteExpiry(at uint64) {
-	if at < f.minExpiry {
-		f.minExpiry = at
+// retire feeds a stream leaving the filter to the SLH and the slot hook.
+//
+//asd:hotpath
+func (f *Filter) retire(s Slot) {
+	f.end(s.Length, s.Dir())
+	if f.onSlot != nil {
+		f.onSlot(SlotEnd, f.lastNow, s.Last, s.Length, s.Dir()) //asd:allow hotpath-noalloc provenance hook wired once before the run; the recorder's handler is itself checked
 	}
-}
-
-// expire retires slots whose lifetime has run out at cycle now. While
-// the earliest possible expiry is still in the future the sweep is
-// skipped: no slot can have run out, so skipping is invisible.
-func (f *Filter) expire(now uint64) {
-	if now < f.minExpiry {
-		return
-	}
-	min := ^uint64(0)
-	for i := range f.slots {
-		s := &f.slots[i]
-		if !s.valid {
-			continue
-		}
-		if s.expiresAt <= now {
-			f.end(s.length, s.dir)
-			if f.onSlot != nil {
-				f.onSlot(SlotEnd, now, s.last, s.length, s.dir) //asd:allow hotpath-noalloc provenance hook wired once before the run; the recorder's handler is itself checked
-			}
-			s.valid = false
-		} else if s.expiresAt < min {
-			min = s.expiresAt
-		}
-	}
-	f.minExpiry = min
 }
 
 // Tick retires expired slots without observing a Read; the memory
@@ -224,30 +166,18 @@ func (f *Filter) expire(now uint64) {
 //asd:hotpath
 func (f *Filter) Tick(now uint64) {
 	f.lastNow = now
-	f.expire(now)
+	f.t.Expire(now, f.retire)
 }
 
 // FlushEpoch evicts every stream (called at each epoch boundary: "At the
 // end of each epoch, all streams are evicted from the Stream Filter").
-func (f *Filter) FlushEpoch() {
-	for i := range f.slots {
-		s := &f.slots[i]
-		if s.valid {
-			f.end(s.length, s.dir)
-			if f.onSlot != nil {
-				f.onSlot(SlotEnd, f.lastNow, s.last, s.length, s.dir) //asd:allow hotpath-noalloc provenance hook wired once before the run; the recorder's handler is itself checked
-			}
-			s.valid = false
-		}
-	}
-	f.minExpiry = ^uint64(0)
-}
+func (f *Filter) FlushEpoch() { f.t.Flush(f.retire) }
 
-// Live returns the number of valid slots (for tests and reporting).
+// Live returns the number of live slots (for tests and reporting).
 func (f *Filter) Live() int {
 	n := 0
-	for i := range f.slots {
-		if f.slots[i].valid {
+	for _, s := range f.t.Slots {
+		if s.State != Vacant {
 			n++
 		}
 	}
