@@ -171,20 +171,3 @@ func Compare(bench string, cfg Config, modes ...Mode) (*Comparison, error) {
 	}
 	return out, nil
 }
-
-// CompareSuite runs every benchmark of a suite under the given modes.
-func CompareSuite(s Suite, cfg Config, modes ...Mode) ([]*Comparison, error) {
-	names := SuiteBenchmarks(s)
-	if names == nil {
-		return nil, fmt.Errorf("asdsim: unknown suite %q", s)
-	}
-	out := make([]*Comparison, 0, len(names))
-	for _, n := range names {
-		c, err := Compare(n, cfg, modes...)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}

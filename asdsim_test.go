@@ -61,21 +61,3 @@ func TestCompareUnknownBenchmark(t *testing.T) {
 		t.Error("expected error")
 	}
 }
-
-func TestCompareSuite(t *testing.T) {
-	cmps, err := asdsim.CompareSuite(asdsim.Commercial, asdsim.DefaultConfig(asdsim.NP, 30_000), asdsim.NP, asdsim.MS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cmps) != 5 {
-		t.Fatalf("got %d comparisons", len(cmps))
-	}
-	for _, c := range cmps {
-		if len(c.ByMode) != 2 {
-			t.Errorf("%s: %d modes", c.Benchmark, len(c.ByMode))
-		}
-	}
-	if _, err := asdsim.CompareSuite(asdsim.Suite("bogus"), asdsim.DefaultConfig(asdsim.NP, 1000)); err == nil {
-		t.Error("unknown suite should error")
-	}
-}

@@ -1,12 +1,10 @@
-// Command slhdump analyses a trace — either a binary ASD1 file written by
-// cmd/tracegen or a named synthetic benchmark — and prints its access
-// statistics and the Stream Length Histogram the ASD hardware would
-// gather from its post-cache miss stream.
+// Command slhdump analyses a synthetic benchmark's trace and prints its
+// access statistics and the Stream Length Histogram the ASD hardware
+// would gather from its post-cache miss stream.
 //
 // Usage:
 //
-//	slhdump -bench GemsFDTD -records 500000     # synthetic benchmark
-//	slhdump -file gems.asd1                     # trace file
+//	slhdump -bench GemsFDTD -records 500000 [-seed 1]
 //	slhdump -bench GemsFDTD -epochs             # per-epoch LHT timeline
 //
 // -epochs attaches a provenance recorder to the replay engine and
@@ -31,19 +29,26 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "", "benchmark name (synthetic source)")
-	file := flag.String("file", "", "binary ASD1 trace file")
+	bench := flag.String("bench", "", "benchmark name")
 	records := flag.Int("records", 500_000, "records to analyse")
-	seed := flag.Uint64("seed", 1, "workload seed (with -bench)")
+	seed := flag.Uint64("seed", 1, "workload seed")
 	epochs := flag.Bool("epochs", false, "print the per-epoch SLH/LHT snapshot timeline")
 	flag.Parse()
 
-	src, closer, err := openSource(*bench, *file, *seed)
+	if *bench == "" {
+		fmt.Fprintln(os.Stderr, "slhdump: provide -bench")
+		os.Exit(2)
+	}
+	prof, err := workload.ByName(*bench)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	defer closer()
+	src, err := workload.NewGenerator(prof, *seed, 0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	recs := trace.Collect(trace.Limit(src, *records), 0)
 	fmt.Println("--- trace statistics ---")
@@ -118,30 +123,4 @@ func fmtLHT(t []uint32) string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-// openSource resolves the input selection.
-func openSource(bench, file string, seed uint64) (trace.Source, func(), error) {
-	switch {
-	case bench != "" && file != "":
-		return nil, nil, fmt.Errorf("slhdump: use -bench or -file, not both")
-	case bench != "":
-		prof, err := workload.ByName(bench)
-		if err != nil {
-			return nil, nil, err
-		}
-		g, err := workload.NewGenerator(prof, seed, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		return g, func() {}, nil
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, nil, err
-		}
-		return trace.NewReader(f), func() { f.Close() }, nil
-	default:
-		return nil, nil, fmt.Errorf("slhdump: provide -bench or -file")
-	}
 }

@@ -42,7 +42,6 @@ type WorkerStats struct {
 	acquired  atomic.Uint64
 	completed atomic.Uint64
 	expired   atomic.Uint64
-	idlePolls atomic.Uint64
 }
 
 // Acquired returns how many leases the worker has been granted.
@@ -54,9 +53,6 @@ func (s *WorkerStats) Completed() uint64 { return s.completed.Load() }
 // Expired returns how many results were rejected as late.
 func (s *WorkerStats) Expired() uint64 { return s.expired.Load() }
 
-// IdlePolls returns how many acquire attempts found an empty queue.
-func (s *WorkerStats) IdlePolls() uint64 { return s.idlePolls.Load() }
-
 //asd:hotpath
 func (s *WorkerStats) noteAcquired() { s.acquired.Add(1) }
 
@@ -65,6 +61,3 @@ func (s *WorkerStats) noteCompleted() { s.completed.Add(1) }
 
 //asd:hotpath
 func (s *WorkerStats) noteExpired() { s.expired.Add(1) }
-
-//asd:hotpath
-func (s *WorkerStats) noteIdlePoll() { s.idlePolls.Add(1) }

@@ -109,7 +109,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		if resp.Grant == nil {
-			w.stats.noteIdlePoll()
 			idleSince++
 			if idleSince%statsEvery == 0 {
 				// Acquire already refreshed liveness; this heartbeat only

@@ -237,11 +237,8 @@ func (e *Engine) EpochHistory() []*stats.Histogram { return e.history }
 // Epochs returns the number of completed epochs.
 func (e *Engine) Epochs() uint64 { return e.up.Epochs }
 
-// SLHUp and SLHDown expose the direction tables for reporting.
+// SLHUp exposes the ascending-direction table for reporting.
 func (e *Engine) SLHUp() *slh.Table { return e.up }
-
-// SLHDown returns the descending-direction table.
-func (e *Engine) SLHDown() *slh.Table { return e.down }
 
 // Filter exposes the stream filter (reporting/tests).
 func (e *Engine) Filter() *stream.Filter { return e.filter }

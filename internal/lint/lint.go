@@ -574,16 +574,3 @@ func PathScope(paths ...string) func(string) bool {
 	}
 	return func(path string) bool { return set[path] }
 }
-
-// PrefixScope builds a Scope func matching any package whose import
-// path equals or is nested under one of the given prefixes.
-func PrefixScope(prefixes ...string) func(string) bool {
-	return func(path string) bool {
-		for _, p := range prefixes {
-			if path == p || strings.HasPrefix(path, p+"/") {
-				return true
-			}
-		}
-		return false
-	}
-}

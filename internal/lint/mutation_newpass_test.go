@@ -62,26 +62,26 @@ func lintLockBA(a *lintCycA, b *lintCycB) {
 	}
 }
 
-// TestRenamedWireFieldFailsVet renames trace.Record's Gap field on the
-// wire (via a json tag) without touching any Go call site; the
+// TestRenamedWireFieldFailsVet renames prov.Stream's Dropped field on
+// the wire (via its json tag) without touching any Go call site; the
 // wirecheck pass must flag the drift against the checked-in wire.lock.
 func TestRenamedWireFieldFailsVet(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks trace from source")
+		t.Skip("type-checks prov from source")
 	}
 	l := newRealLoader(lint.WirecheckAnalyzer)
 	l.Transform = func(filename string, src []byte) []byte {
-		if filename != "trace.go" {
+		if filename != "prov.go" {
 			return src
 		}
-		out := strings.Replace(string(src), "Gap uint32", "Gap uint32 `json:\"gap\"`", 1)
+		out := strings.Replace(string(src), "`json:\"dropped,omitempty\"`", "`json:\"lost,omitempty\"`", 1)
 		if out == string(src) {
-			t.Fatal("mutation did not apply; trace.Record's Gap field changed shape")
+			t.Fatal("mutation did not apply; prov.Stream's Dropped field changed shape")
 		}
 		return []byte(out)
 	}
-	if _, err := l.Load("asdsim/internal/trace"); err != nil {
-		t.Fatalf("loading mutated trace: %v", err)
+	if _, err := l.Load("asdsim/internal/obs/prov"); err != nil {
+		t.Fatalf("loading mutated prov: %v", err)
 	}
 	found := false
 	for _, d := range l.Diags() {
@@ -90,7 +90,7 @@ func TestRenamedWireFieldFailsVet(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("renaming Record.Gap on the wire produced no wirecheck drift finding; diags: %v", l.Diags())
+		t.Errorf("renaming Stream.Dropped on the wire produced no wirecheck drift finding; diags: %v", l.Diags())
 	}
 }
 

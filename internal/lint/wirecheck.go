@@ -59,14 +59,13 @@ const WireLockName = "wire.lock"
 
 // WireRoots names the types whose reachable closure defines the wire
 // surface: the cluster envelope, the farm job spec and outcome, and
-// the provenance/trace/span codec records. `asdlint -write-wire-lock`
+// the provenance and span codec records. `asdlint -write-wire-lock`
 // regenerates wire.lock from these.
 var WireRoots = map[string][]string{
 	"asdsim/internal/cluster":  {"Message"},
 	"asdsim/internal/farm":     {"Spec", "Outcome"},
 	"asdsim/internal/obs/prov": {"Stream"},
 	"asdsim/internal/obs/span": {"Span", "Context"},
-	"asdsim/internal/trace":    {"Record"},
 }
 
 func runWirecheck(pass *Pass) {

@@ -63,7 +63,7 @@ func TestInOrderPicksOldest(t *testing.T) {
 func TestMemorylessSkipsBusyBank(t *testing.T) {
 	d := freshDRAM()
 	// Occupy bank of line 0.
-	d.Issue(0, false, false, 0)
+	d.IssueD(0, d.Decode(0), false, false, 0)
 	q := cmds(d, 1, 16) // line 1 shares bank 0 (busy); line 16 is bank 1 (free)
 	got := (memorylessArbiter{}).pick(q, d, 1, 0, 8)
 	if got != 1 {
@@ -73,7 +73,7 @@ func TestMemorylessSkipsBusyBank(t *testing.T) {
 
 func TestMemorylessFallsBackToOldest(t *testing.T) {
 	d := freshDRAM()
-	d.Issue(0, false, false, 0)
+	d.IssueD(0, d.Decode(0), false, false, 0)
 	q := cmds(d, 1, 2) // both bank 0, busy
 	if got := (memorylessArbiter{}).pick(q, d, 1, 0, 8); got != 0 {
 		t.Errorf("pick = %d, want oldest", got)
@@ -82,7 +82,7 @@ func TestMemorylessFallsBackToOldest(t *testing.T) {
 
 func TestAHBPrefersReadyAndRowHit(t *testing.T) {
 	d := freshDRAM()
-	done := d.Issue(0, false, false, 0) // opens bank 0 row 0
+	done := d.IssueD(0, d.Decode(0), false, false, 0) // opens bank 0 row 0
 	a := newAHB()
 	// line 1: bank 0, row open (row hit + ready after completion);
 	// line 512: bank 0, different row (conflict); choose at time `done`.

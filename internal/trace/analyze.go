@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"asdsim/internal/mem"
 	"asdsim/internal/stats"
@@ -100,7 +99,6 @@ func (a Analysis) String() string {
 	add("records:       %d (%d loads, %d stores)\n", a.Records, a.Loads, a.Stores)
 	add("instructions:  %d (mean gap %.1f)\n", a.Instructions, a.MeanGap)
 	add("footprint:     %d lines (%.1f MB)\n", a.UniqueLines, float64(a.FootprintBytes)/(1<<20))
-	total := a.SameLine + a.UpStrides + a.DownStrides
 	if a.Records > 1 {
 		add("transitions:   %.1f%% same-line, %.1f%% +1, %.1f%% -1 (of %d)\n",
 			100*float64(a.SameLine)/float64(a.Records-1),
@@ -108,35 +106,5 @@ func (a Analysis) String() string {
 			100*float64(a.DownStrides)/float64(a.Records-1),
 			a.Records-1)
 	}
-	_ = total
 	return string(sb)
-}
-
-// TopStrides returns the k most common absolute line strides (1..16,
-// where 16 aggregates ">= 16") in descending frequency order.
-func (a Analysis) TopStrides(k int) []int {
-	type sc struct {
-		stride int
-		count  uint64
-	}
-	all := make([]sc, 0, 16)
-	for s := 1; s <= 16; s++ {
-		if c := a.LineStrides.Count(s); c > 0 {
-			all = append(all, sc{s, c})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
-		}
-		return all[i].stride < all[j].stride
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].stride
-	}
-	return out
 }

@@ -71,23 +71,3 @@ func TestAnalyzeString(t *testing.T) {
 		}
 	}
 }
-
-func TestTopStrides(t *testing.T) {
-	recs := []Record{
-		lineRec(0, Load, 0),
-		lineRec(1, Load, 0),  // stride 1
-		lineRec(2, Load, 0),  // stride 1
-		lineRec(5, Load, 0),  // stride 3
-		lineRec(6, Load, 0),  // stride 1
-		lineRec(9, Load, 0),  // stride 3
-		lineRec(14, Load, 0), // stride 5
-	}
-	a := Analyze(NewSliceSource(recs), 0)
-	top := a.TopStrides(2)
-	if len(top) != 2 || top[0] != 1 || top[1] != 3 {
-		t.Errorf("TopStrides = %v, want [1 3]", top)
-	}
-	if got := a.TopStrides(100); len(got) != 3 {
-		t.Errorf("all strides = %v", got)
-	}
-}

@@ -1,7 +1,5 @@
 // Package trace defines the execution-trace representation that drives the
-// simulator, plus binary and text codecs for storing traces on disk and a
-// uniform sampler mirroring the paper's methodology (50 uniformly chosen
-// samples of 2M instructions each).
+// simulator.
 //
 // A trace is a flat sequence of records. Each record describes one memory
 // operation together with the number of non-memory instructions that
@@ -9,15 +7,7 @@
 // are accounted analytically, memory operations walk the cache hierarchy.
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-
-	"asdsim/internal/mem"
-)
+import "asdsim/internal/mem"
 
 // Op is the kind of memory operation a record performs.
 type Op uint8
@@ -48,8 +38,8 @@ type Record struct {
 	Addr mem.Addr
 }
 
-// Source produces trace records. Workload generators and file readers both
-// implement Source. Next returns ok=false when the trace is exhausted.
+// Source produces trace records. Workload generators and SliceSource
+// implement it. Next returns ok=false when the trace is exhausted.
 type Source interface {
 	Next() (rec Record, ok bool)
 }
@@ -119,226 +109,4 @@ func (l *limitSource) Next() (Record, bool) {
 	}
 	l.n--
 	return l.src.Next()
-}
-
-// magic identifies the binary trace file format, version 1.
-var magic = [4]byte{'A', 'S', 'D', '1'}
-
-// Writer encodes records to a compact binary stream. The format is:
-// 4-byte magic, then per record: uvarint gap, one op byte, uvarint
-// delta-encoded address (zig-zag against the previous address).
-type Writer struct {
-	w        *bufio.Writer
-	prevAddr mem.Addr
-	started  bool
-	count    uint64
-}
-
-// NewWriter returns a Writer emitting to w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w)} }
-
-// Write appends one record.
-func (tw *Writer) Write(r Record) error {
-	if !tw.started {
-		if _, err := tw.w.Write(magic[:]); err != nil {
-			return err
-		}
-		tw.started = true
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(r.Gap))
-	if _, err := tw.w.Write(buf[:n]); err != nil {
-		return err
-	}
-	if err := tw.w.WriteByte(byte(r.Op)); err != nil {
-		return err
-	}
-	delta := int64(r.Addr) - int64(tw.prevAddr)
-	n = binary.PutVarint(buf[:], delta)
-	if _, err := tw.w.Write(buf[:n]); err != nil {
-		return err
-	}
-	tw.prevAddr = r.Addr
-	tw.count++
-	return nil
-}
-
-// Count returns the number of records written so far.
-func (tw *Writer) Count() uint64 { return tw.count }
-
-// Flush flushes buffered output. Callers must Flush before closing the
-// underlying writer.
-func (tw *Writer) Flush() error {
-	if !tw.started {
-		// An empty trace still carries the magic so readers can
-		// distinguish "empty trace" from "not a trace".
-		if _, err := tw.w.Write(magic[:]); err != nil {
-			return err
-		}
-		tw.started = true
-	}
-	return tw.w.Flush()
-}
-
-// ErrBadMagic reports that a stream is not a binary trace.
-var ErrBadMagic = errors.New("trace: bad magic (not an ASD1 trace stream)")
-
-// Reader decodes the binary stream produced by Writer. It implements
-// Source; decode errors terminate the stream and are available via Err.
-type Reader struct {
-	r        *bufio.Reader
-	prevAddr mem.Addr
-	started  bool
-	err      error
-}
-
-// NewReader returns a Reader decoding from r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
-
-// Err returns the first error encountered (nil on clean EOF).
-func (tr *Reader) Err() error { return tr.err }
-
-// Next implements Source.
-func (tr *Reader) Next() (Record, bool) {
-	if tr.err != nil {
-		return Record{}, false
-	}
-	if !tr.started {
-		var m [4]byte
-		if _, err := io.ReadFull(tr.r, m[:]); err != nil {
-			tr.fail(err)
-			return Record{}, false
-		}
-		if m != magic {
-			tr.err = ErrBadMagic
-			return Record{}, false
-		}
-		tr.started = true
-	}
-	gap, err := binary.ReadUvarint(tr.r)
-	if err != nil {
-		tr.fail(err)
-		return Record{}, false
-	}
-	if gap > 1<<32-1 {
-		tr.err = fmt.Errorf("trace: gap %d overflows uint32", gap)
-		return Record{}, false
-	}
-	opb, err := tr.r.ReadByte()
-	if err != nil {
-		tr.fail(err)
-		return Record{}, false
-	}
-	if opb > byte(Store) {
-		tr.err = fmt.Errorf("trace: invalid op byte %#x", opb)
-		return Record{}, false
-	}
-	delta, err := binary.ReadVarint(tr.r)
-	if err != nil {
-		tr.fail(err)
-		return Record{}, false
-	}
-	addr := mem.Addr(int64(tr.prevAddr) + delta)
-	tr.prevAddr = addr
-	return Record{Gap: uint32(gap), Op: Op(opb), Addr: addr}, true
-}
-
-// fail records err unless it is a clean EOF at a record boundary.
-func (tr *Reader) fail(err error) {
-	if err == io.EOF {
-		return // clean end of trace
-	}
-	if err == io.ErrUnexpectedEOF {
-		tr.err = fmt.Errorf("trace: truncated record: %w", err)
-		return
-	}
-	tr.err = err
-}
-
-// Sample describes one uniform sample of a longer execution, mirroring the
-// paper's 50-samples-of-2M-instructions methodology.
-type Sample struct {
-	// SkipInstructions is how many instructions (memory and compute) to
-	// fast-forward before the sample begins.
-	SkipInstructions uint64
-	// Instructions is the sample length in instructions.
-	Instructions uint64
-}
-
-// UniformSamples slices a run of totalInstructions into count samples of
-// sampleLen instructions each, uniformly spaced. It returns fewer samples
-// when the run is too short for the requested plan.
-func UniformSamples(totalInstructions, sampleLen uint64, count int) []Sample {
-	if count <= 0 || sampleLen == 0 || totalInstructions == 0 {
-		return nil
-	}
-	if sampleLen*uint64(count) >= totalInstructions {
-		// Degenerate: the whole run is one sample.
-		return []Sample{{SkipInstructions: 0, Instructions: totalInstructions}}
-	}
-	stride := totalInstructions / uint64(count)
-	samples := make([]Sample, 0, count)
-	for i := 0; i < count; i++ {
-		start := uint64(i) * stride
-		if start+sampleLen > totalInstructions {
-			break
-		}
-		samples = append(samples, Sample{SkipInstructions: start, Instructions: sampleLen})
-	}
-	return samples
-}
-
-// SampledSource passes through records of src that fall inside the sample
-// windows, skipping (but still counting) instructions outside them. Gap
-// instructions count toward instruction positions.
-type SampledSource struct {
-	src     Source
-	samples []Sample
-	// pos is the absolute instruction position consumed so far.
-	pos uint64
-	cur int
-}
-
-// NewSampledSource wraps src with the given sample plan. Samples must be
-// sorted by SkipInstructions and non-overlapping (as produced by
-// UniformSamples).
-func NewSampledSource(src Source, samples []Sample) *SampledSource {
-	return &SampledSource{src: src, samples: samples}
-}
-
-// Next implements Source.
-func (ss *SampledSource) Next() (Record, bool) {
-	for {
-		if ss.cur >= len(ss.samples) {
-			return Record{}, false
-		}
-		s := ss.samples[ss.cur]
-		rec, ok := ss.src.Next()
-		if !ok {
-			return Record{}, false
-		}
-		recStart := ss.pos
-		ss.pos += uint64(rec.Gap) + 1
-		switch {
-		case ss.pos <= s.SkipInstructions:
-			// Entirely before the window: skip.
-			continue
-		case recStart >= s.SkipInstructions+s.Instructions:
-			// Past the window: advance to next sample and
-			// reconsider this record against it.
-			ss.cur++
-			ss.pos = recStart // rewind accounting; re-add below
-			ss.pos += uint64(rec.Gap) + 1
-			if ss.cur >= len(ss.samples) {
-				return Record{}, false
-			}
-			next := ss.samples[ss.cur]
-			if recStart >= next.SkipInstructions && recStart < next.SkipInstructions+next.Instructions {
-				return rec, true
-			}
-			continue
-		default:
-			return rec, true
-		}
-	}
 }

@@ -1,14 +1,8 @@
 package trace
 
 import (
-	"bytes"
-	"io"
-	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
-
-	"asdsim/internal/mem"
 )
 
 func TestOpString(t *testing.T) {
@@ -53,226 +47,5 @@ func TestLimit(t *testing.T) {
 	got = Collect(Limit(NewSliceSource(recs), 0), 0)
 	if len(got) != 0 {
 		t.Errorf("Limit(0) yielded %d records", len(got))
-	}
-}
-
-func roundTrip(t *testing.T, recs []Record) []Record {
-	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if w.Count() != uint64(len(recs)) {
-		t.Fatalf("Count = %d, want %d", w.Count(), len(recs))
-	}
-	r := NewReader(&buf)
-	got := Collect(r, 0)
-	if r.Err() != nil {
-		t.Fatalf("Reader error: %v", r.Err())
-	}
-	return got
-}
-
-func TestBinaryRoundTripBasic(t *testing.T) {
-	recs := []Record{
-		{Gap: 0, Op: Load, Addr: 0},
-		{Gap: 7, Op: Store, Addr: 128},
-		{Gap: 1 << 20, Op: Load, Addr: 0xDEADBEEF},
-		{Gap: 3, Op: Load, Addr: 64}, // address going down: negative delta
-	}
-	got := roundTrip(t, recs)
-	if !reflect.DeepEqual(got, recs) {
-		t.Errorf("round trip mismatch:\n got %v\nwant %v", got, recs)
-	}
-}
-
-func TestBinaryRoundTripEmpty(t *testing.T) {
-	got := roundTrip(t, nil)
-	if len(got) != 0 {
-		t.Errorf("empty trace round trip = %v", got)
-	}
-}
-
-func TestBinaryRoundTripProperty(t *testing.T) {
-	f := func(gaps []uint16, addrs []uint32, ops []bool) bool {
-		n := len(gaps)
-		if len(addrs) < n {
-			n = len(addrs)
-		}
-		if len(ops) < n {
-			n = len(ops)
-		}
-		recs := make([]Record, n)
-		for i := 0; i < n; i++ {
-			op := Load
-			if ops[i] {
-				op = Store
-			}
-			recs[i] = Record{Gap: uint32(gaps[i]), Op: op, Addr: mem.Addr(addrs[i])}
-		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		for _, r := range recs {
-			if w.Write(r) != nil {
-				return false
-			}
-		}
-		if w.Flush() != nil {
-			return false
-		}
-		r := NewReader(&buf)
-		got := Collect(r, 0)
-		if r.Err() != nil {
-			return false
-		}
-		if len(got) != len(recs) {
-			return false
-		}
-		for i := range recs {
-			if got[i] != recs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReaderBadMagic(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte("NOPE....")))
-	if _, ok := r.Next(); ok {
-		t.Fatal("Next succeeded on bad magic")
-	}
-	if r.Err() != ErrBadMagic {
-		t.Errorf("Err = %v, want ErrBadMagic", r.Err())
-	}
-}
-
-func TestReaderTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Write(Record{Gap: 5, Op: Load, Addr: 1000}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Chop off the final byte: the record becomes unreadable.
-	data := buf.Bytes()[:buf.Len()-1]
-	r := NewReader(bytes.NewReader(data))
-	if _, ok := r.Next(); ok {
-		t.Fatal("Next succeeded on truncated record")
-	}
-	if r.Err() == nil {
-		t.Error("truncated stream should report an error")
-	}
-}
-
-func TestReaderInvalidOp(t *testing.T) {
-	// magic + gap=0 + op=9 + delta=0
-	data := append([]byte("ASD1"), 0x00, 0x09, 0x00)
-	r := NewReader(bytes.NewReader(data))
-	if _, ok := r.Next(); ok {
-		t.Fatal("Next succeeded on invalid op")
-	}
-	if r.Err() == nil {
-		t.Error("invalid op should report an error")
-	}
-}
-
-func TestReaderEmptyStream(t *testing.T) {
-	r := NewReader(bytes.NewReader(nil))
-	if _, ok := r.Next(); ok {
-		t.Fatal("Next succeeded on empty stream")
-	}
-	if r.Err() != nil {
-		t.Errorf("zero-byte stream is clean EOF, got %v", r.Err())
-	}
-}
-
-func TestUniformSamples(t *testing.T) {
-	s := UniformSamples(1000, 10, 5)
-	if len(s) != 5 {
-		t.Fatalf("len = %d, want 5", len(s))
-	}
-	for i, smp := range s {
-		if smp.Instructions != 10 {
-			t.Errorf("sample %d len = %d", i, smp.Instructions)
-		}
-		if i > 0 && smp.SkipInstructions <= s[i-1].SkipInstructions {
-			t.Errorf("samples not increasing at %d", i)
-		}
-	}
-	// Degenerate: requested more than available.
-	s = UniformSamples(100, 50, 5)
-	if len(s) != 1 || s[0].Instructions != 100 {
-		t.Errorf("degenerate plan = %v", s)
-	}
-	if UniformSamples(0, 10, 5) != nil || UniformSamples(100, 0, 5) != nil || UniformSamples(100, 10, 0) != nil {
-		t.Error("invalid plans should be nil")
-	}
-}
-
-func TestSampledSource(t *testing.T) {
-	// 10 records, each 1 instruction (gap 0): positions 0..9.
-	recs := make([]Record, 10)
-	for i := range recs {
-		recs[i] = Record{Op: Load, Addr: mem.Addr(i * 128)}
-	}
-	samples := []Sample{{SkipInstructions: 2, Instructions: 3}, {SkipInstructions: 7, Instructions: 2}}
-	ss := NewSampledSource(NewSliceSource(recs), samples)
-	got := Collect(ss, 0)
-	wantAddrs := []mem.Addr{2 * 128, 3 * 128, 4 * 128, 7 * 128, 8 * 128}
-	if len(got) != len(wantAddrs) {
-		t.Fatalf("got %d records %v, want %d", len(got), got, len(wantAddrs))
-	}
-	for i, w := range wantAddrs {
-		if got[i].Addr != w {
-			t.Errorf("record %d addr = %d, want %d", i, got[i].Addr, w)
-		}
-	}
-}
-
-func TestSampledSourceWithGaps(t *testing.T) {
-	// Records at instruction positions: rec0 ends at 5 (gap 4 + 1),
-	// rec1 ends at 10, rec2 at 15.
-	recs := []Record{
-		{Gap: 4, Op: Load, Addr: 0},
-		{Gap: 4, Op: Load, Addr: 128},
-		{Gap: 4, Op: Load, Addr: 256},
-	}
-	// Window covering positions [5,10): only rec1 (start pos 5).
-	ss := NewSampledSource(NewSliceSource(recs), []Sample{{SkipInstructions: 5, Instructions: 5}})
-	got := Collect(ss, 0)
-	if len(got) != 1 || got[0].Addr != 128 {
-		t.Errorf("got %v, want just addr 128", got)
-	}
-}
-
-func BenchmarkWriterThroughput(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	recs := make([]Record, 4096)
-	for i := range recs {
-		recs[i] = Record{Gap: uint32(rng.Intn(100)), Op: Op(rng.Intn(2)), Addr: mem.Addr(rng.Uint64() >> 20)}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w := NewWriter(io.Discard)
-		for _, r := range recs {
-			if err := w.Write(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
