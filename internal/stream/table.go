@@ -4,7 +4,8 @@ import "asdsim/internal/mem"
 
 // State is where a slot stands in its stream's life. A slot is born
 // Fresh on a stream's first Read, commits to a direction on the second,
-// and goes Vacant when its lifetime runs out or it is flushed.
+// and goes Vacant when its lifetime runs out or it is flushed. The two
+// committed states order after the others.
 type State uint8
 
 const (
