@@ -11,10 +11,11 @@ import (
 )
 
 // TestGoldenBatchMatchesSerial extends the golden determinism contract
-// to trace sharing: every cell of the 20-cell golden matrix run through
+// to trace sharing: every cell of the 22-cell golden matrix run through
 // one Batch must serialize byte-identically to the committed golden
-// Result of a one-cell sim.Run. All ten cells of a benchmark replay a
-// single materialized trace, so no cell may leave state behind in it.
+// Result of a one-cell sim.Run. The ten one-thread cells of a benchmark
+// replay a single materialized trace, so no cell may leave state behind
+// in it.
 func TestGoldenBatchMatchesSerial(t *testing.T) {
 	dir := filepath.Join("testdata", "golden")
 	b := NewBatch()
@@ -45,10 +46,11 @@ func TestGoldenBatchMatchesSerial(t *testing.T) {
 	if st.Misses == 0 || st.Hits == 0 {
 		t.Fatalf("expected trace reuse across the matrix, got stats %+v", st)
 	}
-	// 2 benchmarks × 1 thread × one (seed, budget) each → 2 generations;
-	// the other 18 cells are hits.
-	if st.Misses != 2 {
-		t.Errorf("expected 2 trace generations for 2 benchmarks, got %d", st.Misses)
+	// Per benchmark, one trace at the golden budget and one per thread
+	// of the two-thread fixed-policy cell → 6 generations; the other 16
+	// cells are hits.
+	if st.Misses != 6 {
+		t.Errorf("expected 6 trace generations for 2 benchmarks, got %d", st.Misses)
 	}
 }
 

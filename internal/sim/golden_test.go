@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"asdsim/internal/core"
 )
 
 // updateGolden regenerates the committed golden Result files instead of
@@ -24,10 +26,17 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden Result file
 // adaptive scheduler all see real traffic.
 const goldenBudget = 60_000
 
+// fixedPolicyBudget is the budget of the fixed-policy golden cell. At
+// goldenBudget no fixed-policy cell of either benchmark issues a
+// prefetch while the CAQ holds work behind a prefetch-held bank, so
+// those cells would not pin the memory controller's wake rule.
+const fixedPolicyBudget = 150_000
+
 // goldenMatrix is the seed matrix of the determinism contract: two
 // benchmarks (one stream-heavy, one mixed) across all four modes and two
 // memory-side engines, plus the P5-style engine in the two modes that
-// run a memory-side engine.
+// run a memory-side engine, plus PMS on two threads under the fixed
+// timestamp policy, which issues prefetches while the CAQ is not empty.
 func goldenMatrix() []Config {
 	var cfgs []Config
 	for _, mode := range []Mode{NP, PS, MS, PMS} {
@@ -42,11 +51,20 @@ func goldenMatrix() []Config {
 		cfg.Engine = EngineP5Style
 		cfgs = append(cfgs, cfg)
 	}
-	return cfgs
+	cfg := Default(PMS, fixedPolicyBudget)
+	cfg.Threads = 2
+	cfg.Sched.Fixed = core.PolicyTimestamp
+	return append(cfgs, cfg)
 }
 
+// goldenName names a cell's golden file; a fixed-policy cell's name
+// also carries the policy and the thread count.
 func goldenName(bench string, cfg Config) string {
-	return fmt.Sprintf("%s_%s_%s.json", bench, cfg.Mode, cfg.Engine)
+	name := fmt.Sprintf("%s_%s_%s", bench, cfg.Mode, cfg.Engine)
+	if cfg.Sched.Fixed != 0 {
+		name += fmt.Sprintf("_%s_%dt", cfg.Sched.Fixed, cfg.Threads)
+	}
+	return name + ".json"
 }
 
 // TestGoldenDeterminism pins the simulator's observable behavior: the
