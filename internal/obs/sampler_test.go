@@ -84,15 +84,21 @@ func TestSamplerAggregates(t *testing.T) {
 	s.Emit(Event{Kind: KindMCQueues, Cycle: 20, V1: 6, V2: 4, V3: 3})
 	s.Emit(Event{Kind: KindMCComplete, Cycle: 30, V1: 200})
 	s.Emit(Event{Kind: KindMCComplete, Cycle: 40, V1: 100})
+	s.Emit(Event{Kind: KindMCQueues, Cycle: 50})
 	s.Emit(Event{Kind: KindSchedPolicy, Cycle: 50, V1: 3})
 	s.Emit(Event{Kind: KindCPUStall, Cycle: 60, V1: 77})
 
+	// Each queue reading holds until the next: the first for 10
+	// cycles, the second for 30; the last has not held yet.
 	sm := s.Samples()[0]
-	if sm.CAQMean != 3 || sm.CAQMax != 4 {
-		t.Errorf("CAQ mean/max = %v/%v, want 3/4", sm.CAQMean, sm.CAQMax)
+	if sm.QueueObs != 3 || sm.QueueCycles != 40 {
+		t.Errorf("queue readings/cycles = %d/%d, want 3/40", sm.QueueObs, sm.QueueCycles)
 	}
-	if sm.ReorderMean != 5 || sm.LPQMean != 2 {
-		t.Errorf("reorder/lpq mean = %v/%v, want 5/2", sm.ReorderMean, sm.LPQMean)
+	if sm.CAQMean != 3.5 || sm.CAQMax != 4 {
+		t.Errorf("CAQ mean/max = %v/%v, want 3.5/4", sm.CAQMean, sm.CAQMax)
+	}
+	if sm.ReorderMean != 5.5 || sm.LPQMean != 2.5 {
+		t.Errorf("reorder/lpq mean = %v/%v, want 5.5/2.5", sm.ReorderMean, sm.LPQMean)
 	}
 	if sm.MeanReadLat != 150 {
 		t.Errorf("MeanReadLat = %v, want 150", sm.MeanReadLat)
@@ -105,6 +111,39 @@ func TestSamplerAggregates(t *testing.T) {
 	s.Emit(Event{Kind: KindMCEnqueue, Cycle: 1500})
 	if got := s.Samples()[1].Policy; got != 3 {
 		t.Errorf("carried policy = %d, want 3", got)
+	}
+}
+
+// TestSamplerQueueReadingHoldsAcrossWindows: a queue reading is charged
+// to every window it held in, split at the boundaries, and counts
+// toward each one's maximum, even a window with no reading of its own.
+func TestSamplerQueueReadingHoldsAcrossWindows(t *testing.T) {
+	s := NewSampler(100)
+	s.Emit(Event{Kind: KindMCQueues, Cycle: 50, V2: 2})
+	s.Emit(Event{Kind: KindMCQueues, Cycle: 250})
+	s.Emit(Event{Kind: KindMCQueues, Cycle: 275, V2: 1})
+	s.Emit(Event{Kind: KindMCQueues, Cycle: 300})
+
+	want := []struct {
+		obs, cycles uint64
+		mean        float64
+		max         int64
+	}{
+		{1, 50, 2, 2},     // 2 held over [50,100)
+		{0, 100, 2, 2},    // ... and over all of [100,200)
+		{2, 100, 1.25, 2}, // 2 over [200,250), 0 to 275, 1 to 300
+		{1, 0, 0, 0},      // the last reading has not held yet
+	}
+	samples := s.Samples()
+	if len(samples) != len(want) {
+		t.Fatalf("got %d windows, want %d", len(samples), len(want))
+	}
+	for i, w := range want {
+		sm := samples[i]
+		if sm.QueueObs != w.obs || sm.QueueCycles != w.cycles || sm.CAQMean != w.mean || sm.CAQMax != w.max {
+			t.Errorf("window %d: readings %d, cycles %d, CAQ mean %v, max %d; want %d, %d, %v, %d",
+				i, sm.QueueObs, sm.QueueCycles, sm.CAQMean, sm.CAQMax, w.obs, w.cycles, w.mean, w.max)
+		}
 	}
 }
 
