@@ -66,8 +66,8 @@ type Filter struct {
 	onSlot SlotFunc
 
 	// lastNow is the most recent cycle presented to Observe or Tick; it
-	// stamps slot-end hooks, which FlushEpoch fires without a cycle of
-	// its own.
+	// stamps the slot-end hooks that FlushEpoch fires without a cycle
+	// of its own.
 	lastNow uint64
 
 	// Observations counts Reads presented to the filter.
@@ -150,12 +150,15 @@ func (f *Filter) Observe(line mem.Line, now uint64) Observation {
 }
 
 // retire feeds a stream leaving the filter to the SLH and the slot hook.
+// The hook's cycle is the slot's own end, whichever Tick or Observe
+// noticed it: its expiry cycle when its lifetime ran out, the flush
+// cycle when an epoch flush evicted it.
 //
 //asd:hotpath
 func (f *Filter) retire(s Slot) {
 	f.end(s.Length, s.Dir())
 	if f.onSlot != nil {
-		f.onSlot(SlotEnd, f.lastNow, s.Last, s.Length, s.Dir()) //asd:allow hotpath-noalloc provenance hook wired once before the run; the recorder's handler is itself checked
+		f.onSlot(SlotEnd, min(s.ExpiresAt, f.lastNow), s.Last, s.Length, s.Dir()) //asd:allow hotpath-noalloc provenance hook wired once before the run; the recorder's handler is itself checked
 	}
 }
 

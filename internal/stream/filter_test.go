@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"asdsim/internal/mem"
@@ -247,6 +249,47 @@ func TestObservationConservation(t *testing.T) {
 		if uint64(endedLen)+f.Repeats != f.Observations {
 			t.Errorf("seed %d: ended-length sum %d + repeats %d != observations %d (overflows %d)",
 				seed, endedLen, f.Repeats, f.Observations, f.Overflows)
+		}
+	}
+}
+
+// TestSlotEndStampedAtExpiry: a slot's end is stamped at its own expiry
+// cycle, not at whichever Tick or Observe noticed it, so a filter ticked
+// every cycle and one that only sees its Reads report the same slot
+// ends. An epoch flush stamps the flush cycle.
+func TestSlotEndStampedAtExpiry(t *testing.T) {
+	type end struct {
+		now    uint64
+		line   mem.Line
+		length int
+	}
+	reads := []struct {
+		at   uint64
+		line mem.Line
+	}{{0, 10}, {5, 11}, {10, 500}, {40, 12}, {300, 900}, {310, 901}, {700, 50}}
+	run := func(tick bool) []end {
+		var ends []end
+		f := NewFilter(Config{Slots: 4, Lifetime: 100}, nil)
+		f.SetSlotHook(func(op SlotOp, now uint64, line mem.Line, length int, _ mem.Direction) {
+			if op == SlotEnd {
+				ends = append(ends, end{now, line, length})
+			}
+		})
+		var now uint64
+		for _, r := range reads {
+			for ; tick && now < r.at; now++ {
+				f.Tick(now)
+			}
+			f.Observe(r.line, r.at)
+		}
+		f.FlushEpoch()
+		sort.Slice(ends, func(i, j int) bool { return ends[i].now < ends[j].now })
+		return ends
+	}
+	want := []end{{110, 500, 1}, {140, 12, 3}, {410, 901, 2}, {700, 50, 1}}
+	for _, tick := range []bool{true, false} {
+		if got := run(tick); !reflect.DeepEqual(got, want) {
+			t.Errorf("ticked every cycle %v: slot ends %v, want %v", tick, got, want)
 		}
 	}
 }
