@@ -42,10 +42,19 @@ func (h *harness) write(line mem.Line) uint64 {
 	return h.next
 }
 
-// run steps the controller until idle or maxCycles CPU cycles pass.
+// holdsWork reports whether the controller holds any command, without
+// asking NextWake.
+func (h *harness) holdsWork() bool {
+	c := h.c
+	return c.inbox.Len()+c.readQ.Len()+c.writeQ.Len()+c.caq.Len()+c.lpq.Len()+
+		len(c.inflight)+len(c.pfFlight) > 0
+}
+
+// run steps the controller every MC cycle until idle or maxCycles CPU
+// cycles pass.
 func (h *harness) run(maxCycles uint64) {
 	limit := h.now + maxCycles
-	for h.now < limit && h.c.Busy() {
+	for h.now < limit && h.holdsWork() {
 		h.now += mem.CPUCyclesPerMCCycle
 		h.c.Step(h.now)
 	}
@@ -124,7 +133,7 @@ func TestManyReadsAllComplete(t *testing.T) {
 		ids = append(ids, h.read(mem.Line(i*37)))
 	}
 	h.run(1 << 20)
-	if h.c.Busy() {
+	if h.holdsWork() {
 		t.Fatal("controller never drained")
 	}
 	for _, id := range ids {
@@ -141,7 +150,7 @@ func TestBackpressureDoesNotDrop(t *testing.T) {
 		h.write(mem.Line(i*11 + 5))
 	}
 	h.run(1 << 22)
-	if h.c.Busy() {
+	if h.holdsWork() {
 		t.Fatal("controller stuck")
 	}
 	st := h.c.Stats()
@@ -257,7 +266,7 @@ func TestInOrderSchedulerStillDrains(t *testing.T) {
 		h.read(mem.Line(i * 13))
 	}
 	h.run(1 << 21)
-	if h.c.Busy() || len(h.done) != 100 {
+	if h.holdsWork() || len(h.done) != 100 {
 		t.Fatalf("in-order drain failed: %d done", len(h.done))
 	}
 }
@@ -271,7 +280,7 @@ func TestMemorylessSchedulerStillDrains(t *testing.T) {
 		h.write(mem.Line(i*13 + 1000))
 	}
 	h.run(1 << 21)
-	if h.c.Busy() || len(h.done) != 100 {
+	if h.holdsWork() || len(h.done) != 100 {
 		t.Fatalf("memoryless drain failed: %d done", len(h.done))
 	}
 }
@@ -306,7 +315,7 @@ func TestNextWakeIdleAndBusy(t *testing.T) {
 		t.Errorf("queued work should wake next MC cycle, got %d", h.c.NextWake(0))
 	}
 	h.run(40) // a few cycles: command now in flight
-	if h.c.Busy() {
+	if h.holdsWork() {
 		w := h.c.NextWake(h.now)
 		if w == ^uint64(0) {
 			t.Error("in-flight work should report a wake time")
@@ -346,13 +355,13 @@ func TestFlushLPQDropsStragglers(t *testing.T) {
 	h.now += mem.CPUCyclesPerMCCycle
 	h.c.Step(h.now) // drains inbox, nominates into LPQ
 	before := h.c.Stats()
-	h.c.FlushLPQ()
+	h.c.FlushLPQ(h.now)
 	after := h.c.Stats()
 	if after.LPQDrops < before.LPQDrops {
 		t.Error("FlushLPQ must not lose drop accounting")
 	}
 	h.run(1 << 20)
-	if h.c.Busy() {
+	if h.holdsWork() {
 		t.Error("controller should drain fully after FlushLPQ")
 	}
 }
