@@ -74,6 +74,24 @@ func TestCAQSaturationNeedsConsecutiveWindows(t *testing.T) {
 	}
 }
 
+// TestCAQSaturationFromHeldReading: a queue reading holds until the
+// next one, so a single saturated reading that spans three windows
+// trips the detector though only the first window took a reading.
+func TestCAQSaturationFromHeldReading(t *testing.T) {
+	det := &flightrec.CAQSaturation{Capacity: 3, MeanFrac: 0.9, Consecutive: 3}
+	rec := flightrec.New(flightrec.Options{WindowCycles: 100, Detectors: []flightrec.Detector{det}})
+	rec.Emit(obs.Event{Kind: obs.KindMCQueues, Cycle: 0, V2: 3})
+	for c := uint64(50); c < 350; c += 100 {
+		rec.Emit(obs.Event{Kind: obs.KindMCIssue, Cycle: c}) // rolls the windows
+	}
+	rec.Emit(obs.Event{Kind: obs.KindMCQueues, Cycle: 350})
+	rec.Finish()
+	trs := rec.Triggers()
+	if len(trs) != 1 || trs[0].Detector != "caq-saturation" || trs[0].Window != 2 {
+		t.Fatalf("triggers = %+v, want caq-saturation at window 2", trs)
+	}
+}
+
 func TestBankConflictAndWasteDetectors(t *testing.T) {
 	storm := &flightrec.BankConflictStorm{MinConflicts: 4, IssueFrac: 0.5}
 	waste := &flightrec.PrefetchWasteSpike{Ratio: 0.5, MinIssued: 4}
