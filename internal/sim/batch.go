@@ -19,26 +19,33 @@ import (
 // shared between cells is immutable trace data. Every run goes through
 // a Batch: sim.Run is a one-cell Batch.
 //
-// A Batch also recycles cache hierarchies: a finished cell hands its
-// hierarchy back, and the next cell of the same geometry Resets and
-// reuses it instead of allocating and zeroing the tag arrays again
-// (~2.8 MB at the default geometry). A Batch therefore retains one idle
-// hierarchy per cell that has run concurrently, per geometry, for as
-// long as the Batch lives.
+// A Batch holds only its trace cache. Cache hierarchies are recycled
+// across every run in the process, through any Batch (see hierarchies).
 //
 // A Batch is safe for concurrent use: cells may run in parallel from
 // many goroutines against one Batch.
 type Batch struct {
 	cache *workload.TraceCache
-
-	mu   sync.Mutex
-	idle map[cache.Config][]*cache.Hierarchy // finished cells' hierarchies, by geometry
 }
 
 // NewBatch returns a Batch with a default-bounded trace cache.
 func NewBatch() *Batch {
-	return &Batch{cache: workload.NewTraceCache(0), idle: make(map[cache.Config][]*cache.Hierarchy)}
+	return &Batch{cache: workload.NewTraceCache(0)}
 }
+
+// hierarchies is the process-wide free list of idle cache hierarchies,
+// by geometry. A finished run hands its hierarchy back, and the next run
+// of the same geometry, on any Batch and so also a one-cell Run,
+// RunContext or Sampled, Resets and reuses it instead of allocating and
+// zeroing the tag arrays again (~2.8 MB at the default geometry). It
+// retains one idle hierarchy per geometry for each run that ran
+// concurrently, for the life of the process. Unlike a sync.Pool it
+// never drops one at a garbage collection, so whether a run allocates
+// a hierarchy does not depend on GC timing.
+var hierarchies = struct {
+	mu   sync.Mutex
+	idle map[cache.Config][]*cache.Hierarchy
+}{idle: make(map[cache.Config][]*cache.Hierarchy)}
 
 // CacheStats reports trace-cache effectiveness: (Misses) traces
 // generated, (Hits) cells that reused one.
@@ -59,11 +66,11 @@ func (b *Batch) RunContext(ctx context.Context, bench string, cfg Config) (Resul
 		return Result{}, err
 	}
 	start := time.Now() //asd:allow determinism wall-clock throughput stamp; excluded from serialized Results
-	r, err := b.buildRunner(ctx, bench, cfg)
+	r, err := b.buildRunner(ctx, bench, cfg, takeHierarchy)
 	if err != nil {
 		return Result{}, err
 	}
-	defer b.release(r)
+	defer releaseHierarchy(r)
 	if err := r.loop(ctx); err != nil {
 		return Result{}, err
 	}
@@ -74,10 +81,12 @@ func (b *Batch) RunContext(ctx context.Context, bench string, cfg Config) (Resul
 
 // buildRunner assembles a runner whose threads replay the batch's
 // materialized traces through private cursors, with the ground-truth
-// stream-length histograms injected from materialization time. It
-// fetches every trace before taking a hierarchy, so a run that fails or
-// is cancelled while its trace materializes takes none.
-func (b *Batch) buildRunner(ctx context.Context, bench string, cfg Config) (*runner, error) {
+// stream-length histograms injected from materialization time, on a
+// hierarchy from newHier: takeHierarchy for a run, cache.NewHierarchy
+// for a test that must not touch the free list. It fetches every trace
+// before it gets the hierarchy, so a run that fails or is cancelled
+// while its trace materializes takes none.
+func (b *Batch) buildRunner(ctx context.Context, bench string, cfg Config, newHier func(cache.Config) *cache.Hierarchy) (*runner, error) {
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
@@ -90,7 +99,7 @@ func (b *Batch) buildRunner(ctx context.Context, bench string, cfg Config) (*run
 		}
 		mts = append(mts, mt)
 	}
-	r := newRunnerShell(cfg, b.takeHierarchy(cfg.Cache))
+	r := newRunnerShell(cfg, newHier(cfg.Cache))
 	for t, mt := range mts {
 		src := trace.NewSliceSource(mt.Records)
 		th := cpu.NewThread(t, src, cpu.Config{
@@ -109,14 +118,14 @@ func (b *Batch) buildRunner(ctx context.Context, bench string, cfg Config) (*run
 
 // takeHierarchy returns an idle hierarchy of geometry cfg, Reset, or a
 // new one when none is idle.
-func (b *Batch) takeHierarchy(cfg cache.Config) *cache.Hierarchy {
-	b.mu.Lock()
+func takeHierarchy(cfg cache.Config) *cache.Hierarchy {
+	hierarchies.mu.Lock()
 	var h *cache.Hierarchy
-	if idle := b.idle[cfg]; len(idle) > 0 {
+	if idle := hierarchies.idle[cfg]; len(idle) > 0 {
 		h = idle[len(idle)-1]
-		b.idle[cfg] = idle[:len(idle)-1]
+		hierarchies.idle[cfg] = idle[:len(idle)-1]
 	}
-	b.mu.Unlock()
+	hierarchies.mu.Unlock()
 	if h == nil {
 		return cache.NewHierarchy(cfg)
 	}
@@ -124,12 +133,12 @@ func (b *Batch) takeHierarchy(cfg cache.Config) *cache.Hierarchy {
 	return h
 }
 
-// release hands a finished runner's hierarchy back for the next cell,
-// detached from the run's probe bus so the idle hierarchy does not keep
-// the run's sinks alive.
-func (b *Batch) release(r *runner) {
+// releaseHierarchy hands a finished runner's hierarchy back for the
+// next run, detached from the run's probe bus so the idle hierarchy
+// does not keep the run's sinks alive.
+func releaseHierarchy(r *runner) {
 	r.hier.SetObserver(nil)
-	b.mu.Lock()
-	b.idle[r.cfg.Cache] = append(b.idle[r.cfg.Cache], r.hier)
-	b.mu.Unlock()
+	hierarchies.mu.Lock()
+	hierarchies.idle[r.cfg.Cache] = append(hierarchies.idle[r.cfg.Cache], r.hier)
+	hierarchies.mu.Unlock()
 }

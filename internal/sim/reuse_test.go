@@ -22,12 +22,38 @@ func tinyCache() cache.Config {
 	return c
 }
 
+// idleHierarchies counts the free list's idle hierarchies of geometry
+// cfg.
+func idleHierarchies(cfg cache.Config) int {
+	hierarchies.mu.Lock()
+	defer hierarchies.mu.Unlock()
+	return len(hierarchies.idle[cfg])
+}
+
+// freshRun runs one cell on a hierarchy straight from cache.NewHierarchy,
+// leaving the free list untouched.
+func freshRun(t *testing.T, bench string, cfg Config) Result {
+	t.Helper()
+	ctx := context.Background()
+	r, err := NewBatch().buildRunner(ctx, bench, cfg, cache.NewHierarchy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.loop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return r.collect(bench)
+}
+
 // TestBatchReuseMatchesFreshBatch checks that a recycled hierarchy
 // carries nothing from its previous cell into the next: after an
 // eviction-heavy cell, every cell of several benchmarks x four modes run
-// through the same Batch must serialize byte-identically to that cell on
-// a fresh Batch.
+// through the same Batch must serialize byte-identically to that cell
+// run on a hierarchy straight from cache.NewHierarchy. The reference
+// bypasses the process-wide free list, which would otherwise hand it a
+// recycled hierarchy too.
 func TestBatchReuseMatchesFreshBatch(t *testing.T) {
+	before := idleHierarchies(tinyCache())
 	b := NewBatch()
 	heavy := Default(PMS, 300_000)
 	heavy.Cache = tinyCache()
@@ -42,14 +68,11 @@ func TestBatchReuseMatchesFreshBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := NewBatch().Run(bench, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := freshRun(t, bench, cfg)
 			gj, _ := json.Marshal(got)
 			wj, _ := json.Marshal(want)
 			if !bytes.Equal(gj, wj) {
-				t.Errorf("%s/%s: the reused hierarchy's Result differs from a fresh Batch's:\n%s\n%s", bench, mode, gj, wj)
+				t.Errorf("%s/%s: the reused hierarchy's Result differs from a fresh hierarchy's:\n%s\n%s", bench, mode, gj, wj)
 			}
 			// With the processor-side prefetcher on, the streaming
 			// benchmarks hit in L2 and L3, so their sets fill and evict.
@@ -59,16 +82,22 @@ func TestBatchReuseMatchesFreshBatch(t *testing.T) {
 			}
 		}
 	}
-	if n := len(b.idle[tinyCache()]); n != 1 {
-		t.Errorf("%d idle hierarchies after serial cells, want the one every cell reused", n)
+	// Serial cells each take the hierarchy the previous one handed back,
+	// so they leave the free list as they found it, plus the one
+	// hierarchy the first cell built if none was idle. Earlier tests, or
+	// the previous -count iteration, may have left some.
+	if n, want := idleHierarchies(tinyCache()), max(before, 1); n != want {
+		t.Errorf("%d idle hierarchies after serial cells, want %d: %d before, and every cell reusing one", n, want, before)
 	}
 }
 
 // TestBatchCellAllocation is the allocation gate for a warm cell: once a
-// Batch holds the traces and a hierarchy, a cell allocates only its
-// per-cell MC, DRAM, engine and PS state, not the ~2.8 MB of tag arrays
-// a fresh hierarchy costs. A cancelled cell, which fails while
-// fetching its trace, must not allocate a hierarchy either.
+// Batch holds the traces and the free list a hierarchy, a cell
+// allocates only its per-cell MC, DRAM, engine and PS state, not the
+// ~2.8 MB of tag arrays a fresh hierarchy costs. A one-cell Run, which
+// builds a fresh Batch and so materializes its trace again, must take
+// its hierarchy from the free list too. A cancelled cell, which fails
+// while fetching its trace, must not allocate a hierarchy either.
 func TestBatchCellAllocation(t *testing.T) {
 	const budget = 20_000
 	const limit = 64 << 10
@@ -101,6 +130,16 @@ func TestBatchCellAllocation(t *testing.T) {
 	perCell(warm) // materializes the traces and the first hierarchy
 	if got := perCell(warm); got >= limit {
 		t.Errorf("a warm cell allocates %d B, want under %d", got, limit)
+	}
+
+	oneCell := func(c cell) {
+		if _, err := Run(c.bench, c.cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perCell(oneCell)
+	if got := perCell(oneCell); got >= limit {
+		t.Errorf("a one-cell Run allocates %d B, want under %d", got, limit)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

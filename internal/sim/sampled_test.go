@@ -7,6 +7,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"asdsim/internal/cache"
 )
 
 // sampledJSON flattens a SampledResult to its serialized form;
@@ -58,7 +60,7 @@ func TestSampledBulkSkipMatchesPerRecord(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := b.buildRunner(ctx, "GemsFDTD", cfg)
+			r, err := b.buildRunner(ctx, "GemsFDTD", cfg, cache.NewHierarchy)
 			if err != nil {
 				t.Fatal(err)
 			}

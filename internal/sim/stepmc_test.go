@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"asdsim/internal/cache"
 	"asdsim/internal/mem"
 )
 
@@ -13,7 +14,7 @@ import (
 // fast-forward never oversteps the target even when the wake cycle lies
 // beyond it.
 func TestStepMCToGuards(t *testing.T) {
-	r, err := NewBatch().buildRunner(context.Background(), "GemsFDTD", Default(NP, 1000))
+	r, err := NewBatch().buildRunner(context.Background(), "GemsFDTD", Default(NP, 1000), cache.NewHierarchy)
 	if err != nil {
 		t.Fatal(err)
 	}
