@@ -88,9 +88,9 @@ func RunContext(ctx context.Context, bench string, cfg Config) (Result, error) {
 
 // Batch runs many matrix cells over shared materialized workload
 // traces: each benchmark's trace is generated once per (seed, thread,
-// budget) and every (mode, engine, depth) cell replays it. Finished
-// cells hand their cache hierarchy back for the next cell of the same
-// geometry to reuse. Run is a one-cell Batch. Safe for concurrent use.
+// budget) and every (mode, engine, depth) cell replays it. Run is a
+// one-cell Batch. Cache hierarchies are recycled across every run in
+// the process, whichever Batch it uses. Safe for concurrent use.
 type Batch = sim.Batch
 
 // NewBatch returns a Batch with a default-bounded trace cache.
