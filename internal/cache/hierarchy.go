@@ -130,7 +130,7 @@ func (h *Hierarchy) SetObserver(b *obs.Bus) { h.bus = b }
 //asd:hotpath
 func (h *Hierarchy) Access(line mem.Line, store bool, now uint64) Result {
 	res := h.access(line, store)
-	if h.bus != nil {
+	if h.bus.On(obs.KindCacheAccess) {
 		var st int64
 		if store {
 			st = 1

@@ -181,7 +181,7 @@ func (s *AdaptiveScheduler) OnRead(now uint64) {
 			s.policy++
 		}
 	}
-	if s.bus != nil {
+	if s.bus.On(obs.KindSchedPolicy) {
 		s.bus.Emit(obs.Event{Kind: obs.KindSchedPolicy, Cycle: now,
 			V1: int64(s.policy), V2: int64(s.conflict), V3: int64(prev)})
 	}

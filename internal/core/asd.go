@@ -185,7 +185,7 @@ func (e *Engine) ObserveRead(line mem.Line, now uint64) []mem.Line {
 	}
 	e.out = out
 	e.PrefetchesIssued += uint64(len(out))
-	if e.bus != nil {
+	if e.bus.On(obs.KindASDPrefetchDecision) {
 		e.bus.Emit(obs.Event{Kind: obs.KindASDPrefetchDecision, Cycle: now, Line: line,
 			V1: int64(o.Length), V2: int64(len(out))})
 	}
@@ -225,7 +225,7 @@ func (e *Engine) rollEpoch(now uint64) {
 		e.history = append(e.history, e.lastEpochSLH.Clone())
 	}
 	e.epochAccum.Reset()
-	if e.bus != nil {
+	if e.bus.On(obs.KindASDEpochRoll) {
 		e.bus.Emit(obs.Event{Kind: obs.KindASDEpochRoll, Cycle: now, V1: int64(e.up.Epochs)})
 	}
 }

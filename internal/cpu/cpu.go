@@ -167,7 +167,7 @@ func (t *Thread) BlockedOn() *Pending {
 func (t *Thread) Resume(at uint64) {
 	if at > t.Now {
 		t.StallCycles += at - t.Now
-		if t.bus != nil {
+		if t.bus.On(obs.KindCPUStall) {
 			t.bus.Emit(obs.Event{Kind: obs.KindCPUStall, Cycle: at,
 				Thread: int32(t.ID), V1: int64(at - t.Now)})
 		}

@@ -213,7 +213,7 @@ func (d *DRAM) applyRefresh(bankIdx int, bk *bank, now uint64) {
 	if refEnd > bk.readyAt {
 		bk.readyAt = refEnd
 	}
-	if d.bus != nil {
+	if d.bus.On(obs.KindDRAMRefresh) {
 		d.bus.Emit(obs.Event{Kind: obs.KindDRAMRefresh, Cycle: now * mem.CPUCyclesPerDRAMCycle,
 			V2: int64(bankIdx)})
 	}
@@ -338,7 +338,7 @@ func (d *DRAM) IssueD(l mem.Line, dec Decoded, isWrite, isPrefetch bool, now uin
 	if dataEnd > d.lastCycle {
 		d.lastCycle = dataEnd
 	}
-	if d.bus != nil {
+	if d.bus.On(obs.KindDRAMAccess) {
 		var flags int64
 		if isWrite {
 			flags |= 1

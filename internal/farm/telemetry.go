@@ -75,7 +75,8 @@ func NewTelemetry() *Telemetry {
 }
 
 // Instrument implements the farm Options.Instrument contract. The
-// attempt's flight recorder returns its ring to the pool once absorbed.
+// attempt's flight recorder returns its ring at Finish, before the
+// absorb, which reads only its bundles, triggers and depth table.
 func (t *Telemetry) Instrument(spec Spec) (*obs.Bus, func(res *sim.Result, err error)) {
 	label := spec.Benchmark + "/" + spec.Mode.String()
 	rec := flightrec.New(flightrec.Options{
@@ -86,7 +87,6 @@ func (t *Telemetry) Instrument(spec Spec) (*obs.Bus, func(res *sim.Result, err e
 	fin := func(res *sim.Result, err error) {
 		rec.Finish()
 		t.absorb(spec, label, sampler, rec)
-		rec.Release()
 	}
 	return obs.NewBus(sampler, rec), fin
 }

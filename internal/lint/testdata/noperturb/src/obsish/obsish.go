@@ -15,6 +15,7 @@ type Bus struct {
 	ch    chan int
 	state sync.Map
 	total uint64
+	mask  uint32
 }
 
 // Emit has the accepted if-form nil guard.
@@ -27,11 +28,11 @@ func (b *Bus) Emit(v int) {
 	b.record(v)
 }
 
-// Enabled has the accepted return-form fast path.
+// On has the accepted return-form fast path.
 //
 //asd:hotpath
-func (b *Bus) Enabled() bool {
-	return b != nil && b.total > 0
+func (b *Bus) On(kind uint) bool {
+	return b != nil && b.mask&(1<<kind) != 0
 }
 
 // Unguarded is a hot exported Bus method without a nil guard.

@@ -21,7 +21,6 @@ import (
 	"asdsim/internal/dram"
 	"asdsim/internal/mem"
 	"asdsim/internal/obs"
-	"asdsim/internal/obs/prov"
 	"asdsim/internal/prefetch"
 )
 
@@ -145,8 +144,7 @@ type Controller struct {
 	pb         *PBuffer
 	arb        arbiter
 	onReadDone ReadDoneFunc
-	bus        *obs.Bus       // nil when no observer is attached
-	prov       *prov.Recorder // nil unless a provenance recorder is attached
+	bus        *obs.Bus // nil when no observer is attached
 	// queuesRead is the occupancy last read onto the bus (-1s before
 	// the first reading).
 	queuesRead [3]int64
@@ -222,25 +220,9 @@ func (c *Controller) putPF(p *pfState) {
 func (c *Controller) SetReadDone(fn ReadDoneFunc) { c.onReadDone = fn }
 
 // SetObserver attaches a probe bus (nil detaches). Every probe point
-// is guarded by a nil check, so a detached controller pays one branch
-// per probe.
+// is guarded by the bus's On, so a detached controller, or one whose
+// bus has no sink for a probe's kind, pays one branch per probe.
 func (c *Controller) SetObserver(b *obs.Bus) { c.bus = b }
-
-// SetProv attaches a provenance recorder (nil detaches). The recorder
-// sees exactly the prefetch-lifecycle events the probe bus does, but
-// through a direct call, so a provenance-only run keeps the bus — and
-// every non-lifecycle probe site in the memory system — disabled.
-func (c *Controller) SetProv(r *prov.Recorder) { c.prov = r }
-
-// pfObserved reports whether prefetch-lifecycle events have a consumer.
-func (c *Controller) pfObserved() bool { return c.bus != nil || c.prov != nil }
-
-// emitPF forwards one prefetch-lifecycle event to the probe bus and the
-// provenance recorder (both nil-safe).
-func (c *Controller) emitPF(e obs.Event) {
-	c.bus.Emit(e)
-	c.prov.Emit(e)
-}
 
 // Stats returns a snapshot of the counters.
 func (c *Controller) Stats() Stats { return c.stats }
@@ -264,7 +246,7 @@ func (c *Controller) Enqueue(cmd mem.Command) {
 	s := c.getCmd()
 	*s = cmdState{cmd: cmd, dec: c.dram.Decode(cmd.Line), isWrite: isWrite}
 	c.inbox.PushBack(s)
-	if c.bus != nil {
+	if c.bus.On(obs.KindMCEnqueue) {
 		var w int64
 		if isWrite {
 			w = 1
@@ -323,8 +305,8 @@ func (c *Controller) FlushLPQ(cpuNow uint64) {
 	c.stats.LPQDrops += uint64(c.lpq.Len())
 	for i := 0; i < c.lpq.Len(); i++ {
 		p := c.lpq.At(i)
-		if c.pfObserved() {
-			c.emitPF(obs.Event{Kind: obs.KindMCPFDrop, Cycle: p.arrival,
+		if c.bus.On(obs.KindMCPFDrop) {
+			c.bus.Emit(obs.Event{Kind: obs.KindMCPFDrop, Cycle: p.arrival,
 				Line: p.line, V1: int64(p.depth), V2: int64(obs.DropFlushed)})
 		}
 		c.putPF(p)
@@ -356,7 +338,7 @@ func (c *Controller) Step(cpuNow uint64) {
 // emitQueues reads the queue occupancy onto the probe bus when it
 // differs from the last reading, which holds until then.
 func (c *Controller) emitQueues(cpuNow uint64) {
-	if c.bus == nil {
+	if !c.bus.On(obs.KindMCQueues) {
 		return
 	}
 	q := [3]int64{int64(c.readQ.Len() + c.writeQ.Len()), int64(c.caq.Len()), int64(c.lpq.Len())}
@@ -379,8 +361,8 @@ func (c *Controller) drainInbox(cpuNow uint64) {
 			c.inbox.PopFront()
 			c.stats.RegularWrites++
 			if c.pb != nil {
-				if dropped, depth := c.pb.InvalidateForWrite(s.cmd.Line); dropped && c.pfObserved() {
-					c.emitPF(obs.Event{Kind: obs.KindMCPFWasted, Cycle: cpuNow,
+				if dropped, depth := c.pb.InvalidateForWrite(s.cmd.Line); dropped && c.bus.On(obs.KindMCPFWasted) {
+					c.bus.Emit(obs.Event{Kind: obs.KindMCPFWasted, Cycle: cpuNow,
 						Line: s.cmd.Line, V1: int64(depth), V2: 1})
 				}
 			}
@@ -406,8 +388,8 @@ func (c *Controller) drainInbox(cpuNow uint64) {
 				// First PB check: satisfied without DRAM; the Read is
 				// squashed.
 				c.stats.PBHitsEntry++
-				if c.pfObserved() {
-					c.emitPF(obs.Event{Kind: obs.KindMCPBHit, Cycle: cpuNow, ID: s.cmd.ID,
+				if c.bus.On(obs.KindMCPBHit) {
+					c.bus.Emit(obs.Event{Kind: obs.KindMCPBHit, Cycle: cpuNow, ID: s.cmd.ID,
 						Line: s.cmd.Line, Thread: int32(s.cmd.Thread), V2: int64(depth)})
 				}
 				c.deliver(s.cmd, cpuNow+c.cfg.PBHitLatency, false)
@@ -462,8 +444,8 @@ func (c *Controller) nominatePrefetch(line mem.Line, depth int, cpuNow uint64) {
 	}
 	if cause != obs.DropUnknown {
 		c.stats.LPQDrops++
-		if c.pfObserved() {
-			c.emitPF(obs.Event{Kind: obs.KindMCPFDrop, Cycle: cpuNow, Line: line,
+		if c.bus.On(obs.KindMCPFDrop) {
+			c.bus.Emit(obs.Event{Kind: obs.KindMCPFDrop, Cycle: cpuNow, Line: line,
 				V1: int64(depth), V2: int64(cause)})
 		}
 		return
@@ -472,8 +454,8 @@ func (c *Controller) nominatePrefetch(line mem.Line, depth int, cpuNow uint64) {
 	*p = pfState{line: line, dec: c.dram.Decode(line), arrival: cpuNow, depth: depth, waiters: p.waiters}
 	c.lpq.PushBack(p)
 	c.stats.PrefetchesToLPQ++
-	if c.pfObserved() {
-		c.emitPF(obs.Event{Kind: obs.KindMCPFNominate, Cycle: cpuNow, Line: line, V1: int64(depth)})
+	if c.bus.On(obs.KindMCPFNominate) {
+		c.bus.Emit(obs.Event{Kind: obs.KindMCPFNominate, Cycle: cpuNow, Line: line, V1: int64(depth)})
 	}
 }
 
@@ -524,8 +506,8 @@ func (c *Controller) dropPendingPrefetch(line mem.Line, cpuNow uint64, cause obs
 		if p := c.lpq.At(i); p.line == line {
 			c.lpq.RemoveAt(i)
 			c.stats.LPQDrops++
-			if c.pfObserved() {
-				c.emitPF(obs.Event{Kind: obs.KindMCPFDrop, Cycle: cpuNow, Line: line,
+			if c.bus.On(obs.KindMCPFDrop) {
+				c.bus.Emit(obs.Event{Kind: obs.KindMCPFDrop, Cycle: cpuNow, Line: line,
 					V1: int64(p.depth), V2: int64(cause)})
 			}
 			c.putPF(p)
@@ -550,7 +532,7 @@ func (c *Controller) countConflicts(cpuNow, dramNow uint64) {
 			if busy, byPF := c.dram.BankBusyD(s.dec, dramNow); busy && byPF {
 				s.conflictCounted = true
 				c.adaptive.OnConflict()
-				if c.bus != nil {
+				if c.bus.On(obs.KindMCBankConflict) {
 					c.bus.Emit(obs.Event{Kind: obs.KindMCBankConflict, Cycle: cpuNow,
 						ID: s.cmd.ID, Line: s.cmd.Line, Thread: int32(s.cmd.Thread)})
 				}
@@ -595,7 +577,7 @@ func (c *Controller) scheduleToCAQ(cpuNow, dramNow uint64) {
 		c.writeQ.RemoveAt(idx - readLen)
 	}
 	c.caq.PushBack(chosen)
-	if c.bus != nil {
+	if c.bus.On(obs.KindMCSchedule) {
 		var w int64
 		if chosen.isWrite {
 			w = 1
@@ -621,8 +603,8 @@ func (c *Controller) finalIssue(cpuNow, dramNow uint64) {
 			// Second PB check: the data arrived while the command sat
 			// in the CAQ.
 			c.stats.PBHitsLate++
-			if c.pfObserved() {
-				c.emitPF(obs.Event{Kind: obs.KindMCPBHit, Cycle: cpuNow, ID: head.cmd.ID,
+			if c.bus.On(obs.KindMCPBHit) {
+				c.bus.Emit(obs.Event{Kind: obs.KindMCPBHit, Cycle: cpuNow, ID: head.cmd.ID,
 					Line: head.cmd.Line, Thread: int32(head.cmd.Thread), V1: 1, V2: int64(lateDepth)})
 			}
 			c.deliver(head.cmd, cpuNow+c.cfg.PBHitLatency, false)
@@ -634,7 +616,7 @@ func (c *Controller) finalIssue(cpuNow, dramNow uint64) {
 			doneCPU := doneDRAM*mem.CPUCyclesPerDRAMCycle + c.cfg.Overhead
 			c.caq.PopFront()
 			issued = true
-			if c.bus != nil {
+			if c.bus.On(obs.KindMCIssue) {
 				var w int64
 				if head.isWrite {
 					w = 1
@@ -657,7 +639,7 @@ func (c *Controller) finalIssue(cpuNow, dramNow uint64) {
 		} else if busy, byPF := c.dram.BankBusyD(head.dec, dramNow); busy && byPF && !head.delayedCounted {
 			head.delayedCounted = true
 			c.stats.DelayedRegular++
-			if c.bus != nil {
+			if c.bus.On(obs.KindMCBankConflict) {
 				c.bus.Emit(obs.Event{Kind: obs.KindMCBankConflict, Cycle: cpuNow,
 					ID: head.cmd.ID, Line: head.cmd.Line, Thread: int32(head.cmd.Thread)})
 			}
@@ -681,8 +663,8 @@ func (c *Controller) finalIssue(cpuNow, dramNow uint64) {
 		c.nextPFDone = head.doneAt
 	}
 	c.stats.PrefetchesToDRAM++
-	if c.pfObserved() {
-		c.emitPF(obs.Event{Kind: obs.KindMCPFIssue, Cycle: cpuNow, Line: head.line,
+	if c.bus.On(obs.KindMCPFIssue) {
+		c.bus.Emit(obs.Event{Kind: obs.KindMCPFIssue, Cycle: cpuNow, Line: head.line,
 			V1: int64(head.depth), V2: int64(head.doneAt)})
 	}
 }
@@ -749,8 +731,8 @@ func (c *Controller) completePrefetches(cpuNow uint64) {
 			continue
 		}
 		if len(p.waiters) > 0 {
-			if c.pfObserved() {
-				c.emitPF(obs.Event{Kind: obs.KindMCPFLate, Cycle: p.doneAt, Line: p.line,
+			if c.bus.On(obs.KindMCPFLate) {
+				c.bus.Emit(obs.Event{Kind: obs.KindMCPFLate, Cycle: p.doneAt, Line: p.line,
 					V1: int64(p.depth), V2: int64(len(p.waiters))})
 			}
 			for _, w := range p.waiters {
@@ -759,13 +741,13 @@ func (c *Controller) completePrefetches(cpuNow uint64) {
 			c.pb.Useful++
 		} else {
 			evicted, evictedLine, evictedDepth := c.pb.Insert(p.line, p.depth)
-			if c.pfObserved() {
-				c.emitPF(obs.Event{Kind: obs.KindMCPFInstall, Cycle: cpuNow, Line: p.line,
+			if c.bus.On(obs.KindMCPFInstall) {
+				c.bus.Emit(obs.Event{Kind: obs.KindMCPFInstall, Cycle: cpuNow, Line: p.line,
 					V1: int64(p.depth)})
-				if evicted {
-					c.emitPF(obs.Event{Kind: obs.KindMCPFWasted, Cycle: cpuNow,
-						Line: evictedLine, V1: int64(evictedDepth)})
-				}
+			}
+			if evicted && c.bus.On(obs.KindMCPFWasted) {
+				c.bus.Emit(obs.Event{Kind: obs.KindMCPFWasted, Cycle: cpuNow,
+					Line: evictedLine, V1: int64(evictedDepth)})
 			}
 		}
 		c.putPF(p)
@@ -810,7 +792,7 @@ func clearTail[T any](s []T, n int) {
 }
 
 func (c *Controller) deliver(cmd mem.Command, done uint64, merged bool) {
-	if c.bus != nil {
+	if c.bus.On(obs.KindMCComplete) {
 		var m int64
 		if merged {
 			m = 1

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"asdsim/internal/obs"
+	"asdsim/internal/obs/flightrec"
+	"asdsim/internal/obs/prov"
 	"asdsim/internal/sim"
 )
 
@@ -45,6 +47,26 @@ func BenchmarkObsEnabledSampler(b *testing.B) {
 		if _, err := sim.Run("GemsFDTD", cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkObsEnabledRecorded prices the recorded stack that
+// asdsim -obs -flightrec -explain attaches: sampler, per-depth stats and
+// flight recorder on the bus plus the provenance recorder, finished as
+// after a run (Finish, then Stream).
+func BenchmarkObsEnabledRecorded(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		cfg := benchConfig()
+		flight := flightrec.New(flightrec.Options{Label: "GemsFDTD/PMS",
+			Detectors: flightrec.DefaultDetectors(cfg.MC.CAQCap)})
+		rec := prov.New(prov.Options{TraceID: "GemsFDTD/PMS"})
+		cfg.Obs = obs.NewBus(obs.NewSampler(obs.DefaultSampleInterval), &obs.DepthStats{}, flight)
+		cfg.Prov = rec
+		if _, err := sim.Run("GemsFDTD", cfg); err != nil {
+			b.Fatal(err)
+		}
+		flight.Finish()
+		rec.Stream()
 	}
 }
 

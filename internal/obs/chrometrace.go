@@ -96,6 +96,13 @@ func (t *TraceBuilder) StartProcess(name string) {
 	})
 }
 
+// Kinds implements the bus's routing: the TraceBuilder reads the eight
+// kinds its Emit renders.
+func (t *TraceBuilder) Kinds() KindSet {
+	return KindsOf(KindMCEnqueue, KindMCSchedule, KindMCIssue, KindMCComplete,
+		KindMCPFIssue, KindMCQueues, KindASDEpochRoll, KindSchedPolicy)
+}
+
 // Emit implements Sink.
 //
 //asd:hotpath
@@ -168,11 +175,11 @@ func (t *TraceBuilder) Emit(e Event) {
 	case KindMCPBHit, KindMCBankConflict, KindMCPFNominate, KindMCPFDrop,
 		KindMCPFLate, KindMCPFInstall, KindMCPFWasted, KindDRAMAccess,
 		KindDRAMRefresh, KindCacheAccess, KindCPUStall, KindASDPrefetchDecision:
-		// Too fine-grained for a per-command timeline: PB hits and
-		// merges already render from the MCComplete lifetime, per-access
-		// DRAM/cache/stall detail belongs to the sampler, and nominate/
-		// drop/install/wasted bookkeeping belongs to DepthStats. Seen
-		// and intentionally ignored.
+		// Too fine-grained for a per-command timeline, and outside
+		// Kinds: PB hits and merges already render from the MCComplete
+		// lifetime, per-access DRAM/cache/stall detail belongs to the
+		// sampler, and nominate/drop/install/wasted bookkeeping belongs
+		// to DepthStats.
 	}
 }
 

@@ -34,6 +34,12 @@ func depthBucket(v int64) int {
 	return int(v)
 }
 
+// Kinds implements the bus's routing: DepthStats reads the six
+// prefetch-outcome kinds its Emit counts.
+func (d *DepthStats) Kinds() KindSet {
+	return KindsOf(KindMCPFNominate, KindMCPFIssue, KindMCPBHit, KindMCPFLate, KindMCPFWasted, KindMCPFDrop)
+}
+
 // Emit implements Sink.
 //
 //asd:hotpath

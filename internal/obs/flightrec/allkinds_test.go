@@ -24,8 +24,10 @@ func TestEveryKindFlowsThroughTheChain(t *testing.T) {
 	rec := flightrec.New(flightrec.Options{Label: "allkinds"})
 	bus := obs.NewBus(sampler, tb, &depths, &counter, rec)
 
-	if !bus.Enabled() {
-		t.Fatal("bus with sinks attached reports disabled")
+	for k := 0; k < obs.NumKinds; k++ {
+		if !bus.On(obs.Kind(k)) {
+			t.Fatalf("kind %d is off on a bus whose Counter reads every kind", k)
+		}
 	}
 	for k := 0; k < obs.NumKinds; k++ {
 		e := obs.Event{

@@ -16,8 +16,7 @@
 package flightrec
 
 import (
-	"sync"
-
+	"asdsim/internal/freelist"
 	"asdsim/internal/obs"
 	"asdsim/internal/stats"
 )
@@ -85,7 +84,8 @@ type Trigger struct {
 }
 
 // Recorder implements obs.Sink. Attach it to a run's bus, then read
-// Triggers/Bundles after calling Finish.
+// Triggers/Bundles after calling Finish. Its event ring comes from a
+// process-wide free list and goes back there at Finish.
 type Recorder struct {
 	opts Options
 
@@ -138,6 +138,10 @@ func New(opts Options) *Recorder {
 		armed: append([]Detector(nil), opts.Detectors...),
 	}
 }
+
+// Kinds implements the bus's routing: the recorder reads every kind,
+// since its ring keeps everything but L1 hits.
+func (r *Recorder) Kinds() obs.KindSet { return obs.AllKinds }
 
 // Emit implements obs.Sink. The per-event cost is one switch, a few
 // counter updates, and (for forensically interesting kinds) one ring
@@ -249,40 +253,34 @@ func (r *Recorder) close() {
 	}
 }
 
-// Finish closes the final (partial) window so detectors see it. Call
-// once when the run ends; further Emits reopen recording.
+// Finish closes the final (partial) window so detectors see it, and
+// ends the recording: the event ring goes back to the free list for a
+// later recorder, so the recorder must receive no further events.
+// Triggers, Bundles (copies of the ring taken at capture) and Depths
+// stay valid. Later calls do nothing.
 func (r *Recorder) Finish() {
 	if r.started {
 		r.close()
 		r.started = false
 	}
+	if r.ring != nil {
+		rings.Put(len(r.ring), r.ring)
+		r.ring = nil
+	}
 }
 
-// ringPool recycles released event rings (4096 events, ~229 KB, at
-// the default size) across recorders.
-var ringPool sync.Pool
+// rings holds the event rings of finished recorders by size (4096
+// events, ~229 KB, at the default).
+var rings freelist.List[int, []obs.Event]
 
-// takeRing returns a pooled ring of size events, or a new one. A pooled
+// takeRing returns an idle ring of size events, or a new one. An idle
 // ring keeps its previous recorder's events; the snapshot reads only
 // the newest min(head, len) slots, which the new recorder has written.
 func takeRing(size int) []obs.Event {
-	if p, ok := ringPool.Get().(*[]obs.Event); ok && len(*p) == size {
-		return *p
+	if ring, ok := rings.Take(size); ok {
+		return ring
 	}
 	return make([]obs.Event, size)
-}
-
-// Release returns the recorder's event ring to a package pool for a
-// later recorder to reuse. Call it once the run is over and its
-// bundles have been read: bundles are copies and stay valid, but the
-// recorder must receive no further events.
-func (r *Recorder) Release() {
-	if r.ring == nil {
-		return
-	}
-	ring := r.ring
-	r.ring = nil
-	ringPool.Put(&ring)
 }
 
 // Triggers returns every detector firing, in order.

@@ -6,10 +6,12 @@
 // efficiency stats (DepthStats).
 //
 // The bus is engineered to vanish when unused: instrumented components
-// hold a *Bus that is nil when no observer is attached and guard every
-// emission site with a single pointer nil-check, so a run without
-// observers pays one predictable branch per probe point (measured <2%
-// on the full hot loop; see BenchmarkObsDisabledHotLoop).
+// hold a *Bus, nil when no observer is attached, and guard every
+// emission site with Bus.On, so a run without observers pays one
+// predictable branch per probe point (measured <2% on the full hot
+// loop; see BenchmarkObsDisabledHotLoop). A sink may declare the kinds
+// it reads; the bus hands each kind only to the sinks that read it, and
+// a probe whose kind no sink reads stays as dark as on a nil bus.
 //
 // One Bus belongs to one simulation run and is driven from that run's
 // single goroutine; Emit performs no locking. Sinks attached to buses
@@ -19,6 +21,7 @@ package obs
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"asdsim/internal/mem"
@@ -194,23 +197,68 @@ type Event struct {
 // Sink consumes events. Emit is called from the simulation goroutine
 // in probe-firing order; a sink shared across concurrent simulations
 // must be safe for concurrent use.
+//
+// A sink that reads only some kinds declares them with a method
+// Kinds() KindSet, and the bus then delivers it only those. Its output
+// must depend on those kinds alone. A sink without the method, such as
+// Funcs or Counter, receives every kind.
 type Sink interface {
 	Emit(Event)
 }
 
-// Bus fans events out to its sinks in attach order. A nil *Bus is the
-// disabled state: components guard emission sites with a nil check, so
-// the probe compiles to one branch when observability is off.
+// kindSink is a Sink that declares the kinds it reads.
+type kindSink interface {
+	Kinds() KindSet
+}
+
+// KindSet is a set of probe kinds, bit k standing for Kind k.
+type KindSet uint32
+
+// AllKinds holds every probe kind.
+const AllKinds = KindSet(1)<<numKinds - 1
+
+// KindsOf returns the set of the given kinds.
+func KindsOf(kinds ...Kind) KindSet {
+	var s KindSet
+	for _, k := range kinds {
+		s |= 1 << k
+	}
+	return s
+}
+
+// Has reports whether k is in s.
+func (s KindSet) Has(k Kind) bool { return s&(1<<k) != 0 }
+
+// kindsOf returns the kinds s reads.
+func kindsOf(s Sink) KindSet {
+	if ks, ok := s.(kindSink); ok {
+		return ks.Kinds() & AllKinds
+	}
+	return AllKinds
+}
+
+// Bus fans each event out to the sinks that read its kind, in attach
+// order. A nil *Bus is the disabled state. Components guard each probe
+// site with On, so an event that no sink reads is never built and the
+// probe compiles to one branch when observability is off.
 type Bus struct {
-	sinks []Sink
+	sinks  []Sink
+	routes [numKinds][]Sink // routes[k]: the sinks reading kind k, in attach order
+	on     KindSet          // the kinds some sink reads
 }
 
 // NewBus returns a bus with the given sinks attached, in order.
-func NewBus(sinks ...Sink) *Bus {
-	b := &Bus{}
+func NewBus(sinks ...Sink) *Bus { return newBus(append([]Sink(nil), sinks...)) }
+
+// newBus returns a bus delivering to sinks, which it takes over.
+func newBus(sinks []Sink) *Bus {
 	for _, s := range sinks {
-		b.Attach(s)
+		if s == nil {
+			panic("obs: attach of nil sink")
+		}
 	}
+	b := &Bus{sinks: sinks}
+	b.route()
 	return b
 }
 
@@ -221,24 +269,62 @@ func (b *Bus) Attach(s Sink) {
 		panic("obs: attach of nil sink")
 	}
 	b.sinks = append(b.sinks, s)
+	b.route()
 }
 
-// Emit delivers e to every sink in attach order. Safe on a nil bus.
+// With returns a new bus delivering to b's sinks and then to s, leaving
+// b as it was. Safe on a nil bus.
+func (b *Bus) With(s Sink) *Bus {
+	var sinks []Sink
+	if b != nil {
+		sinks = b.sinks
+	}
+	return newBus(append(sinks[:len(sinks):len(sinks)], s))
+}
+
+// route rebuilds the per-kind route table and the enable mask from the
+// attached sinks, over one backing array.
+func (b *Bus) route() {
+	n := 0
+	for _, s := range b.sinks {
+		n += bits.OnesCount32(uint32(kindsOf(s)))
+	}
+	flat := make([]Sink, 0, n)
+	b.on = 0
+	for k := Kind(0); k < numKinds; k++ {
+		from := len(flat)
+		for _, s := range b.sinks {
+			if kindsOf(s).Has(k) {
+				flat = append(flat, s)
+			}
+		}
+		b.routes[k] = flat[from:len(flat):len(flat)]
+		if len(flat) > from {
+			b.on |= 1 << k
+		}
+	}
+}
+
+// On reports whether some sink reads kind k; false on a nil bus. Probe
+// sites test it before building an event.
+//
+//asd:hotpath
+func (b *Bus) On(k Kind) bool { return b != nil && b.on.Has(k) }
+
+// Emit delivers e to the sinks that read its kind, in attach order.
+// Safe on a nil bus.
 //
 //asd:hotpath
 func (b *Bus) Emit(e Event) {
 	if b == nil {
 		return
 	}
-	for _, s := range b.sinks {
-		s.Emit(e)
+	if int(e.Kind) < len(b.routes) {
+		for _, s := range b.routes[e.Kind] {
+			s.Emit(e)
+		}
 	}
 }
-
-// Enabled reports whether emitting can reach any sink. Components may
-// use it to skip building expensive payloads; the common per-probe
-// guard is a plain `bus != nil` check.
-func (b *Bus) Enabled() bool { return b != nil && len(b.sinks) > 0 }
 
 // Counter is a trivial concurrency-safe sink counting events per kind;
 // useful in tests and as a liveness check on shared buses.

@@ -37,14 +37,14 @@ func TestBusFanOutOrdering(t *testing.T) {
 func TestNilBusEmitIsSafe(t *testing.T) {
 	var b *Bus
 	b.Emit(Event{Kind: KindMCEnqueue}) // must not panic
-	if b.Enabled() {
-		t.Fatal("nil bus reports Enabled")
+	if b.On(KindMCEnqueue) {
+		t.Fatal("nil bus reports a kind on")
 	}
-	if !NewBus(&Counter{}).Enabled() {
-		t.Fatal("bus with a sink reports disabled")
+	if !NewBus(&Counter{}).On(KindMCEnqueue) {
+		t.Fatal("bus with a sink reports a kind off")
 	}
-	if NewBus().Enabled() {
-		t.Fatal("empty bus reports enabled")
+	if NewBus().On(KindMCEnqueue) {
+		t.Fatal("empty bus reports a kind on")
 	}
 }
 

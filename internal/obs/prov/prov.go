@@ -11,10 +11,12 @@
 // content-derived IDs (FNV-64a over trace ID, op and sequence — the
 // same discipline as internal/obs/span), so a stream re-recorded from
 // the same deterministic run is byte-identical wherever it runs. The
-// Recorder is an obs.Sink for the MC-side lifecycle events and exposes
-// direct nil-guarded hooks for the richer ASD-side detail (decision
-// witnesses, epoch snapshots, slot lifecycles) that the generic event
-// vocabulary cannot carry.
+// Recorder is an obs.Sink for the MC-side lifecycle events: the runner
+// attaches it to the run's probe bus, which hands it only the kinds it
+// declares, so a provenance-only run keeps every other probe site dark.
+// It also exposes direct nil-guarded hooks for the richer ASD-side
+// detail (decision witnesses, epoch snapshots, slot lifecycles) that the
+// generic event vocabulary cannot carry.
 //
 // Like every telemetry layer in this tree, recording must not perturb
 // the simulation: no locks, no goroutines, no wall clock, no
@@ -25,6 +27,7 @@
 package prov
 
 import (
+	"asdsim/internal/freelist"
 	"asdsim/internal/mem"
 	"asdsim/internal/obs"
 	"asdsim/internal/slh"
@@ -193,7 +196,7 @@ type Options struct {
 	// span.TraceIDFromKey(spec key) under the farm, or any stable label.
 	TraceID string
 	// RingSize bounds retained records, rounded up to a power of two
-	// (default 1 << 15 ≈ 2.5 MB of records).
+	// (default 1 << 15 records of 64 B, a 2 MiB ring).
 	RingSize int
 	// MaxEpochs bounds retained epoch snapshots (default 4096); later
 	// rolls keep their ring records but drop the table snapshot.
@@ -221,9 +224,10 @@ type lastDecision struct {
 type Recorder struct {
 	traceID string
 	idSeed  uint64 // FNV-64a of traceID, the precomputed deriveID prefix
-	// ring starts small and doubles up to ringCap as records arrive, so
-	// an idle or low-traffic run never pays for (or cache-thrashes with)
-	// the full window; wrap-around discarding begins only at ringCap.
+	// ring is an idle one from the free list, or starts small and grows
+	// up to ringCap as records arrive, so a low-traffic run in a cold
+	// process never pays for the full window; wrap-around discarding
+	// begins only at ringCap.
 	ring    []Record
 	ringCap int
 	head    uint64 // total records pushed; ring index is head & (len-1)
@@ -235,7 +239,13 @@ type Recorder struct {
 	curEpoch [maxThreads]uint32
 	lastDec  lastDecision
 	counts   [numOps]uint64
+
+	stream *Stream // set by the first Stream call, which ends the recording
 }
+
+// rings holds the record rings of streamed recorders, keyed by the
+// ringCap they serve.
+var rings freelist.List[int, []Record]
 
 // New returns a Recorder with the given options.
 func New(opts Options) *Recorder {
@@ -256,10 +266,14 @@ func New(opts Options) *Recorder {
 	for i := 0; i < len(opts.TraceID); i++ {
 		seed = (seed ^ uint64(opts.TraceID[i])) * fnvPrime64
 	}
+	ring, ok := rings.Take(n)
+	if !ok {
+		ring = make([]Record, min(n, initialRing))
+	}
 	return &Recorder{
 		traceID:   opts.TraceID,
 		idSeed:    seed,
-		ring:      make([]Record, min(n, initialRing)),
+		ring:      ring,
 		ringCap:   n,
 		maxEpochs: maxEpochs,
 	}
@@ -357,9 +371,16 @@ func (r *Recorder) linkDecision(rec *Record) {
 	}
 }
 
+// Kinds implements the bus's routing: the recorder reads the seven
+// MC-side prefetch lifecycle kinds (the ASD-side stages arrive through
+// the richer direct hooks).
+func (r *Recorder) Kinds() obs.KindSet {
+	return obs.KindsOf(obs.KindMCPFNominate, obs.KindMCPFDrop, obs.KindMCPFIssue,
+		obs.KindMCPFInstall, obs.KindMCPBHit, obs.KindMCPFLate, obs.KindMCPFWasted)
+}
+
 // Emit implements obs.Sink: the MC-side prefetch lifecycle events are
-// mapped into lineage records; everything else is intentionally
-// ignored (the ASD-side stages arrive through the richer direct hooks).
+// mapped into lineage records; everything else is outside Kinds.
 //
 //asd:hotpath
 func (r *Recorder) Emit(e obs.Event) {
@@ -400,7 +421,7 @@ func (r *Recorder) Emit(e obs.Event) {
 	case obs.KindMCEnqueue, obs.KindMCSchedule, obs.KindMCIssue, obs.KindMCComplete,
 		obs.KindMCQueues, obs.KindMCBankConflict, obs.KindDRAMAccess, obs.KindDRAMRefresh,
 		obs.KindCacheAccess, obs.KindCPUStall, obs.KindASDPrefetchDecision, obs.KindSchedPolicy:
-		// Not part of a prefetch's lineage.
+		// Not part of a prefetch's lineage, and outside Kinds.
 	}
 }
 
@@ -458,11 +479,16 @@ func (r *Recorder) OnEpochRoll(thread int32, cycle, epoch uint64, up, down *slh.
 }
 
 // Stream flushes the recorder into its transportable form: surviving
-// ring records oldest-first plus the epoch snapshots. The recorder
-// keeps recording afterwards; Stream may be called repeatedly.
+// ring records oldest-first, copied out, plus the epoch snapshots. It
+// ends the recording: the ring goes back to the free list for a later
+// recorder, so nothing may be recorded afterwards, and later calls
+// return the same stream.
 func (r *Recorder) Stream() *Stream {
 	if r == nil {
 		return &Stream{}
+	}
+	if r.stream != nil {
+		return r.stream
 	}
 	n := r.head
 	size := uint64(len(r.ring))
@@ -477,6 +503,8 @@ func (r *Recorder) Stream() *Stream {
 	start := int(r.head-n) & (len(r.ring) - 1)
 	m := copy(recs, r.ring[start:min(start+int(n), len(r.ring))])
 	copy(recs[m:], r.ring[:int(n)-m])
-	epochs := append([]EpochSnap(nil), r.epochs...)
-	return &Stream{TraceID: r.traceID, Dropped: dropped, Records: recs, Epochs: epochs}
+	rings.Put(r.ringCap, r.ring)
+	r.ring = nil
+	r.stream = &Stream{TraceID: r.traceID, Dropped: dropped, Records: recs, Epochs: r.epochs}
+	return r.stream
 }

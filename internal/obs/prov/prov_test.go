@@ -27,6 +27,40 @@ func TestRecorderRingDrop(t *testing.T) {
 	}
 }
 
+// TestStreamEndsRecording: Stream hands the ring back, so a second call
+// returns the same stream, and the next recorder of the ring's size
+// takes the ring and streams only its own records.
+func TestStreamEndsRecording(t *testing.T) {
+	r := New(Options{TraceID: "first", RingSize: 8})
+	for i := 0; i < 20; i++ {
+		r.OnSlot(0, OpSlotBirth, uint64(100+i), 0x40, 1, 1)
+	}
+	slot0 := &r.ring[0]
+	st := r.Stream()
+	if again := r.Stream(); again != st || r.ring != nil {
+		t.Fatalf("second Stream returned %p after %p; ring kept: %v", again, st, r.ring != nil)
+	}
+	next := New(Options{TraceID: "second", RingSize: 8})
+	if &next.ring[0] != slot0 {
+		t.Fatal("the ring Stream returned was not reused")
+	}
+	for i := 0; i < 3; i++ {
+		next.OnSlot(0, OpSlotEnd, uint64(500+i), 0x80, 2, -1)
+	}
+	own := next.Stream()
+	if own.Dropped != 0 || len(own.Records) != 3 {
+		t.Fatalf("reused ring streams %d records (%d dropped), want this run's 3", len(own.Records), own.Dropped)
+	}
+	for i, rec := range own.Records {
+		if rec.Op != OpSlotEnd || rec.Cycle != uint64(500+i) {
+			t.Errorf("record %d = %+v, want slot-end at cycle %d", i, rec, 500+i)
+		}
+	}
+	if len(st.Records) != 8 || st.Records[7].Cycle != 119 {
+		t.Error("the first stream changed when its ring was reused")
+	}
+}
+
 // TestRecorderIDsAreContentDerived pins that identical histories under
 // identical trace IDs replay to identical record IDs, and that the
 // trace ID perturbs them.

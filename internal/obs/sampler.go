@@ -79,14 +79,26 @@ type Sampler struct {
 	// DefaultMaxWindows.
 	MaxWindows int
 
-	samples    []Sample // ascending Window order
-	policy     int64    // carried into new windows
+	// samples[lo:] are the retained windows in ascending Window order;
+	// samples[:lo] were evicted and are compacted away in bulk.
+	samples    []Sample
+	lo         int
+	policy     int64 // carried into new windows
 	queues     QueueGauge
 	evictedAny bool // the ring has wrapped at least once
 	// Dropped counts events that arrived for windows already evicted
 	// from the ring.
 	Dropped uint64
 }
+
+// samplerIgnored are the kinds a Sampler skips: pipeline-stage
+// transitions (schedule, issue, PF install) and per-decision probes
+// carry no window-level aggregate beyond what the other kinds count.
+const samplerIgnored = KindSet(1<<KindMCSchedule | 1<<KindMCIssue | 1<<KindMCPFInstall | 1<<KindASDPrefetchDecision)
+
+// Kinds implements the bus's routing: the Sampler reads every kind it
+// does not skip.
+func (s *Sampler) Kinds() KindSet { return AllKinds &^ samplerIgnored }
 
 // DefaultSampleInterval is the default window width: 50k CPU cycles,
 // ~23 us of simulated time, a few hundred windows per million-cycle
@@ -108,37 +120,42 @@ func NewSampler(interval uint64) *Sampler {
 // window returns the sample for the event's window, opening (and
 // evicting) as needed; nil if the window predates the ring.
 func (s *Sampler) window(cycle uint64) *Sample {
-	idx := cycle / s.Interval
 	n := len(s.samples)
-	if n > 0 {
-		// Hot path: the event lands in the newest window.
-		if last := &s.samples[n-1]; last.Window == idx {
-			return last
-		} else if last.Window > idx {
-			// Out-of-order event for an older window: scan back and,
-			// if that window was skipped over, open it in place (the
-			// rare path; cross-clock-domain probes trail only a little).
-			for i := n - 2; i >= 0; i-- {
-				if s.samples[i].Window == idx {
-					return &s.samples[i]
-				}
-				if s.samples[i].Window < idx {
-					return s.insertAt(i+1, idx)
-				}
-			}
-			// Older than every retained window: evicted territory.
-			if s.samples[0].Window > idx && s.evictedAny {
-				s.Dropped++
-				return nil
-			}
-			return s.insertAt(0, idx)
+	if n == s.lo {
+		return s.insertAt(n, cycle/s.Interval)
+	}
+	// Hot path: the event lands in the newest window.
+	last := &s.samples[n-1]
+	if cycle >= last.Start && cycle-last.Start < s.Interval {
+		return last
+	}
+	idx := cycle / s.Interval
+	if last.Window < idx {
+		return s.insertAt(n, idx)
+	}
+	// Out-of-order event for an older window: scan back and, if that
+	// window was skipped over, open it in place (the rare path;
+	// cross-clock-domain probes trail only a little).
+	for i := n - 2; i >= s.lo; i-- {
+		if s.samples[i].Window == idx {
+			return &s.samples[i]
+		}
+		if s.samples[i].Window < idx {
+			return s.insertAt(i+1, idx)
 		}
 	}
-	return s.insertAt(n, idx)
+	// Older than every retained window: evicted territory.
+	if s.evictedAny {
+		s.Dropped++
+		return nil
+	}
+	return s.insertAt(s.lo, idx)
 }
 
 // insertAt opens window idx at position i (keeping ascending order) and
-// evicts from the front past the ring limit.
+// evicts from the front past the ring limit. Eviction only advances lo;
+// the evicted prefix is compacted away once it reaches a quarter of the
+// limit, so each window moves O(1) times on average.
 func (s *Sampler) insertAt(i int, idx uint64) *Sample {
 	s.samples = append(s.samples, Sample{})
 	copy(s.samples[i+1:], s.samples[i:])
@@ -147,16 +164,20 @@ func (s *Sampler) insertAt(i int, idx uint64) *Sample {
 	if limit <= 0 {
 		limit = DefaultMaxWindows
 	}
-	if n := len(s.samples); n > limit {
+	if excess := len(s.samples) - s.lo - limit; excess > 0 {
 		s.evictedAny = true
-		if i < n-limit {
+		s.lo += excess
+		if i < s.lo {
 			// The new window itself fell off the front.
-			s.samples = append(s.samples[:0], s.samples[n-limit:]...)
 			s.Dropped++
 			return nil
 		}
-		i -= n - limit
-		s.samples = append(s.samples[:0], s.samples[n-limit:]...)
+		if s.lo >= (limit+3)/4 {
+			n := copy(s.samples, s.samples[s.lo:])
+			s.samples = s.samples[:n]
+			i -= s.lo
+			s.lo = 0
+		}
 	}
 	return &s.samples[i]
 }
@@ -167,6 +188,11 @@ func (s *Sampler) insertAt(i int, idx uint64) *Sample {
 func (s *Sampler) Emit(e Event) {
 	if e.Kind == KindMCQueues {
 		s.emitQueues(e)
+		return
+	}
+	if samplerIgnored.Has(e.Kind) {
+		// A skipped kind opens no window either, so the output depends
+		// only on the kinds the Sampler reads.
 		return
 	}
 	w := s.window(e.Cycle)
@@ -228,9 +254,7 @@ func (s *Sampler) Emit(e Event) {
 		w.Policy = e.V1
 		s.policy = e.V1
 	case KindMCSchedule, KindMCIssue, KindMCPFInstall, KindASDPrefetchDecision:
-		// Pipeline-stage transitions and per-decision probes carry no
-		// window-level aggregate beyond what the kinds above already
-		// count; seen and intentionally ignored.
+		// In samplerIgnored: returned above.
 	case KindMCQueues:
 		// Aggregated by emitQueues before the window lookup.
 	}
@@ -271,9 +295,10 @@ func finalize(w Sample) Sample {
 // Samples returns the retained windows in chronological order with
 // derived means computed.
 func (s *Sampler) Samples() []Sample {
-	out := make([]Sample, len(s.samples))
-	for i := range s.samples {
-		out[i] = finalize(s.samples[i])
+	kept := s.samples[s.lo:]
+	out := make([]Sample, len(kept))
+	for i := range kept {
+		out[i] = finalize(kept[i])
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestSamplerWindowBoundaries pins the half-open window convention:
@@ -176,5 +178,128 @@ func TestSamplerCSV(t *testing.T) {
 	}
 	if !strings.Contains(jb.String(), `"run":"bench/PMS"`) {
 		t.Errorf("JSONL missing run label: %s", jb.String())
+	}
+}
+
+// copyingRing is the Sampler's window ring as it was before eviction
+// became amortized, reduced to window indices and read counts: every
+// eviction copies the retained windows to the front. It is the
+// reference TestSamplerEvictionMatchesCopyingRing compares against.
+type copyingRing struct {
+	limit      int
+	wins       []uint64 // ascending window indices
+	reads      []uint64
+	evictedAny bool
+	dropped    uint64
+}
+
+func (r *copyingRing) read(idx uint64) {
+	n := len(r.wins)
+	i := n
+	if n > 0 && r.wins[n-1] >= idx {
+		if r.wins[n-1] == idx {
+			r.reads[n-1]++
+			return
+		}
+		for i = n - 2; i >= 0 && r.wins[i] > idx; i-- {
+		}
+		if i >= 0 && r.wins[i] == idx {
+			r.reads[i]++
+			return
+		}
+		if i < 0 && r.evictedAny {
+			r.dropped++
+			return
+		}
+		i++
+	}
+	r.wins = append(r.wins[:i], append([]uint64{idx}, r.wins[i:]...)...)
+	r.reads = append(r.reads[:i], append([]uint64{1}, r.reads[i:]...)...)
+	if n := len(r.wins); n > r.limit {
+		r.evictedAny = true
+		evict := n - r.limit
+		r.wins = append(r.wins[:0], r.wins[evict:]...)
+		r.reads = append(r.reads[:0], r.reads[evict:]...)
+		if i < evict {
+			r.dropped++
+		}
+	}
+}
+
+// feedWindows emits perWindow reads into each of windows windows. With
+// late set, every fifth window is skipped and filled late, once the two
+// after it are open, and past the ring's capacity each new window also
+// gets late reads for the window just evicted and the oldest still
+// retained.
+func feedWindows(s *Sampler, ref *copyingRing, windows, perWindow int, late bool) {
+	emit := func(w uint64) {
+		s.Emit(Event{Kind: KindMCEnqueue, Cycle: w*s.Interval + 7})
+		if ref != nil {
+			ref.read(w)
+		}
+	}
+	limit := uint64(s.MaxWindows)
+	for w := uint64(0); w < uint64(windows); w++ {
+		if !late || w%5 != 3 {
+			for i := 0; i < perWindow; i++ {
+				emit(w)
+			}
+		}
+		if !late {
+			continue
+		}
+		if w%5 == 0 && w >= 5 {
+			emit(w - 2) // the skipped window, opened out of order
+		}
+		if w >= limit {
+			emit(w - limit)     // just evicted
+			emit(w - limit + 1) // the front edge of the retained range
+		}
+	}
+}
+
+// TestSamplerEvictionMatchesCopyingRing feeds 3 x MaxWindows windows
+// with late reads at the front edge of the retained range and skipped
+// windows opened out of order. The retained windows, their counts and
+// Dropped must equal the copying reference's.
+func TestSamplerEvictionMatchesCopyingRing(t *testing.T) {
+	for _, limit := range []int{1, 3, 7, DefaultMaxWindows} {
+		s := NewSampler(100)
+		s.MaxWindows = limit
+		ref := &copyingRing{limit: limit}
+		feedWindows(s, ref, 3*max(limit, 8), 2, true)
+		got := s.Samples()
+		if len(got) != len(ref.wins) || s.Dropped != ref.dropped {
+			t.Fatalf("limit %d: %d windows, %d dropped; reference %d windows, %d dropped",
+				limit, len(got), s.Dropped, len(ref.wins), ref.dropped)
+		}
+		for i, sm := range got {
+			if sm.Window != ref.wins[i] || sm.Reads != ref.reads[i] {
+				t.Fatalf("limit %d: window %d = %d with %d reads, reference %d with %d",
+					limit, i, sm.Window, sm.Reads, ref.wins[i], ref.reads[i])
+			}
+		}
+	}
+}
+
+// TestSamplerEvictionIsLinear: opening a window past MaxWindows costs
+// O(1) amortized, so four times the windows, three quarters of them
+// evicting, take about four times as long. Copying the whole ring on
+// every eviction made it ~80x at the default ring size.
+func TestSamplerEvictionIsLinear(t *testing.T) {
+	run := func(windows int) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for rep := 0; rep < 3; rep++ {
+			s := NewSampler(100)
+			start := time.Now()
+			feedWindows(s, nil, windows, 20, false)
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	one, four := run(DefaultMaxWindows), run(4*DefaultMaxWindows)
+	if four > 16*one {
+		t.Errorf("%d windows took %v, %d took %v: eviction is not linear",
+			DefaultMaxWindows, one, 4*DefaultMaxWindows, four)
 	}
 }

@@ -2,11 +2,11 @@ package sim
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"asdsim/internal/cache"
 	"asdsim/internal/cpu"
+	"asdsim/internal/freelist"
 	"asdsim/internal/trace"
 	"asdsim/internal/workload"
 )
@@ -37,15 +37,8 @@ func NewBatch() *Batch {
 // by geometry. A finished run hands its hierarchy back, and the next run
 // of the same geometry, on any Batch and so also a one-cell Run,
 // RunContext or Sampled, Resets and reuses it instead of allocating and
-// zeroing the tag arrays again (~2.8 MB at the default geometry). It
-// retains one idle hierarchy per geometry for each run that ran
-// concurrently, for the life of the process. Unlike a sync.Pool it
-// never drops one at a garbage collection, so whether a run allocates
-// a hierarchy does not depend on GC timing.
-var hierarchies = struct {
-	mu   sync.Mutex
-	idle map[cache.Config][]*cache.Hierarchy
-}{idle: make(map[cache.Config][]*cache.Hierarchy)}
+// zeroing the tag arrays again (~2.8 MB at the default geometry).
+var hierarchies freelist.List[cache.Config, *cache.Hierarchy]
 
 // CacheStats reports trace-cache effectiveness: (Misses) traces
 // generated, (Hits) cells that reused one.
@@ -107,7 +100,7 @@ func (b *Batch) buildRunner(ctx context.Context, bench string, cfg Config, newHi
 			MaxOutstanding:     cfg.MaxOutstanding,
 			BudgetInstructions: cfg.InstrBudget,
 		})
-		th.SetObserver(r.cfg.Obs)
+		th.SetObserver(r.bus)
 		r.threads = append(r.threads, th)
 		r.trueLens = append(r.trueLens, mt.TrueLengths)
 		r.ffRecs = append(r.ffRecs, mt.Records)
@@ -119,14 +112,8 @@ func (b *Batch) buildRunner(ctx context.Context, bench string, cfg Config, newHi
 // takeHierarchy returns an idle hierarchy of geometry cfg, Reset, or a
 // new one when none is idle.
 func takeHierarchy(cfg cache.Config) *cache.Hierarchy {
-	hierarchies.mu.Lock()
-	var h *cache.Hierarchy
-	if idle := hierarchies.idle[cfg]; len(idle) > 0 {
-		h = idle[len(idle)-1]
-		hierarchies.idle[cfg] = idle[:len(idle)-1]
-	}
-	hierarchies.mu.Unlock()
-	if h == nil {
+	h, ok := hierarchies.Take(cfg)
+	if !ok {
 		return cache.NewHierarchy(cfg)
 	}
 	h.Reset()
@@ -138,7 +125,5 @@ func takeHierarchy(cfg cache.Config) *cache.Hierarchy {
 // does not keep the run's sinks alive.
 func releaseHierarchy(r *runner) {
 	r.hier.SetObserver(nil)
-	hierarchies.mu.Lock()
-	hierarchies.idle[r.cfg.Cache] = append(hierarchies.idle[r.cfg.Cache], r.hier)
-	hierarchies.mu.Unlock()
+	hierarchies.Put(r.cfg.Cache, r.hier)
 }

@@ -117,12 +117,12 @@ type Config struct {
 	// observer wiring.
 	Obs *obs.Bus `json:"-"`
 
-	// Prov, when non-nil, records per-prefetch provenance for the run:
-	// the recorder is wired directly into the memory controller's
-	// prefetch-lifecycle sites and each ASD engine's decision/epoch/slot
-	// hooks — deliberately not through the probe bus, so a
-	// provenance-only run keeps every other probe site disabled.
-	// Excluded from JSON for the same reason as Obs.
+	// Prov, when non-nil, records per-prefetch provenance for the run.
+	// The run attaches it after Obs's sinks on a bus of its own, which
+	// hands it only the prefetch-lifecycle kinds it reads, so a
+	// provenance-only run keeps every other probe site dark and Obs is
+	// left as it was. Each ASD engine also calls its decision, epoch and
+	// slot hooks directly. Excluded from JSON for the same reason as Obs.
 	Prov *prov.Recorder `json:"-"`
 }
 

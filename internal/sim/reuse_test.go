@@ -6,8 +6,12 @@ import (
 	"encoding/json"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"asdsim/internal/cache"
+	"asdsim/internal/obs"
+	"asdsim/internal/obs/flightrec"
+	"asdsim/internal/obs/prov"
 	"asdsim/internal/workload"
 )
 
@@ -24,11 +28,7 @@ func tinyCache() cache.Config {
 
 // idleHierarchies counts the free list's idle hierarchies of geometry
 // cfg.
-func idleHierarchies(cfg cache.Config) int {
-	hierarchies.mu.Lock()
-	defer hierarchies.mu.Unlock()
-	return len(hierarchies.idle[cfg])
-}
+func idleHierarchies(cfg cache.Config) int { return hierarchies.Len(cfg) }
 
 // freshRun runs one cell on a hierarchy straight from cache.NewHierarchy,
 // leaving the free list untouched.
@@ -151,4 +151,67 @@ func TestBatchCellAllocation(t *testing.T) {
 	}); got >= limit {
 		t.Errorf("a cancelled cell allocates %d B, want under %d", got, limit)
 	}
+}
+
+// TestInstrumentedCellAllocation is the allocation gate for a warm
+// instrumented cell: with the recorders asdsim -obs -flightrec -explain
+// attaches (Sampler, DepthStats and flight recorder on the bus, plus
+// provenance), a warm Batch cell must take the flight recorder's event
+// ring and the provenance record ring from their free lists, not
+// allocate and zero them, and Finish must hand the event ring back.
+// What remains is the cell's own state, the sample windows, the epoch
+// snapshots and the triage bundles' ring captures. Stream's copy of the
+// retained records is checked on its own: it allocates only the records
+// it returns.
+func TestInstrumentedCellAllocation(t *testing.T) {
+	const budget = 200_000
+	const meanLimit, maxLimit = 640 << 10, 1 << 20
+	type cell struct {
+		bench string
+		cfg   Config
+	}
+	var cells []cell
+	for _, bench := range workload.FocusBenchmarks() {
+		for _, mode := range []Mode{MS, PMS} {
+			cells = append(cells, cell{bench, Default(mode, budget)})
+		}
+	}
+	allocated := func() uint64 {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.TotalAlloc
+	}
+	b := NewBatch()
+	pass := func(check bool) {
+		var sum, worst uint64
+		for _, c := range cells {
+			start := allocated()
+			flight := flightrec.New(flightrec.Options{Label: c.bench,
+				Detectors: flightrec.DefaultDetectors(c.cfg.MC.CAQCap)})
+			rec := prov.New(prov.Options{TraceID: c.bench})
+			cfg := c.cfg
+			cfg.Obs = obs.NewBus(obs.NewSampler(obs.DefaultSampleInterval), &obs.DepthStats{}, flight)
+			cfg.Prov = rec
+			if _, err := b.Run(c.bench, cfg); err != nil {
+				t.Fatal(err)
+			}
+			flight.Finish()
+			got := allocated() - start
+			sum, worst = sum+got, max(worst, got)
+
+			start = allocated()
+			st := rec.Stream()
+			copied := allocated() - start
+			if records := uint64(len(st.Records)) * uint64(unsafe.Sizeof(prov.Record{})); check && (copied < records || copied > records+records/8+1024) {
+				t.Errorf("%s/%s: Stream allocates %d B for %d B of records", c.bench, c.cfg.Mode, copied, records)
+			}
+		}
+		if mean := sum / uint64(len(cells)); check && (mean >= meanLimit || worst >= maxLimit) {
+			t.Errorf("a warm instrumented cell allocates %d B on average, at most %d B; want under %d and %d",
+				mean, worst, meanLimit, maxLimit)
+		}
+		t.Logf("mean %d B, max %d B", sum/uint64(len(cells)), worst)
+	}
+	pass(false) // materializes the traces and fills the free lists
+	pass(true)
 }

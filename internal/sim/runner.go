@@ -114,7 +114,10 @@ type flight struct {
 
 // runner holds one simulation's live state.
 type runner struct {
-	cfg     Config
+	cfg Config
+	// bus is the run's probe bus: cfg.Obs's sinks, then cfg.Prov when
+	// set. Nil when the run has neither.
+	bus     *obs.Bus
 	threads []*cpu.Thread
 	hier    *cache.Hierarchy
 	dram    *dram.DRAM
@@ -248,7 +251,10 @@ func RunContext(ctx context.Context, bench string, cfg Config) (Result, error) {
 // hier, a cache hierarchy of geometry cfg.Cache in its reset state,
 // without threads.
 func newRunnerShell(cfg Config, hier *cache.Hierarchy) *runner {
-	r := &runner{cfg: cfg, hier: hier, lastLine: make([]mem.Line, cfg.Threads)}
+	r := &runner{cfg: cfg, bus: cfg.Obs, hier: hier, lastLine: make([]mem.Line, cfg.Threads)}
+	if cfg.Prov != nil {
+		r.bus = cfg.Obs.With(cfg.Prov)
+	}
 	r.dram = dram.New(cfg.DRAM)
 
 	var adaptive *core.AdaptiveScheduler
@@ -256,7 +262,7 @@ func newRunnerShell(cfg Config, hier *cache.Hierarchy) *runner {
 		for t := 0; t < cfg.Threads; t++ {
 			eng := newEngine(cfg)
 			if o, ok := eng.(interface{ SetObserver(*obs.Bus) }); ok {
-				o.SetObserver(cfg.Obs)
+				o.SetObserver(r.bus)
 			}
 			if cfg.Prov != nil {
 				if e, ok := eng.(*core.Engine); ok {
@@ -266,14 +272,13 @@ func newRunnerShell(cfg Config, hier *cache.Hierarchy) *runner {
 			r.engines = append(r.engines, eng)
 		}
 		adaptive = core.NewAdaptiveScheduler(cfg.Sched)
-		adaptive.SetObserver(cfg.Obs)
+		adaptive.SetObserver(r.bus)
 	}
 	r.ctrl = mc.New(cfg.MC, r.dram, r.engines, adaptive)
 	r.ctrl.SetReadDone(r.onReadDone)
-	r.ctrl.SetObserver(cfg.Obs)
-	r.ctrl.SetProv(cfg.Prov)
-	r.hier.SetObserver(cfg.Obs)
-	r.dram.SetObserver(cfg.Obs)
+	r.ctrl.SetObserver(r.bus)
+	r.hier.SetObserver(r.bus)
+	r.dram.SetObserver(r.bus)
 
 	if cfg.psEnabled() {
 		r.ps = prefetch.NewPS(cfg.PS)
