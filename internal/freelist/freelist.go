@@ -41,10 +41,3 @@ func (l *List[K, V]) Put(k K, v V) {
 	}
 	l.idle[k] = append(l.idle[k], v)
 }
-
-// Len returns how many values of key k are idle.
-func (l *List[K, V]) Len(k K) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.idle[k])
-}

@@ -100,7 +100,7 @@ func (b *Batch) buildRunner(ctx context.Context, bench string, cfg Config, newHi
 			MaxOutstanding:     cfg.MaxOutstanding,
 			BudgetInstructions: cfg.InstrBudget,
 		})
-		th.SetObserver(r.bus)
+		th.SetObserver(r.cfg.Obs)
 		r.threads = append(r.threads, th)
 		r.trueLens = append(r.trueLens, mt.TrueLengths)
 		r.ffRecs = append(r.ffRecs, mt.Records)

@@ -27,8 +27,17 @@ func tinyCache() cache.Config {
 }
 
 // idleHierarchies counts the free list's idle hierarchies of geometry
-// cfg.
-func idleHierarchies(cfg cache.Config) int { return hierarchies.Len(cfg) }
+// cfg, taking them all and handing them back in their order.
+func idleHierarchies(cfg cache.Config) int {
+	var idle []*cache.Hierarchy
+	for h, ok := hierarchies.Take(cfg); ok; h, ok = hierarchies.Take(cfg) {
+		idle = append(idle, h)
+	}
+	for i := len(idle) - 1; i >= 0; i-- {
+		hierarchies.Put(cfg, idle[i])
+	}
+	return len(idle)
+}
 
 // freshRun runs one cell on a hierarchy straight from cache.NewHierarchy,
 // leaving the free list untouched.

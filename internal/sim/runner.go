@@ -114,10 +114,7 @@ type flight struct {
 
 // runner holds one simulation's live state.
 type runner struct {
-	cfg Config
-	// bus is the run's probe bus: cfg.Obs's sinks, then cfg.Prov when
-	// set. Nil when the run has neither.
-	bus     *obs.Bus
+	cfg     Config
 	threads []*cpu.Thread
 	hier    *cache.Hierarchy
 	dram    *dram.DRAM
@@ -251,10 +248,12 @@ func RunContext(ctx context.Context, bench string, cfg Config) (Result, error) {
 // hier, a cache hierarchy of geometry cfg.Cache in its reset state,
 // without threads.
 func newRunnerShell(cfg Config, hier *cache.Hierarchy) *runner {
-	r := &runner{cfg: cfg, bus: cfg.Obs, hier: hier, lastLine: make([]mem.Line, cfg.Threads)}
 	if cfg.Prov != nil {
-		r.bus = cfg.Obs.With(cfg.Prov)
+		// The run's own bus carries Obs's sinks, then the recorder; cfg
+		// is the run's copy, so the caller's Obs stays as it was.
+		cfg.Obs = cfg.Obs.With(cfg.Prov)
 	}
+	r := &runner{cfg: cfg, hier: hier, lastLine: make([]mem.Line, cfg.Threads)}
 	r.dram = dram.New(cfg.DRAM)
 
 	var adaptive *core.AdaptiveScheduler
@@ -262,7 +261,7 @@ func newRunnerShell(cfg Config, hier *cache.Hierarchy) *runner {
 		for t := 0; t < cfg.Threads; t++ {
 			eng := newEngine(cfg)
 			if o, ok := eng.(interface{ SetObserver(*obs.Bus) }); ok {
-				o.SetObserver(r.bus)
+				o.SetObserver(cfg.Obs)
 			}
 			if cfg.Prov != nil {
 				if e, ok := eng.(*core.Engine); ok {
@@ -272,13 +271,13 @@ func newRunnerShell(cfg Config, hier *cache.Hierarchy) *runner {
 			r.engines = append(r.engines, eng)
 		}
 		adaptive = core.NewAdaptiveScheduler(cfg.Sched)
-		adaptive.SetObserver(r.bus)
+		adaptive.SetObserver(cfg.Obs)
 	}
 	r.ctrl = mc.New(cfg.MC, r.dram, r.engines, adaptive)
 	r.ctrl.SetReadDone(r.onReadDone)
-	r.ctrl.SetObserver(r.bus)
-	r.hier.SetObserver(r.bus)
-	r.dram.SetObserver(r.bus)
+	r.ctrl.SetObserver(cfg.Obs)
+	r.hier.SetObserver(cfg.Obs)
+	r.dram.SetObserver(cfg.Obs)
 
 	if cfg.psEnabled() {
 		r.ps = prefetch.NewPS(cfg.PS)
