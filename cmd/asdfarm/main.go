@@ -7,29 +7,31 @@
 //	asdfarm run [-suites s1,s2|-benchmarks b1,b2] [-modes NP,PS,MS,PMS]
 //	            [-engine asd|next-line|p5-style|ghb] [-threads N]
 //	            [-budget N] [-seed N] [-derive-seeds] [-workers N]
-//	            [-timeout D] [-retries N] [-out results.jsonl]
+//	            [-timeout D] [-retries N] [-out results]
 //	            [-outcomes canon.json] [-cluster http://host:8465]
 //	            [-trace trace.json] [-quiet]
 //	asdfarm serve [-role local|coordinator|worker] [-addr :8465]
-//	              [-workers N] [-out path] [-coordinator URL]
+//	              [-workers N] [-out dir] [-coordinator URL]
 //	              [-lease-ttl D] [-worker-ttl D] [-name label]
 //
 // Batch mode prints a live progress meter, a per-benchmark gain table
 // (when NP/PS/MS/PMS all ran), and throughput totals. With -out,
-// results append to a store as they complete; rerunning with the same
-// -out resumes, skipping every run already on disk. A -out path ending
-// in .jsonl is the single-file legacy layout; any other path is a
-// segmented store directory with background compaction. With -cluster,
-// the matrix is submitted to a coordinator's job API and executed by
-// its worker fleet instead of in-process; -outcomes writes the
-// canonical (sorted, wall-clock-free) outcome set either way, so
-// distributed and local runs can be byte-compared.
+// results append to a store — a directory of size-bounded segment
+// files with background compaction — as they complete; rerunning with
+// the same -out resumes, skipping every run already on disk. With
+// -cluster, the matrix is submitted to a coordinator's job API and
+// executed by its worker fleet instead of in-process; -outcomes writes
+// the canonical (sorted, wall-clock-free) outcome set either way, so
+// distributed and local runs can be byte-compared, and it is the
+// store's export format.
 //
 // Daemon mode exposes POST /jobs, GET /jobs, GET /jobs/{id},
-// DELETE /jobs/{id}, and GET /metrics. -role=coordinator additionally
-// serves the cluster lease protocol on POST /cluster/rpc and executes
-// jobs on registered workers; -role=worker joins a coordinator and
-// contributes -workers lease loops.
+// DELETE /jobs/{id}, and the Prometheus exposition on GET /metrics
+// (with the store's farm_store_* families under -out).
+// -role=coordinator additionally serves the cluster lease protocol on
+// POST /cluster/rpc and executes jobs on registered workers;
+// -role=worker joins a coordinator and contributes -workers lease
+// loops.
 package main
 
 import (
@@ -135,7 +137,7 @@ func runBatch(args []string) {
 	sampleDetail := fs.Uint64("sample-detail", 0, "measured detailed instructions per window (0 = default)")
 	sampleFuncWarm := fs.Uint64("sample-funcwarm", 0, "bound functional warming to the last N instructions before each window (0 = warm the whole gap)")
 	sampleConf := fs.Float64("sample-confidence", 0, "confidence level for CPI intervals: 0.90, 0.95 or 0.99 (0 = default)")
-	out := fs.String("out", "", "results store (file or directory); enables persistence and resume")
+	out := fs.String("out", "", "results store directory; enables persistence and resume (-outcomes writes the canonical export)")
 	provDir := fs.String("prov", "", "provenance sidecar directory; records every run's per-prefetch lineage for 'asdfarm explain'/'diff'")
 	outcomes := fs.String("outcomes", "", "write the canonical outcome set (sorted JSON, wall-clock-free) here")
 	clusterURL := fs.String("cluster", "", "coordinator base URL; run the matrix on the distributed farm")
@@ -193,7 +195,7 @@ func runBatch(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		opts.Provenance = farm.NewProvenance(ps, 0).Attach
+		opts.Provenance = farm.NewProvenance(ps).Attach
 	}
 	pool := farm.New(opts)
 	runMatrix(pool, specs, store, *outcomes, *quiet)
@@ -575,7 +577,7 @@ func serve(args []string) {
 	role := fs.String("role", "local", "local (in-process pool), coordinator (distribute to workers), worker (join a coordinator)")
 	addr := fs.String("addr", ":8465", "listen address (local, coordinator)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations (local, worker: lease loops)")
-	out := fs.String("out", "", "results store shared by every job: a .jsonl file or a segment directory")
+	out := fs.String("out", "", "results store directory shared by every job")
 	coordURL := fs.String("coordinator", "", "coordinator base URL to join (worker)")
 	leaseTTL := fs.Duration("lease-ttl", 15*time.Second, "lease TTL before an unrenewed task is reclaimed (coordinator)")
 	workerTTL := fs.Duration("worker-ttl", 10*time.Second, "worker liveness TTL (coordinator)")
@@ -622,12 +624,10 @@ func serveLocal(addr string, workers int, store *farm.Store, pprofOn, observe bo
 		if err != nil {
 			fatal(err)
 		}
-		pcol = farm.NewProvenance(ps, 0)
+		pcol = farm.NewProvenance(ps)
 		opts.Provenance = pcol.Attach
 	}
 	pool := farm.New(opts)
-	pool.Metrics().AttachSLO(farm.NewSLOTracker(farm.SLOConfig{}, nil))
-
 	api := farm.NewServer(pool, store)
 	if tel != nil {
 		api.AttachTelemetry(tel)
@@ -649,8 +649,7 @@ func serveLocal(addr string, workers int, store *farm.Store, pprofOn, observe bo
 func serveCoordinator(addr string, store *farm.Store, leaseTTL, workerTTL time.Duration, pprofOn bool) {
 	coord := cluster.New(cluster.Options{LeaseTTL: leaseTTL, WorkerTTL: workerTTL, Store: store,
 		Logger: logger.With("role", "coordinator")})
-	coord.Metrics().AttachSLO(farm.NewSLOTracker(farm.SLOConfig{}, nil))
-	api := farm.NewServerFor(coord, store)
+	api := farm.NewServer(coord, store)
 	if pprofOn {
 		api.EnablePprof()
 	}
@@ -716,38 +715,17 @@ func serveHTTP(addr string, api *farm.Server, handler http.Handler) {
 	}
 }
 
-// resolveProvKey opens the sidecar store and resolves a possibly
-// abbreviated spec key (any unique prefix of a stored key works).
-func resolveProvKey(dir, key string) (*prov.Store, string) {
+// loadProvStream loads one stored stream by spec key or unique key
+// prefix from the sidecar directory.
+func loadProvStream(dir, key string) (*prov.Stream, string) {
 	ps, err := prov.OpenStore(dir)
 	if err != nil {
 		fatal(err)
 	}
-	keys, err := ps.Keys()
+	full, err := ps.Resolve(key)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("%s: %w", dir, err))
 	}
-	var match string
-	for _, k := range keys {
-		if k == key {
-			return ps, k
-		}
-		if strings.HasPrefix(k, key) {
-			if match != "" {
-				fatal(fmt.Errorf("key prefix %q is ambiguous (%s…, %s…)", key, short(match), short(k)))
-			}
-			match = k
-		}
-	}
-	if match == "" {
-		fatal(fmt.Errorf("no provenance stream for key %q in %s (%d stored)", key, dir, len(keys)))
-	}
-	return ps, match
-}
-
-// loadProvStream loads one stored stream by (possibly abbreviated) key.
-func loadProvStream(dir, key string) (*prov.Stream, string) {
-	ps, full := resolveProvKey(dir, key)
 	st, ok, err := ps.Load(full)
 	if err != nil {
 		fatal(err)
@@ -806,11 +784,11 @@ func explainCmd(args []string) {
 func diffCmd(args []string) {
 	fs := flag.NewFlagSet("asdfarm diff", flag.ExitOnError)
 	provDir := fs.String("prov", "prov", "provenance sidecar directory (written by run/serve with -prov)")
-	storePath := fs.String("store", "", "results store; fills the report's cycles/IPC context")
+	storePath := fs.String("store", "", "results store directory; fills the report's cycles/IPC context")
 	jsonOut := fs.Bool("json", false, "emit the structured report as JSON instead of text")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
-		fatal(errors.New("usage: asdfarm diff [-prov dir] [-store path] <spec-key-A> <spec-key-B>"))
+		fatal(errors.New("usage: asdfarm diff [-prov dir] [-store dir] <spec-key-A> <spec-key-B>"))
 	}
 	a, keyA := loadProvStream(*provDir, fs.Arg(0))
 	b, keyB := loadProvStream(*provDir, fs.Arg(1))

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	figures [-budget N] [-seed N] [-workers N] [-store PATH] <experiment>|all
+//	figures [-budget N] [-seed N] [-workers N] [-store DIR] <experiment>|all
 //
 // Experiments: fig2 fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
 // fig13 fig14 fig15 fig16 smt sched hwcost epoch multiline
@@ -77,7 +77,7 @@ func main() {
 	budget := flag.Uint64("budget", 2_000_000, "instructions per thread per run")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations")
-	storePath := flag.String("store", "", "results store (file or segment directory); repeat runs resume instead of re-simulating")
+	storePath := flag.String("store", "", "results store directory; repeat runs resume instead of re-simulating")
 	quiet := flag.Bool("quiet", false, "suppress the progress meter and per-matrix summary lines (the meter alone is suppressed automatically when stderr is piped)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()

@@ -105,15 +105,6 @@ func New(name string, sizeBytes, assoc int) *Cache {
 // Name returns the cache's name.
 func (c *Cache) Name() string { return c.name }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Assoc returns the associativity.
-func (c *Cache) Assoc() int { return c.assoc }
-
-// SizeBytes returns the capacity in bytes.
-func (c *Cache) SizeBytes() int { return c.sets * c.assoc * mem.LineSize }
-
 // setOf maps a line to its set by modulo, which accommodates the
 // Power5+'s non-power-of-two L2 (three 640 KB slices, 1536 sets total);
 // power-of-two geometries take the mask fast path (no hardware divide).

@@ -10,10 +10,13 @@ import (
 	"asdsim/internal/mem"
 )
 
+// sizeBytes is a cache's capacity in bytes.
+func sizeBytes(c *Cache) int { return c.sets * c.assoc * mem.LineSize }
+
 func TestNewGeometry(t *testing.T) {
 	c := New("t", 1024, 2) // 8 lines, 4 sets
-	if c.Sets() != 4 || c.Assoc() != 2 || c.SizeBytes() != 1024 {
-		t.Errorf("geometry: sets=%d assoc=%d size=%d", c.Sets(), c.Assoc(), c.SizeBytes())
+	if c.sets != 4 || c.assoc != 2 || sizeBytes(c) != 1024 {
+		t.Errorf("geometry: sets=%d assoc=%d size=%d", c.sets, c.assoc, sizeBytes(c))
 	}
 	if c.Name() != "t" {
 		t.Errorf("Name = %q", c.Name())
@@ -281,8 +284,8 @@ func TestLevelString(t *testing.T) {
 
 func TestDefaultConfigGeometry(t *testing.T) {
 	h := NewHierarchy(DefaultConfig())
-	if h.L1.SizeBytes() != 32<<10 || h.L2.SizeBytes() != 1920<<10 || h.L3.SizeBytes() != 36<<20 {
-		t.Errorf("sizes: %d %d %d", h.L1.SizeBytes(), h.L2.SizeBytes(), h.L3.SizeBytes())
+	if sizeBytes(h.L1) != 32<<10 || sizeBytes(h.L2) != 1920<<10 || sizeBytes(h.L3) != 36<<20 {
+		t.Errorf("sizes: %d %d %d", sizeBytes(h.L1), sizeBytes(h.L2), sizeBytes(h.L3))
 	}
 }
 
@@ -290,7 +293,7 @@ func TestDefaultConfigGeometry(t *testing.T) {
 // through its four lines so that every way is probed.
 func BenchmarkHierarchyAccessHit(b *testing.B) {
 	h := NewHierarchy(DefaultConfig())
-	sets := mem.Line(h.L1.Sets())
+	sets := mem.Line(h.L1.sets)
 	lines := []mem.Line{1, 1 + sets, 1 + 2*sets, 1 + 3*sets}
 	for _, l := range lines {
 		h.Fill(l, false)

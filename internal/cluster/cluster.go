@@ -39,15 +39,9 @@ type Options struct {
 	// WorkerTTL is how long a silent worker stays registered
 	// (default 10s); workers are told to heartbeat at TTL/3.
 	WorkerTTL time.Duration
-	// MaxLeaseLosses bounds how many times one task's lease may expire
-	// before the task is failed instead of retried (default 5).
-	MaxLeaseLosses int
 	// Store is the shared result store: resumed reads and completed
 	// writes. Optional; without it every batch re-executes.
 	Store *farm.Store
-	// Metrics receives the coordinator's pool-equivalent counters; one
-	// is created if nil.
-	Metrics *farm.Metrics
 	// Now is the injected clock; the default is the system clock. Tests
 	// substitute a fake to drive expiry deterministically.
 	Now func() time.Time
@@ -57,6 +51,10 @@ type Options struct {
 	Logger *slog.Logger
 }
 
+// maxLeaseLosses bounds how many times one task's lease may expire
+// before the task is failed instead of retried.
+const maxLeaseLosses = 5
+
 // New builds a Coordinator.
 func New(opts Options) *Coordinator {
 	if opts.LeaseTTL <= 0 {
@@ -65,22 +63,18 @@ func New(opts Options) *Coordinator {
 	if opts.WorkerTTL <= 0 {
 		opts.WorkerTTL = 10 * time.Second
 	}
-	if opts.MaxLeaseLosses <= 0 {
-		opts.MaxLeaseLosses = 5
-	}
-	if opts.Metrics == nil {
-		opts.Metrics = farm.NewMetrics()
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now // clock injection point; never called in-package elsewhere
 	}
 	return &Coordinator{
-		opts:    opts,
-		spans:   span.NewRecorder("coordinator", opts.Now),
-		workers: make(map[string]*workerState),
-		tasks:   make(map[string]*ctask),
-		leases:  make(map[string]*lease),
-		fleet:   make(map[string]*workerHealth),
+		opts:           opts,
+		metrics:        farm.NewMetrics(),
+		maxLeaseLosses: maxLeaseLosses,
+		spans:          span.NewRecorder("coordinator", opts.Now),
+		workers:        make(map[string]*workerState),
+		tasks:          make(map[string]*ctask),
+		leases:         make(map[string]*lease),
+		fleet:          make(map[string]*workerHealth),
 	}
 }
 
@@ -89,8 +83,12 @@ func New(opts Options) *Coordinator {
 // mutate, then deliver completions outside the lock.
 type Coordinator struct {
 	opts     Options
+	metrics  *farm.Metrics // pool-equivalent counters
 	counters counters
 	spans    *span.Recorder
+	// maxLeaseLosses starts at the package constant; in-package tests
+	// lower it.
+	maxLeaseLosses int
 
 	mu       sync.Mutex
 	seq      int64 // id source for workers and leases
@@ -301,7 +299,7 @@ func (c *Coordinator) logInfo(msg string, args ...any) {
 }
 
 // Metrics returns the coordinator's counters (farm.Runner).
-func (c *Coordinator) Metrics() *farm.Metrics { return c.opts.Metrics }
+func (c *Coordinator) Metrics() *farm.Metrics { return c.metrics }
 
 // Workers returns the live registered node count (farm.Runner).
 func (c *Coordinator) Workers() int {
@@ -364,10 +362,6 @@ func (c *Coordinator) ClusterSnapshot() farm.ClusterSnapshot {
 	}
 	c.mu.Unlock()
 	deliverAll(ds)
-	if c.opts.Store != nil {
-		st := c.opts.Store.Stats()
-		snap.Store = &st
-	}
 	return snap
 }
 
@@ -573,7 +567,7 @@ func (c *Coordinator) finishTaskLocked(t *ctask, o farm.Outcome) delivery {
 			c.storeErr = err
 		}
 	}
-	c.opts.Metrics.RecordOutcome(&t.spec, &o)
+	c.metrics.RecordOutcome(&t.spec, &o)
 	c.counters.noteCompleted()
 	if t.root != nil {
 		status := "ok"
@@ -639,7 +633,7 @@ func (c *Coordinator) sweepLocked(now time.Time) []delivery {
 			span.Attr{Key: "lease", Value: l.id})
 		t.losses++
 		t.lastWorker = l.worker
-		if t.losses >= c.opts.MaxLeaseLosses {
+		if t.losses >= c.maxLeaseLosses {
 			o := farm.Outcome{Key: t.key, Benchmark: t.spec.Benchmark, Mode: t.spec.Mode,
 				Engine: t.spec.Config.Engine.String(), Seed: t.spec.Config.Seed,
 				Err:      fmt.Sprintf("cluster: lease lost %d times (workers keep dying mid-run)", t.losses),
@@ -660,9 +654,9 @@ func (c *Coordinator) sweepLocked(now time.Time) []delivery {
 // updateGaugesLocked mirrors the queue/lease depths into the shared
 // farm metrics so the existing dashboard fields stay meaningful.
 func (c *Coordinator) updateGaugesLocked() {
-	c.opts.Metrics.SetWorkers(len(c.workers))
-	c.opts.Metrics.SetQueued(len(c.pending))
-	c.opts.Metrics.SetBusy(len(c.leases))
+	c.metrics.SetWorkers(len(c.workers))
+	c.metrics.SetQueued(len(c.pending))
+	c.metrics.SetBusy(len(c.leases))
 }
 
 // RunBatch implements farm.Runner over the fleet: store-resumed cells
@@ -676,7 +670,6 @@ func (c *Coordinator) RunBatch(ctx context.Context, specs []farm.Spec, store *fa
 	}
 	b := &batch{out: make([]farm.Outcome, len(specs)), remaining: len(specs),
 		done: make(chan struct{}), onDone: onDone}
-	c.opts.Metrics.RecordSubmitted(len(specs))
 
 	type resumedSlot struct {
 		i int
@@ -710,18 +703,15 @@ func (c *Coordinator) RunBatch(ctx context.Context, specs []farm.Spec, store *fa
 		}
 		t.waiters = append(t.waiters, waiterRef{b: b, i: i})
 	}
+	// Like Pool.RunBatch, count as submitted only what the store did
+	// not serve.
+	c.metrics.RecordSubmitted(len(specs) - len(resumed))
 	c.updateGaugesLocked()
 	c.mu.Unlock()
 
-	if n := len(resumed); n > 0 {
-		c.opts.Metrics.RecordResumed(n)
-	}
+	c.metrics.RecordResumed(len(resumed))
 	for _, r := range resumed {
 		b.deliver(r.i, r.o)
-	}
-	if len(resumed) == len(specs) {
-		// Entirely cache-served; done is already closed by the last
-		// deliver, but fall through to the select for uniformity.
 	}
 
 	select {

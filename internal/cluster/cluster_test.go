@@ -251,8 +251,8 @@ func TestWorkerDeathReclaimsItsLeases(t *testing.T) {
 
 func TestLeaseLossBudgetFailsTask(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Options{LeaseTTL: 5 * time.Second, WorkerTTL: time.Hour,
-		MaxLeaseLosses: 2, Now: clk.Now})
+	c := New(Options{LeaseTTL: 5 * time.Second, WorkerTTL: time.Hour, Now: clk.Now})
+	c.maxLeaseLosses = 2
 	spec := testSpec("fma3d", sim.MS)
 	ret := startBatch(c, context.Background(), []farm.Spec{spec}, nil)
 	waitPending(t, c, 1)
@@ -369,8 +369,45 @@ func TestReadThroughStoreServesRepeatsWithoutWorkers(t *testing.T) {
 	if snap.Completed != 2 {
 		t.Fatalf("completed = %d, want 2 (repeat ran nothing)", snap.Completed)
 	}
-	if snap.Store == nil || snap.Store.CacheHits < 2 {
-		t.Fatalf("store stats %+v, want >= 2 cache hits", snap.Store)
+	if st := store.Stats(); st.CacheHits < 2 {
+		t.Fatalf("store stats %+v, want >= 2 cache hits", st)
+	}
+}
+
+// A batch the store serves wholly counts n resumed and nothing
+// submitted on the in-process Pool and on the Coordinator alike, so
+// farm_runs_submitted_total means the same for every server role.
+func TestStoreServedBatchCountsNoSubmissions(t *testing.T) {
+	store, err := farm.OpenStore(filepath.Join(t.TempDir(), "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	specs := []farm.Spec{testSpec("mgrid", sim.NP), testSpec("mgrid", sim.PMS), testSpec("applu", sim.NP)}
+	for i, s := range specs {
+		if err := store.Append(fakeOutcome(s, uint64(100+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool := farm.New(farm.Options{Workers: 1, Run: func(ctx context.Context, s farm.Spec) (sim.Result, error) {
+		t.Errorf("pool ran stored cell %s/%v", s.Benchmark, s.Mode)
+		return sim.Result{}, nil
+	}})
+	defer pool.Close()
+	for _, r := range []farm.Runner{pool, New(Options{Now: newFakeClock().Now})} {
+		out, err := r.RunBatch(context.Background(), specs, store, nil)
+		if err != nil {
+			t.Fatalf("%T: %v", r, err)
+		}
+		for i, o := range out {
+			if !o.OK() || !o.Resumed {
+				t.Fatalf("%T: out[%d] = %+v, want resumed", r, i, o)
+			}
+		}
+		if snap := r.Metrics().Snapshot(); snap.Submitted != 0 || snap.Resumed != uint64(len(specs)) {
+			t.Errorf("%T: submitted %d, resumed %d; want 0 and %d",
+				r, snap.Submitted, snap.Resumed, len(specs))
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ func TestMultiNodeBitIdenticalToSerial(t *testing.T) {
 	aDone := make(chan struct{})
 	go func() {
 		defer close(aDone)
-		(&Worker{Transport: &Loopback{C: coord}, Pool: aPool, Name: "doomed", Poll: 10 * time.Millisecond}).Run(aCtx)
+		(&Worker{Transport: &Loopback{C: coord}, Pool: aPool, Name: "doomed", poll: 10 * time.Millisecond}).Run(aCtx)
 	}()
 	<-aStarted
 	aCancel() // induced worker death, lease in hand
@@ -101,7 +101,7 @@ func TestMultiNodeBitIdenticalToSerial(t *testing.T) {
 	bDone := make(chan struct{})
 	go func() {
 		defer close(bDone)
-		(&Worker{Transport: &Loopback{C: coord}, Pool: bPool, Name: "survivor", Poll: 10 * time.Millisecond,
+		(&Worker{Transport: &Loopback{C: coord}, Pool: bPool, Name: "survivor", poll: 10 * time.Millisecond,
 			Spans: span.NewRecorder("survivor", time.Now)}).Run(bCtx)
 	}()
 
@@ -187,7 +187,7 @@ func TestMultiNodeBitIdenticalToSerial(t *testing.T) {
 	if now := ran.Load(); now != ranBefore {
 		t.Errorf("repeat batch re-simulated %d cells, want 0 (read-through)", now-ranBefore)
 	}
-	if st := coord.ClusterSnapshot().Store; st == nil || st.CacheHits < uint64(len(specs)) {
+	if st := store.Stats(); st.CacheHits < uint64(len(specs)) {
 		t.Errorf("store cache hits = %+v, want >= %d (repeat served from cache)", st, len(specs))
 	}
 }

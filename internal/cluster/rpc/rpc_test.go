@@ -86,7 +86,7 @@ func TestWorkerOverHTTPCompletesBatch(t *testing.T) {
 	wDone := make(chan struct{})
 	go func() {
 		defer close(wDone)
-		(&cluster.Worker{Transport: client, Pool: pool, Name: "http-worker", Poll: 5 * time.Millisecond}).Run(wCtx)
+		(&cluster.Worker{Transport: client, Pool: pool, Name: "http-worker"}).Run(wCtx)
 	}()
 
 	out, err := coord.RunBatch(ctx, specs, nil, nil)

@@ -22,9 +22,6 @@ type Worker struct {
 	Pool      *farm.Pool
 	// Name labels the worker in coordinator logs and dashboards.
 	Name string
-	// Poll is the idle wait between acquire attempts when the queue is
-	// empty (default 250ms; tests shrink it).
-	Poll time.Duration
 	// Spans, when set, records an "execute" span per lease (parented on
 	// the coordinator's lease span via the grant's trace context) and
 	// ships the trace's spans back with the completion.
@@ -33,7 +30,14 @@ type Worker struct {
 	Logger *slog.Logger
 
 	stats WorkerStats
+	// poll overrides workerPoll when positive; in-package tests shrink
+	// it.
+	poll time.Duration
 }
+
+// workerPoll is the idle wait between acquire attempts when the queue
+// is empty.
+const workerPoll = 250 * time.Millisecond
 
 // snapshot builds the metrics-federation payload from the local pool.
 func (w *Worker) snapshot() *WorkerSnapshot {
@@ -58,9 +62,9 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.Transport == nil || w.Pool == nil {
 		return fmt.Errorf("cluster: worker needs a Transport and a Pool")
 	}
-	poll := w.Poll
+	poll := w.poll
 	if poll <= 0 {
-		poll = 250 * time.Millisecond
+		poll = workerPoll
 	}
 	var (
 		id      string

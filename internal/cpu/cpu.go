@@ -78,9 +78,6 @@ func (t *Thread) Finished() bool { return t.finished }
 // SetObserver attaches a probe bus (nil detaches).
 func (t *Thread) SetObserver(b *obs.Bus) { t.bus = b }
 
-// Outstanding returns the number of pending memory requests.
-func (t *Thread) Outstanding() int { return len(t.pend) }
-
 // NextRecord fetches the thread's next trace record and accounts its
 // compute gap (1 instruction per cycle) plus the memory operation itself.
 // It returns ok=false when the thread is done.

@@ -6,19 +6,17 @@ import (
 )
 
 // ClusterSnapshot is a point-in-time view of a distributed farm: the
-// coordinator's fleet and lease state plus the shared result store's
-// cache behaviour. It lives in this package (not internal/cluster) so
-// the Server can render it without an import cycle — cluster imports
-// farm, and hands the Server a ClusterSource.
+// coordinator's fleet and lease state. It lives in this package (not
+// internal/cluster) so the Server can render it without an import
+// cycle — cluster imports farm, and hands the Server a ClusterSource.
 type ClusterSnapshot struct {
-	Workers          int         `json:"workers"`
-	TasksPending     int         `json:"tasks_pending"`
-	LeasesActive     int         `json:"leases_active"`
-	LeaseExpirations uint64      `json:"lease_expirations_total"`
-	Steals           uint64      `json:"steals_total"`
-	LateResults      uint64      `json:"late_results_total"`
-	Completed        uint64      `json:"completed_total"`
-	Store            *StoreStats `json:"store,omitempty"`
+	Workers          int    `json:"workers"`
+	TasksPending     int    `json:"tasks_pending"`
+	LeasesActive     int    `json:"leases_active"`
+	LeaseExpirations uint64 `json:"lease_expirations_total"`
+	Steals           uint64 `json:"steals_total"`
+	LateResults      uint64 `json:"late_results_total"`
+	Completed        uint64 `json:"completed_total"`
 	// Fleet is the per-worker federation view: health plus the metrics
 	// snapshot each worker last pushed with a heartbeat. Dead workers
 	// are retained (Up=false) so a kill remains visible.
@@ -86,14 +84,6 @@ func addClusterTo(reg *prom.Registry, cs *ClusterSnapshot) {
 	counter("cluster_steals_total", "Reclaimed tasks re-leased to a different worker.", float64(cs.Steals))
 	counter("cluster_late_results_total", "Results rejected because their lease had already expired.", float64(cs.LateResults))
 	counter("cluster_completed_total", "Tasks completed through the coordinator.", float64(cs.Completed))
-	if st := cs.Store; st != nil {
-		counter("cluster_store_cache_hits_total", "Result-store lookups served from the read-through cache.", float64(st.CacheHits))
-		counter("cluster_store_cache_misses_total", "Result-store lookups that went to the index or found nothing.", float64(st.CacheMisses))
-		counter("cluster_store_compactions_total", "Segment compaction cycles completed.", float64(st.Compactions))
-		gauge("cluster_store_segments", "Segment files in the result store.", float64(st.Segments))
-		gauge("cluster_store_entries", "Live resumable results in the store index.", float64(st.Entries))
-		gauge("cluster_store_garbage_lines", "Droppable store lines awaiting compaction.", float64(st.Garbage))
-	}
 	addFleetTo(reg, cs.Fleet)
 }
 

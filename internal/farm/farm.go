@@ -1,6 +1,6 @@
 // Package farm is the batch simulation engine: it fans independent
 // sim runs out across a bounded worker pool with per-job deadlines and
-// cancellation, panic recovery, bounded retry with backoff, JSONL
+// cancellation, panic recovery, bounded retry with backoff, segmented
 // result persistence with resume-from-partial-results, and live
 // throughput metrics. Because every simulation is a pure function of
 // its Spec, a farm run at any worker count is bit-identical to the
@@ -100,16 +100,11 @@ type RunFunc func(ctx context.Context, spec Spec) (sim.Result, error)
 type Options struct {
 	// Workers bounds concurrent jobs; defaults to GOMAXPROCS.
 	Workers int
-	// Backoff is the first retry's delay, doubled per subsequent retry
-	// and capped at 32x; defaults to 50ms.
-	Backoff time.Duration
 	// Run overrides the job body (tests); the default runs the
 	// simulator through the pool's shared-trace sim.Batch, so jobs of
 	// the same (benchmark, seed, threads, budget) materialize their
 	// workload trace once per pool instead of once per job.
 	Run RunFunc
-	// Metrics receives the pool's counters; one is created if nil.
-	Metrics *Metrics
 	// Instrument, when set, is invoked before every attempt. The
 	// returned bus (which may be nil) is attached as the attempt's
 	// observability sink, and finish — if non-nil — is called when the
@@ -127,6 +122,10 @@ type Options struct {
 	Provenance func(spec Spec) (rec *prov.Recorder, finish func(res *sim.Result, err error))
 }
 
+// retryBackoff is the first retry's delay, doubled per subsequent
+// retry and capped at 32x.
+const retryBackoff = 50 * time.Millisecond
+
 // ErrPoolClosed is returned by Submit after Close.
 var ErrPoolClosed = errors.New("farm: pool closed")
 
@@ -136,6 +135,8 @@ var ErrPoolClosed = errors.New("farm: pool closed")
 type Pool struct {
 	opts    Options
 	metrics *Metrics
+	// backoff starts at retryBackoff; in-package tests shrink it.
+	backoff time.Duration
 	// batch is the pool's shared-trace runner; the default Run and all
 	// sampled jobs go through it.
 	batch *sim.Batch
@@ -159,20 +160,14 @@ func New(opts Options) *Pool {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 50 * time.Millisecond
-	}
 	batch := sim.NewBatch()
 	if opts.Run == nil {
 		opts.Run = func(ctx context.Context, s Spec) (sim.Result, error) {
 			return batch.RunContext(ctx, s.Benchmark, s.Config)
 		}
 	}
-	if opts.Metrics == nil {
-		opts.Metrics = NewMetrics()
-	}
-	opts.Metrics.setWorkers(opts.Workers)
-	p := &Pool{opts: opts, metrics: opts.Metrics, batch: batch}
+	p := &Pool{opts: opts, metrics: NewMetrics(), backoff: retryBackoff, batch: batch}
+	p.metrics.setWorkers(opts.Workers)
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
@@ -265,7 +260,7 @@ func (p *Pool) runJob(ctx context.Context, spec Spec) Outcome {
 			break
 		}
 		p.metrics.retried.Add(1)
-		backoff := p.opts.Backoff << uint(min(attempt, 5))
+		backoff := p.backoff << uint(min(attempt, 5))
 		select {
 		case <-time.After(backoff):
 		case <-ctx.Done():

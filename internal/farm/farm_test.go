@@ -17,6 +17,14 @@ func testSpec(bench string, mode sim.Mode) Spec {
 	return Spec{Benchmark: bench, Mode: mode, Config: cfg}
 }
 
+// newFastRetryPool starts a pool whose retries back off 1 ms instead of
+// retryBackoff, so retry tests stay quick.
+func newFastRetryPool(opts Options) *Pool {
+	p := New(opts)
+	p.backoff = time.Millisecond
+	return p
+}
+
 // fakeResult returns a distinguishable result for stub run functions.
 func fakeResult(cycles uint64) sim.Result {
 	return sim.Result{Cycles: cycles, Instructions: cycles * 2}
@@ -26,9 +34,8 @@ func fakeResult(cycles uint64) sim.Result {
 // failed with the recovered stacks — without stalling the pool or
 // losing the other jobs' results.
 func TestPanicRecoveredRetriedThenFailed(t *testing.T) {
-	pool := New(Options{
+	pool := newFastRetryPool(Options{
 		Workers: 4,
-		Backoff: time.Millisecond,
 		Run: func(ctx context.Context, s Spec) (sim.Result, error) {
 			if s.Benchmark == "boom" {
 				panic("injected failure")
@@ -83,9 +90,8 @@ func TestPanicRecoveredRetriedThenFailed(t *testing.T) {
 func TestRetrySucceedsAfterTransientPanic(t *testing.T) {
 	var mu sync.Mutex
 	attempts := map[string]int{}
-	pool := New(Options{
+	pool := newFastRetryPool(Options{
 		Workers: 2,
-		Backoff: time.Millisecond,
 		Run: func(ctx context.Context, s Spec) (sim.Result, error) {
 			mu.Lock()
 			attempts[s.Benchmark]++
@@ -118,7 +124,7 @@ func TestRetrySucceedsAfterTransientPanic(t *testing.T) {
 // validation error, not as a recovered panic, whether it runs exact or
 // sampled, and with telemetry attached.
 func TestBadCacheGeometryFailsWithoutPanic(t *testing.T) {
-	pool := New(Options{Workers: 2, Backoff: time.Millisecond, Instrument: NewTelemetry().Instrument})
+	pool := newFastRetryPool(Options{Workers: 2, Instrument: NewTelemetry().Instrument})
 	defer pool.Close()
 	bad := testSpec("GemsFDTD", sim.MS)
 	bad.Config.Cache.L2Assoc = 17
@@ -145,9 +151,8 @@ func TestBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var once sync.Once
-	pool := New(Options{
+	pool := newFastRetryPool(Options{
 		Workers: 1,
-		Backoff: time.Millisecond,
 		Run: func(ctx context.Context, s Spec) (sim.Result, error) {
 			once.Do(func() { close(started) })
 			<-ctx.Done()
@@ -183,9 +188,8 @@ func TestBatchCancellation(t *testing.T) {
 // has no deadline; with no retries left the job fails with the
 // deadline error.
 func TestPerJobTimeout(t *testing.T) {
-	pool := New(Options{
+	pool := newFastRetryPool(Options{
 		Workers: 2,
-		Backoff: time.Millisecond,
 		Run: func(ctx context.Context, s Spec) (sim.Result, error) {
 			select {
 			case <-ctx.Done():

@@ -70,9 +70,8 @@ type Metrics struct {
 	simInstructions atomic.Uint64
 	simCycles       atomic.Uint64
 
-	// slo, when attached, receives every terminal outcome for
-	// burn-rate accounting; nil means the SLO families stay dark.
-	slo atomic.Pointer[SLOTracker]
+	// slo receives every terminal outcome for burn-rate accounting.
+	slo *sloTracker
 
 	mu      sync.Mutex
 	cells   map[cellKey]*cellStats
@@ -81,18 +80,11 @@ type Metrics struct {
 	wallMax float64
 }
 
-// AttachSLO starts feeding terminal outcomes into t and renders its
-// burn-rate families on scrape. Safe to call at any point; nil
-// detaches.
-func (m *Metrics) AttachSLO(t *SLOTracker) { m.slo.Store(t) }
-
-// SLO returns the attached tracker, or nil.
-func (m *Metrics) SLO() *SLOTracker { return m.slo.Load() }
-
-// NewMetrics returns a zeroed metrics block stamped with the current
-// time.
+// NewMetrics returns a zeroed metrics block, tracking the SLOs and
+// stamped with the current time.
 func NewMetrics() *Metrics {
 	m := &Metrics{
+		slo:   newSLOTracker(),
 		cells: make(map[cellKey]*cellStats),
 		wall:  stats.NewHistogram(len(latencyBounds) + 1),
 	}
@@ -135,9 +127,7 @@ func (m *Metrics) finish(spec *Spec, o *Outcome) {
 		m.failed.Add(1)
 	}
 	sec := o.WallMS / 1e3
-	if t := m.slo.Load(); t != nil {
-		t.RecordRun(o.OK(), sec)
-	}
+	m.slo.recordRun(o.OK(), sec)
 	key := cellKey{bench: spec.Benchmark, mode: spec.Mode, engine: spec.Config.Engine}
 
 	m.mu.Lock()

@@ -8,10 +8,10 @@ import (
 )
 
 // This file adapts the farm's live state into Prometheus metric
-// families. The exposition is collect-on-scrape: every request builds
-// a fresh registry from the atomic counters and the labeled cell map,
-// so there is no second bookkeeping path that could drift from the
-// JSON /metrics view.
+// families, the one counter exposition GET /metrics serves. It is
+// collect-on-scrape: every request builds a fresh registry from the
+// atomic counters, the labeled cell map and the store's stats, so no
+// second bookkeeping path can drift from the live state.
 
 // AddTo folds the pool counters, the per-cell labeled run series and
 // the wall-clock latency histograms into reg.
@@ -32,13 +32,11 @@ func (m *Metrics) AddTo(reg *prom.Registry) {
 	counter("farm_runs_completed_total", "Runs finished successfully.", float64(s.Completed))
 	counter("farm_runs_failed_total", "Runs that exhausted their retries.", float64(s.Failed))
 	counter("farm_runs_retried_total", "Individual attempt retries.", float64(s.Retried))
-	counter("farm_runs_resumed_total", "Runs served from the JSONL store.", float64(s.Resumed))
+	counter("farm_runs_resumed_total", "Runs served from the results store.", float64(s.Resumed))
 	counter("farm_sim_instructions_total", "Simulated instructions aggregated over completed runs.", float64(s.SimInstructions))
 	counter("farm_sim_cycles_total", "Simulated CPU cycles aggregated over completed runs.", float64(s.SimCycles))
 
-	if t := m.slo.Load(); t != nil {
-		t.addTo(reg)
-	}
+	m.slo.addTo(reg)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -134,13 +132,17 @@ func (s *Server) addJobsTo(reg *prom.Registry) {
 }
 
 // buildRegistry assembles the full scrape payload: pool counters,
-// labeled run series, per-job progress, the cluster fleet state when
-// the runner is a coordinator, and — when telemetry is attached — the
-// aggregated per-depth prefetch table.
+// labeled run series, per-job progress, the result store's shape when
+// the server has one, the cluster fleet state when the runner is a
+// coordinator, and — when telemetry is attached — the aggregated
+// per-depth prefetch table.
 func (s *Server) buildRegistry() *prom.Registry {
 	reg := prom.NewRegistry()
 	s.runner.Metrics().AddTo(reg)
 	s.addJobsTo(reg)
+	if s.store != nil {
+		addStoreTo(reg, s.store.Stats())
+	}
 	if cs := s.clusterSnapshot(); cs != nil {
 		addClusterTo(reg, cs)
 	}
@@ -154,6 +156,23 @@ func (s *Server) buildRegistry() *prom.Registry {
 		addTraceCacheTo(reg, tc.TraceCacheStats())
 	}
 	return reg
+}
+
+// addStoreTo folds the result store's cache behaviour and shape into
+// reg.
+func addStoreTo(reg *prom.Registry, st StoreStats) {
+	reg.Counter("farm_store_cache_hits_total",
+		"Result-store lookups served from the read-through cache.").With().Add(float64(st.CacheHits))
+	reg.Counter("farm_store_cache_misses_total",
+		"Result-store lookups that went to the index or found nothing.").With().Add(float64(st.CacheMisses))
+	reg.Counter("farm_store_compactions_total",
+		"Segment compaction cycles completed.").With().Add(float64(st.Compactions))
+	reg.Gauge("farm_store_segments",
+		"Segment files in the result store.").With().Set(float64(st.Segments))
+	reg.Gauge("farm_store_entries",
+		"Live resumable results in the store index.").With().Set(float64(st.Entries))
+	reg.Gauge("farm_store_garbage_lines",
+		"Droppable store lines awaiting compaction.").With().Set(float64(st.Garbage))
 }
 
 // addTraceCacheTo folds the shared-trace cache's effectiveness and

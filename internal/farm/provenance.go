@@ -95,7 +95,6 @@ func BuildTimeline(st *prov.Stream) []TimelinePoint {
 // concurrent use.
 type Provenance struct {
 	store *prov.Store // nil: record timelines only, persist nothing
-	ring  int
 
 	mu        sync.Mutex
 	runs      uint64
@@ -106,10 +105,9 @@ type Provenance struct {
 }
 
 // NewProvenance returns a collector persisting streams into store
-// (which may be nil for in-memory timelines only). ringSize bounds each
-// recorder's record ring; <= 0 uses the prov default.
-func NewProvenance(store *prov.Store, ringSize int) *Provenance {
-	return &Provenance{store: store, ring: ringSize, timelines: map[string]*Timeline{}}
+// (which may be nil for in-memory timelines only).
+func NewProvenance(store *prov.Store) *Provenance {
+	return &Provenance{store: store, timelines: map[string]*Timeline{}}
 }
 
 // Store returns the sidecar store (nil when not persisting).
@@ -121,7 +119,7 @@ func (f *Provenance) Store() *prov.Store { return f.store }
 // successful attempts — saves the sidecar.
 func (f *Provenance) Attach(spec Spec) (*prov.Recorder, func(res *sim.Result, err error)) {
 	key := spec.Key()
-	rec := prov.New(prov.Options{TraceID: span.TraceIDFromKey(key), RingSize: f.ring})
+	rec := prov.New(prov.Options{TraceID: span.TraceIDFromKey(key)})
 	label := spec.Benchmark + "/" + spec.Mode.String()
 	return rec, func(res *sim.Result, err error) {
 		st := rec.Stream()

@@ -36,7 +36,7 @@ func TestProvenanceDoesNotPerturbOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewProvenance(store, 0)
+	col := NewProvenance(store)
 	rec := New(Options{Workers: 2, Provenance: col.Attach})
 	pouts, err := rec.RunBatch(context.Background(), specs, nil, nil)
 	rec.Close()
@@ -91,7 +91,7 @@ func TestExplainAndDiffEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewProvenance(store, 0)
+	col := NewProvenance(store)
 	pool := New(Options{Workers: 2, Provenance: col.Attach})
 	specs := []Spec{
 		{Benchmark: "GemsFDTD", Mode: sim.MS, Config: sim.Default(sim.MS, 400_000)},
@@ -137,5 +137,20 @@ func TestExplainAndDiffEndpoints(t *testing.T) {
 	code, body = get("/explain/" + outs[0].Key[:8])
 	if code != http.StatusOK || !strings.Contains(body, "lineage for line") {
 		t.Errorf("/explain by prefix = %d:\n%s", code, body)
+	}
+	// A second stream under a longer key makes that prefix ambiguous (a
+	// 400); the exact key still wins.
+	st, _, err := store.Load(outs[0].Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(outs[0].Key+"-copy", st); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := get("/explain/" + outs[0].Key[:8]); code != http.StatusBadRequest {
+		t.Errorf("/explain by ambiguous prefix = %d, want 400:\n%s", code, body)
+	}
+	if code, body := get("/explain/" + outs[0].Key); code != http.StatusOK {
+		t.Errorf("/explain by exact key beside a longer one = %d:\n%s", code, body)
 	}
 }

@@ -3,13 +3,13 @@ package farm
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -37,7 +37,7 @@ type Runner interface {
 //	                   (?bench=, ?mode=, ?engine=, ?limit=, ?after=<key>;
 //	                   ?format=outcomes for the canonical comparison set)
 //	DELETE /jobs/{id}  cancel a running job
-//	GET    /metrics    pool counters (queue depth, utilization, runs/sec)
+//	GET    /metrics    Prometheus text exposition of every counter
 //
 // A non-nil store gives every submitted job resume-from-partial-results
 // against the same store the CLI writes.
@@ -69,14 +69,9 @@ type serverJob struct {
 	finished time.Time
 }
 
-// NewServer wraps pool (and an optional store) in an HTTP API.
-func NewServer(pool *Pool, store *Store) *Server {
-	return NewServerFor(pool, store)
-}
-
-// NewServerFor wraps any Runner — an in-process Pool or a cluster
-// Coordinator — in the same HTTP API.
-func NewServerFor(r Runner, store *Store) *Server {
+// NewServer wraps a Runner — an in-process Pool or a cluster
+// Coordinator — and an optional store in the HTTP API.
+func NewServer(r Runner, store *Store) *Server {
 	return &Server{runner: r, store: store, jobs: make(map[string]*serverJob),
 		sseInterval: time.Second, shutdown: make(chan struct{})}
 }
@@ -510,39 +505,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.summary())
 }
 
-// metricsView is /metrics's wire form: the pool snapshot's flat fields
-// (embedded, preserving the pre-existing shape) plus live per-job
-// counters, the result store's shape, and — when the runner is a
-// cluster coordinator — the fleet state.
-type metricsView struct {
-	Snapshot
-	Jobs    map[string]jobSummary `json:"jobs,omitempty"`
-	Store   *StoreStats           `json:"store,omitempty"`
-	Cluster *ClusterSnapshot      `json:"cluster,omitempty"`
-}
-
+// handleMetrics serves the Prometheus exposition. It ignores the query
+// string, so scrapers that still send ?format=prometheus keep working.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		reg := s.buildRegistry()
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WriteTo(w)
-		return
-	}
-	s.mu.Lock()
-	jobs := make(map[string]jobSummary, len(s.jobs))
-	for id, j := range s.jobs {
-		jobs[id] = j.summary()
-	}
-	s.mu.Unlock()
-	mv := metricsView{Snapshot: s.runner.Metrics().Snapshot(), Jobs: jobs}
-	if s.store != nil {
-		st := s.store.Stats()
-		mv.Store = &st
-	}
-	if cs := s.clusterSnapshot(); cs != nil {
-		mv.Cluster = cs
-	}
-	writeJSON(w, http.StatusOK, mv)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.buildRegistry().WriteTo(w)
 }
 
 // handleFlightrecList returns the retained triage bundles' index: ID,
@@ -593,40 +560,27 @@ func (s *Server) handleFlightrecBundle(w http.ResponseWriter, r *http.Request) {
 	b.WriteJSON(w)
 }
 
-// loadProvStream fetches one stored provenance stream by spec key,
-// resolving unique key prefixes like the CLI (and git) do.
+// loadProvStream fetches one stored provenance stream by spec key or
+// unique key prefix: an ambiguous prefix is a 400, an unknown one a 404.
 func (s *Server) loadProvStream(key string) (*prov.Stream, int, error) {
 	if s.provenance == nil || s.provenance.Store() == nil {
 		return nil, http.StatusNotFound, fmt.Errorf("no provenance store attached")
 	}
 	ps := s.provenance.Store()
-	st, ok, err := ps.Load(key)
-	if err != nil {
+	full, err := ps.Resolve(key)
+	switch {
+	case errors.Is(err, prov.ErrAmbiguousKey):
+		return nil, http.StatusBadRequest, err
+	case errors.Is(err, prov.ErrNoStream):
+		return nil, http.StatusNotFound, err
+	case err != nil:
 		return nil, http.StatusInternalServerError, err
 	}
-	if !ok {
-		keys, kerr := ps.Keys()
-		if kerr != nil {
-			return nil, http.StatusInternalServerError, kerr
-		}
-		var match string
-		for _, k := range keys {
-			if strings.HasPrefix(k, key) {
-				if match != "" {
-					return nil, http.StatusBadRequest,
-						fmt.Errorf("key prefix %q is ambiguous", key)
-				}
-				match = k
-			}
-		}
-		if match == "" {
-			return nil, http.StatusNotFound, fmt.Errorf("no provenance stream for key %q", key)
-		}
-		if st, ok, err = ps.Load(match); err != nil {
-			return nil, http.StatusInternalServerError, err
-		} else if !ok {
-			return nil, http.StatusNotFound, fmt.Errorf("no provenance stream for key %q", match)
-		}
+	st, ok, err := ps.Load(full)
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	} else if !ok {
+		return nil, http.StatusNotFound, fmt.Errorf("no provenance stream for key %q", full)
 	}
 	return st, http.StatusOK, nil
 }

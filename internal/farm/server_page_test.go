@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -322,7 +323,7 @@ func TestServerTraceFormat(t *testing.T) {
 			{Seq: 2, Event: "grant", Key: "someone-elses-job", Worker: "w2"},
 		},
 	}}
-	srv := httptest.NewServer(NewServerFor(runner, nil).Handler())
+	srv := httptest.NewServer(NewServer(runner, nil).Handler())
 	defer srv.Close()
 	id := submitAndFinish(t, srv, m)
 
@@ -388,53 +389,56 @@ func TestServerTraceFormat(t *testing.T) {
 	}
 }
 
-// A cluster-backed server exposes the cluster_* families on the
-// Prometheus endpoint — and the whole payload stays grammatical.
+// A cluster-backed server exposes the cluster_* families and, like a
+// local one, its store's farm_store_* families on /metrics — with or
+// without ?format=prometheus — and the whole payload stays grammatical.
 func TestServerClusterMetricFamilies(t *testing.T) {
 	pool := New(Options{Workers: 2, Run: func(ctx context.Context, s Spec) (sim.Result, error) {
 		return fakeResult(1), nil
 	}})
 	defer pool.Close()
+	store, err := OpenStore(filepath.Join(t.TempDir(), "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	runner := &fakeClusterRunner{pool: pool, snap: ClusterSnapshot{
 		Workers: 3, TasksPending: 2, LeasesActive: 1,
 		LeaseExpirations: 4, Steals: 2, LateResults: 1, Completed: 10,
-		Store: &StoreStats{Segmented: true, Segments: 2, Entries: 10, CacheHits: 7, CacheMisses: 3, Compactions: 1},
 	}}
-	srv := httptest.NewServer(NewServerFor(runner, nil).Handler())
+	srv := httptest.NewServer(NewServer(runner, store).Handler())
 	defer srv.Close()
+	submitAndFinish(t, srv, Matrix{Benchmarks: []string{"GemsFDTD"}, Modes: []string{"NP"}, Budget: 1000})
 
-	r, err := http.Get(srv.URL + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	payload, err := io.ReadAll(r.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prom.Lint(payload); err != nil {
-		t.Fatalf("prometheus payload fails lint: %v\n%s", err, payload)
-	}
-	for _, family := range []string{
-		"cluster_workers", "cluster_tasks_pending", "cluster_leases_active",
-		"cluster_lease_expirations_total", "cluster_steals_total",
-		"cluster_late_results_total", "cluster_completed_total",
-		"cluster_store_cache_hits_total", "cluster_store_cache_misses_total",
-	} {
-		if !strings.Contains(string(payload), "\n"+family) {
-			t.Errorf("family %s missing from scrape payload", family)
+	for _, query := range []string{"?format=prometheus", ""} {
+		r, err := http.Get(srv.URL + "/metrics" + query)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// The JSON view and the SSE payload carry the same snapshot.
-	r, err = http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mv := decode[struct {
-		Cluster *ClusterSnapshot `json:"cluster"`
-	}](t, r)
-	if mv.Cluster == nil || mv.Cluster.Workers != 3 || mv.Cluster.Store.CacheHits != 7 {
-		t.Fatalf("JSON metrics cluster view = %+v", mv.Cluster)
+		payload, err := io.ReadAll(r.Body)
+		r.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := r.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
+			t.Errorf("/metrics%s Content-Type = %q, want Prometheus text", query, ct)
+		}
+		if err := prom.Lint(payload); err != nil {
+			t.Fatalf("/metrics%s payload fails lint: %v\n%s", query, err, payload)
+		}
+		for _, family := range []string{
+			"cluster_workers 3", "cluster_tasks_pending", "cluster_leases_active",
+			"cluster_lease_expirations_total", "cluster_steals_total",
+			"cluster_late_results_total", "cluster_completed_total",
+			"farm_store_cache_hits_total", "farm_store_cache_misses_total",
+			"farm_store_entries 1",
+		} {
+			if !strings.Contains(string(payload), "\n"+family) {
+				t.Errorf("/metrics%s: family %s missing from scrape payload", query, family)
+			}
+		}
+		if strings.Contains(string(payload), "cluster_store_") {
+			t.Errorf("/metrics%s still renders cluster_store_* families", query)
+		}
 	}
 }

@@ -5,19 +5,22 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	prom "asdsim/internal/metrics"
 	"asdsim/internal/sim"
 )
 
 // startTestServer wires a stub-backed pool into an httptest server.
 func startTestServer(t *testing.T, run RunFunc) *httptest.Server {
 	t.Helper()
-	pool := New(Options{Workers: 4, Backoff: time.Millisecond, Run: run})
+	pool := newFastRetryPool(Options{Workers: 4, Run: run})
 	srv := httptest.NewServer(NewServer(pool, nil).Handler())
 	t.Cleanup(func() {
 		srv.Close()
@@ -109,9 +112,15 @@ func TestServerJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := decode[Snapshot](t, mresp)
-	if m.Completed != 8 || m.Workers != 4 {
-		t.Errorf("metrics %+v", m)
+	payload, err := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\nfarm_runs_completed_total 8\n", "\nfarm_workers 4\n"} {
+		if !strings.Contains(string(payload), want) {
+			t.Errorf("metrics missing %q:\n%s", strings.TrimSpace(want), payload)
+		}
 	}
 
 	lresp, err := http.Get(srv.URL + "/jobs")
@@ -121,6 +130,65 @@ func TestServerJobLifecycle(t *testing.T) {
 	list := decode[[]jobSummary](t, lresp)
 	if len(list) != 1 || list[0].ID != id {
 		t.Errorf("job list %+v", list)
+	}
+}
+
+// A local server with a store renders the farm_store_* families on
+// /metrics and carries the store's shape at the top level of each
+// /events frame, where the dashboard's store cells read it. A repeated
+// matrix is served from the store and counts as resumed, not
+// submitted.
+func TestLocalServerExposesStore(t *testing.T) {
+	store, err := OpenStore(filepath.Join(t.TempDir(), "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	pool := New(Options{Workers: 2, Run: func(ctx context.Context, s Spec) (sim.Result, error) {
+		return fakeResult(1), nil
+	}})
+	defer pool.Close()
+	api := NewServer(pool, store)
+	srv := httptest.NewServer(api.Handler())
+	defer srv.Close()
+	m := Matrix{Benchmarks: []string{"GemsFDTD"}, Budget: 1000}
+	submitAndFinish(t, srv, m)
+	submitAndFinish(t, srv, m)
+
+	r, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := io.ReadAll(r.Body)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prom.Lint(payload); err != nil {
+		t.Fatalf("payload fails lint: %v\n%s", err, payload)
+	}
+	for _, want := range []string{
+		"\nfarm_store_entries 4\n", "\nfarm_store_cache_hits_total 4\n", "\nfarm_store_segments 1\n",
+		"\nfarm_runs_submitted_total 4\n", "\nfarm_runs_resumed_total 4\n",
+	} {
+		if !strings.Contains(string(payload), want) {
+			t.Errorf("metrics missing %q:\n%s", strings.TrimSpace(want), payload)
+		}
+	}
+
+	frame, err := json.Marshal(api.eventsFrame())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top struct {
+		Store   *StoreStats     `json:"store"`
+		Cluster json.RawMessage `json:"cluster"`
+	}
+	if err := json.Unmarshal(frame, &top); err != nil {
+		t.Fatal(err)
+	}
+	if top.Store == nil || top.Store.Entries != 4 || top.Store.CacheHits != 4 || top.Cluster != nil {
+		t.Fatalf("events frame store = %+v, cluster = %s; want the store at top level", top.Store, top.Cluster)
 	}
 }
 

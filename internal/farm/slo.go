@@ -15,16 +15,15 @@ import (
 // sustained rates far above it on the short windows mean pages, on the
 // long windows mean tickets.
 
-// SLOConfig sets the objectives.
-type SLOConfig struct {
-	// AvailabilityObjective is the fraction of runs that must succeed
-	// (default 0.999).
-	AvailabilityObjective float64
-	// LatencyObjective is the fraction of runs that must finish within
-	// LatencyThresholdSec (default 0.95 within 30s).
-	LatencyObjective    float64
-	LatencyThresholdSec float64
-}
+// The objectives every farm tracks.
+const (
+	// sloAvailability is the fraction of runs that must succeed.
+	sloAvailability = 0.999
+	// sloLatency is the fraction of runs that must finish within
+	// sloLatencySec seconds.
+	sloLatency    = 0.95
+	sloLatencySec = 30
+)
 
 // sloWindows are the burn-rate evaluation windows, label value and
 // width in minutes.
@@ -47,12 +46,15 @@ type sloBucket struct {
 	slow   uint64 // runs over the latency threshold
 }
 
-// SLOTracker accumulates run outcomes into a minute-bucket ring and
-// computes windowed burn rates on scrape. Attach one to a Metrics with
-// AttachSLO; it is safe for concurrent use.
-type SLOTracker struct {
-	cfg SLOConfig
-	now func() time.Time
+// sloTracker accumulates run outcomes into a minute-bucket ring and
+// computes windowed burn rates on scrape. Every Metrics owns one; it is
+// safe for concurrent use.
+type sloTracker struct {
+	// availability, latency and latencySec are the objectives; they
+	// start at the package constants, and in-package tests set their
+	// own. now is the clock, which tests replace.
+	availability, latency, latencySec float64
+	now                               func() time.Time
 
 	mu    sync.Mutex
 	ring  [sloRingMinutes]sloBucket
@@ -61,26 +63,15 @@ type SLOTracker struct {
 	slow  uint64
 }
 
-// NewSLOTracker builds a tracker; zero config fields get the defaults.
-// now is injectable for tests; nil means the system clock.
-func NewSLOTracker(cfg SLOConfig, now func() time.Time) *SLOTracker {
-	if cfg.AvailabilityObjective <= 0 || cfg.AvailabilityObjective >= 1 {
-		cfg.AvailabilityObjective = 0.999
-	}
-	if cfg.LatencyObjective <= 0 || cfg.LatencyObjective >= 1 {
-		cfg.LatencyObjective = 0.95
-	}
-	if cfg.LatencyThresholdSec <= 0 {
-		cfg.LatencyThresholdSec = 30
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &SLOTracker{cfg: cfg, now: now}
+// newSLOTracker builds a tracker for the package objectives on the
+// system clock.
+func newSLOTracker() *sloTracker {
+	return &sloTracker{availability: sloAvailability, latency: sloLatency,
+		latencySec: sloLatencySec, now: time.Now}
 }
 
-// RecordRun feeds one terminal run into the tracker.
-func (t *SLOTracker) RecordRun(ok bool, wallSec float64) {
+// recordRun feeds one terminal run into the tracker.
+func (t *sloTracker) recordRun(ok bool, wallSec float64) {
 	minute := t.now().Unix() / 60
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -94,14 +85,14 @@ func (t *SLOTracker) RecordRun(ok bool, wallSec float64) {
 		b.bad++
 		t.bad++
 	}
-	if wallSec > t.cfg.LatencyThresholdSec {
+	if wallSec > t.latencySec {
 		b.slow++
 		t.slow++
 	}
 }
 
-// window sums the ring over the trailing mins minutes.
-func (t *SLOTracker) windowLocked(nowMinute, mins int64) (total, bad, slow uint64) {
+// windowLocked sums the ring over the trailing mins minutes.
+func (t *sloTracker) windowLocked(nowMinute, mins int64) (total, bad, slow uint64) {
 	for i := range t.ring {
 		b := &t.ring[i]
 		if b.minute == 0 || b.minute <= nowMinute-mins || b.minute > nowMinute {
@@ -124,16 +115,16 @@ func burn(bad, total uint64, objective float64) float64 {
 }
 
 // addTo renders the SLO families into reg.
-func (t *SLOTracker) addTo(reg *prom.Registry) {
+func (t *sloTracker) addTo(reg *prom.Registry) {
 	nowMinute := t.now().Unix() / 60
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
 	obj := reg.Gauge("farm_slo_objective", "Configured objective per SLO.", "slo")
-	obj.With("availability").Set(t.cfg.AvailabilityObjective)
-	obj.With("latency").Set(t.cfg.LatencyObjective)
+	obj.With("availability").Set(t.availability)
+	obj.With("latency").Set(t.latency)
 	reg.Gauge("farm_slo_latency_threshold_seconds",
-		"Run wall-clock bound the latency SLO counts against.").With().Set(t.cfg.LatencyThresholdSec)
+		"Run wall-clock bound the latency SLO counts against.").With().Set(t.latencySec)
 
 	avail := reg.Gauge("farm_slo_availability_burn_rate",
 		"Failed-run budget burn rate over the trailing window (1.0 = spending exactly the budget).",
@@ -143,12 +134,12 @@ func (t *SLOTracker) addTo(reg *prom.Registry) {
 		"window")
 	for _, w := range sloWindows {
 		total, bad, slow := t.windowLocked(nowMinute, w.mins)
-		avail.With(w.label).Set(burn(bad, total, t.cfg.AvailabilityObjective))
-		lat.With(w.label).Set(burn(slow, total, t.cfg.LatencyObjective))
+		avail.With(w.label).Set(burn(bad, total, t.availability))
+		lat.With(w.label).Set(burn(slow, total, t.latency))
 	}
 
 	rem := reg.Gauge("farm_slo_error_budget_remaining",
 		"Fraction of the lifetime error budget left per SLO (negative = overspent).", "slo")
-	rem.With("availability").Set(1 - burn(t.bad, t.total, t.cfg.AvailabilityObjective))
-	rem.With("latency").Set(1 - burn(t.slow, t.total, t.cfg.LatencyObjective))
+	rem.With("availability").Set(1 - burn(t.bad, t.total, t.availability))
+	rem.With("latency").Set(1 - burn(t.slow, t.total, t.latency))
 }

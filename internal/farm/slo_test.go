@@ -14,7 +14,7 @@ type sloClock struct{ t time.Time }
 func (c *sloClock) now() time.Time          { return c.t }
 func (c *sloClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func renderSLO(t *testing.T, tr *SLOTracker) string {
+func renderSLO(t *testing.T, tr *sloTracker) string {
 	t.Helper()
 	reg := prom.NewRegistry()
 	tr.addTo(reg)
@@ -29,19 +29,38 @@ func renderSLO(t *testing.T, tr *SLOTracker) string {
 	return out
 }
 
+// testSLOTracker returns a tracker with the given objectives on a fake
+// clock.
+func testSLOTracker(clk *sloClock, availability, latency, latencySec float64) *sloTracker {
+	tr := newSLOTracker()
+	tr.availability, tr.latency, tr.latencySec = availability, latency, latencySec
+	tr.now = clk.now
+	return tr
+}
+
+// A fresh Metrics tracks the SLOs at the package objectives: 0.999
+// availability, and 0.95 of runs within 30 s.
 func TestSLOTrackerDefaults(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{}, nil)
-	if tr.cfg.AvailabilityObjective != 0.999 {
-		t.Fatalf("availability default = %v", tr.cfg.AvailabilityObjective)
+	reg := prom.NewRegistry()
+	NewMetrics().AddTo(reg)
+	var sb strings.Builder
+	if _, err := reg.WriteTo(&sb); err != nil {
+		t.Fatalf("render: %v", err)
 	}
-	if tr.cfg.LatencyObjective != 0.95 || tr.cfg.LatencyThresholdSec != 30 {
-		t.Fatalf("latency defaults = %v within %vs", tr.cfg.LatencyObjective, tr.cfg.LatencyThresholdSec)
+	for _, want := range []string{
+		`farm_slo_objective{slo="availability"} 0.999`,
+		`farm_slo_objective{slo="latency"} 0.95`,
+		"\nfarm_slo_latency_threshold_seconds 30\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, sb.String())
+		}
 	}
 }
 
 func TestSLOBurnRates(t *testing.T) {
 	clk := &sloClock{t: time.Unix(1_700_000_000, 0)}
-	tr := NewSLOTracker(SLOConfig{AvailabilityObjective: 0.9, LatencyObjective: 0.5, LatencyThresholdSec: 1}, clk.now)
+	tr := testSLOTracker(clk, 0.9, 0.5, 1)
 
 	// 8 good + 2 bad runs: 20% failures against a 10% budget => burn 2.0.
 	// 5 of the 10 are slow (>1s): 50% against a 50% budget => burn 1.0.
@@ -50,7 +69,7 @@ func TestSLOBurnRates(t *testing.T) {
 		if i < 5 {
 			wall = 2
 		}
-		tr.RecordRun(i >= 2, wall)
+		tr.recordRun(i >= 2, wall)
 	}
 
 	out := renderSLO(t, tr)
@@ -71,11 +90,11 @@ func TestSLOBurnRates(t *testing.T) {
 
 func TestSLOWindowsAge(t *testing.T) {
 	clk := &sloClock{t: time.Unix(1_700_000_000, 0)}
-	tr := NewSLOTracker(SLOConfig{AvailabilityObjective: 0.9}, clk.now)
+	tr := testSLOTracker(clk, 0.9, sloLatency, sloLatencySec)
 
-	tr.RecordRun(false, 0.1) // one failure now
+	tr.recordRun(false, 0.1) // one failure now
 	clk.advance(10 * time.Minute)
-	tr.RecordRun(true, 0.1) // one success later
+	tr.recordRun(true, 0.1) // one success later
 
 	// The failure has aged out of the 5m window but not the 30m one.
 	out := renderSLO(t, tr)
@@ -99,7 +118,7 @@ func TestSLOWindowsAge(t *testing.T) {
 }
 
 func TestSLOEmptyTrackerIsQuiet(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{}, (&sloClock{t: time.Unix(1_700_000_000, 0)}).now)
+	tr := testSLOTracker(&sloClock{t: time.Unix(1_700_000_000, 0)}, sloAvailability, sloLatency, sloLatencySec)
 	out := renderSLO(t, tr)
 	if !strings.Contains(out, `farm_slo_error_budget_remaining{slo="availability"} 1`) {
 		t.Fatalf("untouched budget should be whole:\n%s", out)
@@ -114,8 +133,8 @@ func TestSLOEmptyTrackerIsQuiet(t *testing.T) {
 func TestMetricsFeedsAttachedSLO(t *testing.T) {
 	clk := &sloClock{t: time.Unix(1_700_000_000, 0)}
 	m := NewMetrics()
-	tr := NewSLOTracker(SLOConfig{LatencyThresholdSec: 1}, clk.now)
-	m.AttachSLO(tr)
+	tr := m.slo
+	tr.latencySec, tr.now = 1, clk.now
 
 	spec := &Spec{Benchmark: "pointer-chase"}
 	res := fakeResult(42)
@@ -137,6 +156,6 @@ func TestMetricsFeedsAttachedSLO(t *testing.T) {
 		t.Fatalf("render: %v", err)
 	}
 	if !strings.Contains(sb.String(), "farm_slo_objective") {
-		t.Fatalf("AddTo should render SLO families when attached:\n%s", sb.String())
+		t.Fatalf("AddTo should render the SLO families:\n%s", sb.String())
 	}
 }

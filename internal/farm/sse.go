@@ -11,13 +11,15 @@ import (
 
 // eventsPayload is one SSE frame's body: the pool snapshot plus every
 // job's live progress, gains, sparkline, anomalies, per-run decision
-// timelines and the shared-trace cache state.
+// timelines, the result store's shape and the shared-trace cache
+// state.
 type eventsPayload struct {
 	Snapshot   Snapshot                  `json:"snapshot"`
 	Jobs       []eventsJob               `json:"jobs"`
 	Sparks     []Spark                   `json:"sparks,omitempty"`
 	Anomalies  []Anomaly                 `json:"anomalies,omitempty"`
 	Latency    *latencyView              `json:"latency,omitempty"`
+	Store      *StoreStats               `json:"store,omitempty"`
 	Cluster    *ClusterSnapshot          `json:"cluster,omitempty"`
 	Timelines  []Timeline                `json:"timelines,omitempty"`
 	TraceCache *workload.TraceCacheStats `json:"trace_cache,omitempty"`
@@ -69,6 +71,10 @@ func (s *Server) eventsFrame() eventsPayload {
 	}
 	if s.provenance != nil {
 		p.Timelines = s.provenance.Timelines()
+	}
+	if s.store != nil {
+		st := s.store.Stats()
+		p.Store = &st
 	}
 	if tc, ok := s.runner.(traceCacheSource); ok {
 		st := tc.TraceCacheStats()

@@ -12,30 +12,27 @@ import (
 	"sync"
 )
 
-// Store persists outcomes as JSON Lines across one or more size-bounded
-// segment files, keeps an in-memory hash→(segment,offset) index rebuilt
-// on open, and fronts the segments with a bounded read-through cache of
-// decoded outcomes. Identity is the spec key (the SHA-256 spec hash),
-// not the position, so any process holding the same store can serve any
-// cached result. Failed outcomes are recorded for post-mortem but are
-// not served on resume — a rerun retries them — and background
-// compaction eventually drops them along with superseded duplicates.
+// Store persists outcomes as JSON Lines in a directory of size-bounded
+// seg-NNNNNNNN.jsonl segment files, keeps an in-memory
+// hash→(segment,offset) index rebuilt on open, and fronts the segments
+// with a bounded read-through cache of decoded outcomes. Identity is
+// the spec key (the SHA-256 spec hash), not the position, so any
+// process holding the same store can serve any cached result. Failed
+// outcomes are recorded for post-mortem but are not served on resume —
+// a rerun retries them — and background compaction eventually drops
+// them along with superseded duplicates.
 //
-// Two layouts share the one implementation:
-//
-//   - single-file: a path ending in ".jsonl" (or naming an existing
-//     file) is one unbounded append-only segment — the PR-1 format,
-//     still what `asdfarm run -out results.jsonl` writes.
-//   - segmented: any other path is a directory of seg-NNNNNNNN.jsonl
-//     files. The last segment is the append target; when it exceeds
-//     MaxSegmentBytes it is sealed and a new one starts. When enough
-//     sealed lines are droppable (superseded or failed), a background
-//     compaction rewrites the sealed segments into one and deletes the
-//     rest.
+// The last segment is the append target; when it exceeds
+// maxSegmentBytes it is sealed and a new one starts. When enough sealed
+// lines are droppable (superseded or failed), a background compaction
+// rewrites the sealed segments into one and deletes the rest.
 type Store struct {
-	path   string // as given: the file (single) or directory (segmented)
-	single bool
-	opts   StoreOptions
+	path string // the segment directory
+	// maxSegBytes and minGarbage start at maxSegmentBytes and
+	// compactMinGarbage; in-package tests shrink them to exercise
+	// rotation and compaction.
+	maxSegBytes int64
+	minGarbage  int
 
 	mu     sync.Mutex
 	f      *os.File // active segment, opened O_APPEND
@@ -50,31 +47,17 @@ type Store struct {
 	hits, misses, rotations, compactions uint64
 }
 
-// StoreOptions tunes the segmented layout; the zero value means
-// defaults. Single-file stores ignore everything but CacheEntries.
-type StoreOptions struct {
-	// MaxSegmentBytes seals the active segment once it grows past this
-	// size (default 4 MiB).
-	MaxSegmentBytes int64
-	// CacheEntries bounds the read-through outcome cache (default 1024).
-	CacheEntries int
-	// CompactMinGarbage is how many droppable lines must accumulate in
-	// sealed segments before a background compaction starts (default 64).
-	CompactMinGarbage int
-}
-
-func (o StoreOptions) withDefaults() StoreOptions {
-	if o.MaxSegmentBytes <= 0 {
-		o.MaxSegmentBytes = 4 << 20
-	}
-	if o.CacheEntries <= 0 {
-		o.CacheEntries = 1024
-	}
-	if o.CompactMinGarbage <= 0 {
-		o.CompactMinGarbage = 64
-	}
-	return o
-}
+// The store's fixed tuning.
+const (
+	// maxSegmentBytes seals the active segment once it grows past this
+	// size.
+	maxSegmentBytes = 4 << 20
+	// storeCacheEntries bounds the read-through outcome cache.
+	storeCacheEntries = 1024
+	// compactMinGarbage is how many droppable lines must accumulate in
+	// sealed segments before a background compaction starts.
+	compactMinGarbage = 64
+)
 
 // segment is one on-disk JSONL file.
 type segment struct {
@@ -95,7 +78,6 @@ type segref struct {
 // StoreStats is a point-in-time view of the store, shaped for JSON.
 type StoreStats struct {
 	Path        string `json:"path"`
-	Segmented   bool   `json:"segmented"`
 	Segments    int    `json:"segments"`
 	Entries     int    `json:"entries"` // live successes servable on resume
 	Lines       int    `json:"lines"`   // outcomes on disk, live + droppable
@@ -107,39 +89,28 @@ type StoreStats struct {
 	Compactions uint64 `json:"compactions"`
 }
 
-// OpenStore opens (creating if absent) the store at path and rebuilds
-// its index from disk. A path ending in ".jsonl" — or naming an
-// existing plain file — is a legacy single-file store; anything else is
-// a segment directory. A truncated final line in the append target — a
-// crash mid-append — is tolerated and dropped; corruption anywhere else
-// is an error.
+// OpenStore opens (creating if absent) the segment directory at path
+// and rebuilds its index from disk. A path naming a regular file is an
+// error. A truncated final line in the append target — a crash
+// mid-append — is tolerated and dropped; corruption anywhere else is an
+// error.
 func OpenStore(path string) (*Store, error) {
-	return OpenStoreOptions(path, StoreOptions{})
-}
-
-// OpenStoreOptions is OpenStore with explicit tuning.
-func OpenStoreOptions(path string, opts StoreOptions) (*Store, error) {
-	s := &Store{path: path, opts: opts.withDefaults(), index: make(map[string]segref)}
-	s.cache = newOutcomeLRU(s.opts.CacheEntries)
-
+	s := &Store{path: path, maxSegBytes: maxSegmentBytes, minGarbage: compactMinGarbage,
+		index: make(map[string]segref), cache: newOutcomeLRU(storeCacheEntries)}
 	fi, err := os.Stat(path)
 	switch {
 	case err == nil && !fi.IsDir():
-		s.single = true
-	case err == nil: // existing directory
-	case os.IsNotExist(err) && strings.HasSuffix(path, ".jsonl"):
-		s.single = true
+		return nil, fmt.Errorf("farm: open store: %s is a regular file, not a segment directory: "+
+			"the single-file layout is gone (-outcomes writes the canonical export)", path)
 	case os.IsNotExist(err):
 		if err := os.MkdirAll(path, 0o755); err != nil {
 			return nil, fmt.Errorf("farm: open store: %w", err)
 		}
-	default:
+	case err != nil:
 		return nil, fmt.Errorf("farm: open store: %w", err)
 	}
 
-	if s.single {
-		s.segs = []*segment{{id: 1, path: path}}
-	} else if s.segs, err = listSegments(path); err != nil {
+	if s.segs, err = listSegments(path); err != nil {
 		return nil, err
 	}
 	if len(s.segs) == 0 {
@@ -271,20 +242,8 @@ func (s *Store) segByID(id int64) *segment {
 	panic(fmt.Sprintf("farm: store index references unknown segment %d", id))
 }
 
-// Path returns the backing file or directory path.
+// Path returns the segment directory.
 func (s *Store) Path() string { return s.path }
-
-// Len returns how many outcomes the store holds on disk (live +
-// not-yet-compacted garbage).
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, seg := range s.segs {
-		n += seg.lines
-	}
-	return n
-}
 
 // Completed returns how many successful outcomes are available for
 // resume.
@@ -299,7 +258,7 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := StoreStats{
-		Path: s.path, Segmented: !s.single, Segments: len(s.segs),
+		Path: s.path, Segments: len(s.segs),
 		Entries: len(s.index), CacheHits: s.hits, CacheMisses: s.misses,
 		Rotations: s.rotations, Compactions: s.compactions,
 	}
@@ -374,7 +333,7 @@ func (s *Store) Append(o Outcome) error {
 		return fmt.Errorf("farm: store closed")
 	}
 	active := s.segs[len(s.segs)-1]
-	if !s.single && active.size > 0 && active.size+int64(len(data)) > s.opts.MaxSegmentBytes {
+	if active.size > 0 && active.size+int64(len(data)) > s.maxSegBytes {
 		next, err := s.rotateLocked(active)
 		if err != nil {
 			return err
@@ -417,14 +376,14 @@ func (s *Store) rotateLocked(active *segment) (*segment, error) {
 // maybeCompactLocked starts a background compaction when the sealed
 // segments carry enough droppable lines to be worth rewriting.
 func (s *Store) maybeCompactLocked() {
-	if s.single || s.compacting || len(s.segs) < 2 {
+	if s.compacting || len(s.segs) < 2 {
 		return
 	}
 	dead := 0
 	for _, seg := range s.segs[:len(s.segs)-1] {
 		dead += seg.dead
 	}
-	if dead < s.opts.CompactMinGarbage {
+	if dead < s.minGarbage {
 		return
 	}
 	s.compacting = true
@@ -438,20 +397,12 @@ func (s *Store) maybeCompactLocked() {
 	}()
 }
 
-// Compact synchronously rewrites the sealed segments into one, dropping
-// superseded and failed lines. It is a no-op for single-file stores and
-// when fewer than two segments exist. Any in-flight background
-// compaction completes first.
-func (s *Store) Compact() error {
-	s.wg.Wait()
-	return s.doCompact()
-}
-
-// doCompact performs one compaction cycle: snapshot the sealed
-// segments' live entries under the lock, rewrite them (in original
-// order) into a temp file without the lock — sealed segments are
-// immutable — then atomically swap the file, the index and the segment
-// list back under the lock.
+// doCompact performs one compaction cycle, rewriting the sealed
+// segments into one without superseded and failed lines (a no-op with
+// fewer than two segments): snapshot the sealed segments' live entries
+// under the lock, rewrite them (in original order) into a temp file
+// without the lock — sealed segments are immutable — then atomically
+// swap the file, the index and the segment list back under the lock.
 //
 //asd:allow lockorder the swap phase renames and unlinks sealed segments under mu so the index never points at a missing file; the heavy copy runs before mu is taken
 func (s *Store) doCompact() error {
@@ -460,7 +411,7 @@ func (s *Store) doCompact() error {
 		ref segref
 	}
 	s.mu.Lock()
-	if s.single || s.closed || len(s.segs) < 2 {
+	if s.closed || len(s.segs) < 2 {
 		s.mu.Unlock()
 		return nil
 	}

@@ -24,23 +24,35 @@ func failedOutcome(bench string) Outcome {
 	return Outcome{Key: spec.Key(), Benchmark: bench, Mode: spec.Mode, Err: "boom", Attempts: 1}
 }
 
-// tinySegStore opens a segmented store with a tiny segment bound so a
-// handful of appends exercises rotation.
-func tinySegStore(t *testing.T, opts StoreOptions) *Store {
+// tinySegStore opens a store with a tiny segment bound so a handful of
+// appends exercises rotation; minGarbage > 0 sets the compaction
+// threshold.
+func tinySegStore(t *testing.T, minGarbage int) *Store {
 	t.Helper()
-	if opts.MaxSegmentBytes == 0 {
-		opts.MaxSegmentBytes = 512
-	}
-	s, err := OpenStoreOptions(filepath.Join(t.TempDir(), "store"), opts)
+	s, err := OpenStore(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	s.maxSegBytes = 512
+	if minGarbage > 0 {
+		s.minGarbage = minGarbage
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
 }
 
+// compactNow waits out any background compaction, then runs one
+// compaction cycle synchronously.
+func compactNow(t *testing.T, s *Store) {
+	t.Helper()
+	s.wg.Wait()
+	if err := s.doCompact(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSegmentedStoreRotatesAndReopens(t *testing.T) {
-	s := tinySegStore(t, StoreOptions{})
+	s := tinySegStore(t, 0)
 	var outs []Outcome
 	for i := 0; i < 20; i++ {
 		o := okOutcome(fmt.Sprintf("bench-%02d", i), uint64(1000+i))
@@ -50,7 +62,7 @@ func TestSegmentedStoreRotatesAndReopens(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if !st.Segmented || st.Segments < 2 || st.Rotations == 0 {
+	if st.Segments < 2 || st.Rotations == 0 {
 		t.Fatalf("expected multiple segments after tiny-bound appends, stats %+v", st)
 	}
 	if st.Entries != 20 || st.Lines != 20 {
@@ -63,7 +75,7 @@ func TestSegmentedStoreRotatesAndReopens(t *testing.T) {
 
 	// Reopen: the index is rebuilt by scanning segments, and every
 	// outcome is still served.
-	s2, err := OpenStoreOptions(dir, StoreOptions{MaxSegmentBytes: 512})
+	s2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +92,7 @@ func TestSegmentedStoreRotatesAndReopens(t *testing.T) {
 }
 
 func TestSegmentedStoreLastWriteWins(t *testing.T) {
-	s := tinySegStore(t, StoreOptions{})
+	s := tinySegStore(t, 0)
 	key := okOutcome("dup", 1).Key
 	for i := uint64(1); i <= 5; i++ {
 		if err := s.Append(okOutcome("dup", i*100)); err != nil {
@@ -98,7 +110,7 @@ func TestSegmentedStoreLastWriteWins(t *testing.T) {
 
 func TestSegmentedStoreCompactionDropsGarbage(t *testing.T) {
 	// High threshold so compaction only runs when asked.
-	s := tinySegStore(t, StoreOptions{CompactMinGarbage: 1 << 30})
+	s := tinySegStore(t, 1<<30)
 	for i := uint64(1); i <= 6; i++ {
 		if err := s.Append(okOutcome("rewritten", i)); err != nil {
 			t.Fatal(err)
@@ -117,9 +129,7 @@ func TestSegmentedStoreCompactionDropsGarbage(t *testing.T) {
 	if before.Segments < 2 {
 		t.Fatalf("test needs sealed segments, stats %+v", before)
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	compactNow(t, s)
 	after := s.Stats()
 	if after.Lines >= before.Lines || after.Bytes >= before.Bytes {
 		t.Fatalf("compaction did not shrink the store: before %+v after %+v", before, after)
@@ -146,16 +156,14 @@ func TestSegmentedStoreCompactionDropsGarbage(t *testing.T) {
 }
 
 func TestSegmentedStoreBackgroundCompactionTriggers(t *testing.T) {
-	s := tinySegStore(t, StoreOptions{CompactMinGarbage: 4})
+	s := tinySegStore(t, 4)
 	for i := uint64(1); i <= 12; i++ {
 		if err := s.Append(okOutcome("churn", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Quiesce any background compaction the appends kicked off.
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	compactNow(t, s)
 	st := s.Stats()
 	if st.Compactions == 0 {
 		t.Fatalf("no compaction ran, stats %+v", st)
@@ -166,7 +174,7 @@ func TestSegmentedStoreBackgroundCompactionTriggers(t *testing.T) {
 }
 
 func TestSegmentedStoreCacheCounters(t *testing.T) {
-	s := tinySegStore(t, StoreOptions{})
+	s := tinySegStore(t, 0)
 	o := okOutcome("cached", 42)
 	if err := s.Append(o); err != nil {
 		t.Fatal(err)
@@ -202,7 +210,7 @@ func TestSegmentedStoreCacheCounters(t *testing.T) {
 }
 
 func TestSegmentedStoreTornTailTruncated(t *testing.T) {
-	s := tinySegStore(t, StoreOptions{})
+	s := tinySegStore(t, 0)
 	o := okOutcome("survivor", 9)
 	if err := s.Append(o); err != nil {
 		t.Fatal(err)
@@ -272,30 +280,37 @@ func TestSegmentedStoreRejectsMidFileCorruption(t *testing.T) {
 	}
 }
 
-func TestLegacySingleFilePathStaysSingleFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.jsonl")
-	s, err := OpenStore(path)
+// The store has one layout: a path naming a regular file is refused
+// with a pointer to the canonical export, and a new path — even one
+// ending in .jsonl — becomes a segment directory.
+func TestOpenStoreRejectsRegularFile(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "results.jsonl")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(file); err == nil || !strings.Contains(err.Error(), "-outcomes") {
+		t.Fatalf("open of a regular file: err = %v, want the single-file layout refused", err)
+	}
+
+	dir := filepath.Join(t.TempDir(), "fresh.jsonl")
+	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for i := uint64(0); i < 4; i++ {
-		if err := s.Append(okOutcome(fmt.Sprintf("legacy-%d", i), i+1)); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.Append(okOutcome("fresh", 1)); err != nil {
+		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.Segmented || st.Segments != 1 {
-		t.Fatalf("single-file store reported %+v", st)
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("new store path is not a directory: %v %v", fi, err)
 	}
-	fi, err := os.Stat(path)
-	if err != nil || fi.IsDir() {
-		t.Fatalf("legacy path is not a plain file: %v %v", fi, err)
+	if _, err := os.Stat(segPath(dir, 1)); err != nil {
+		t.Fatalf("first segment missing: %v", err)
 	}
 }
 
 func TestSegmentedStoreConcurrentAppendLookup(t *testing.T) {
-	s := tinySegStore(t, StoreOptions{CompactMinGarbage: 8})
+	s := tinySegStore(t, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -312,9 +327,7 @@ func TestSegmentedStoreConcurrentAppendLookup(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	compactNow(t, s)
 	if got := s.Completed(); got != 40 {
 		t.Fatalf("completed = %d, want 40 distinct keys", got)
 	}

@@ -10,18 +10,17 @@ import (
 	"asdsim/internal/sim"
 )
 
-// An interrupted batch must resume from its partial JSONL: persisted
+// An interrupted batch must resume from its partial store: persisted
 // successes are served from disk, only the remainder runs, and failures
 // are retried rather than resumed.
 func TestStoreResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.jsonl")
+	path := filepath.Join(t.TempDir(), "store")
 
 	var mu sync.Mutex
 	ran := map[string]int{}
 	newPool := func() *Pool {
 		return New(Options{
 			Workers: 2,
-			Backoff: 0,
 			Run: func(ctx context.Context, s Spec) (sim.Result, error) {
 				mu.Lock()
 				ran[s.Benchmark]++
@@ -94,7 +93,7 @@ func countRuns(m map[string]int) int {
 // A truncated final line — a crash mid-append — must not block
 // reopening; everything before it is preserved.
 func TestStoreToleratesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.jsonl")
+	path := filepath.Join(t.TempDir(), "store")
 	store, err := OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +104,7 @@ func TestStoreToleratesTornTail(t *testing.T) {
 	}
 	store.Close()
 
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	f, err := os.OpenFile(segPath(path, 1), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +127,11 @@ func TestStoreToleratesTornTail(t *testing.T) {
 // Corruption before the final line is a real error, not silently
 // skipped data.
 func TestStoreRejectsMidFileCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.jsonl")
-	if err := os.WriteFile(path, []byte("garbage\n{\"key\":\"k\"}\n"), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "store")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segPath(path, 1), []byte("garbage\n{\"key\":\"k\"}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenStore(path); err == nil {

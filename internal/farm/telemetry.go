@@ -26,14 +26,6 @@ type Telemetry struct {
 	// bundle pulled off a cluster worker says where it was captured.
 	// Optional; empty for standalone farms.
 	Node string
-	// SparkPoints bounds each run's CAQ sparkline (downsampled);
-	// defaults to 60.
-	SparkPoints int
-	// MaxBundles bounds retained triage bundles across all runs;
-	// defaults to 16.
-	MaxBundles int
-	// MaxAnomalies bounds the retained trigger list; defaults to 256.
-	MaxAnomalies int
 
 	mu        sync.Mutex
 	runs      uint64
@@ -68,10 +60,19 @@ type TriageBundle struct {
 	Bundle *flightrec.Bundle
 }
 
-// NewTelemetry returns a telemetry aggregator with default bounds.
+// Telemetry's retention bounds.
+const (
+	// sparkPoints bounds each run's CAQ sparkline (downsampled).
+	sparkPoints = 60
+	// maxBundles bounds retained triage bundles across all runs.
+	maxBundles = 16
+	// maxAnomalies bounds the retained trigger list.
+	maxAnomalies = 256
+)
+
+// NewTelemetry returns an empty telemetry aggregator.
 func NewTelemetry() *Telemetry {
-	return &Telemetry{SparkPoints: 60, MaxBundles: 16, MaxAnomalies: 256,
-		sparks: make(map[string]Spark)}
+	return &Telemetry{sparks: make(map[string]Spark)}
 }
 
 // Instrument implements the farm Options.Instrument contract. The
@@ -93,7 +94,7 @@ func (t *Telemetry) Instrument(spec Spec) (*obs.Bus, func(res *sim.Result, err e
 
 // absorb merges one finished attempt's sinks into the shared state.
 func (t *Telemetry) absorb(spec Spec, label string, sampler *obs.Sampler, rec *flightrec.Recorder) {
-	spark := downsampleCAQ(sampler.Samples(), t.sparkPoints())
+	spark := downsampleCAQ(sampler.Samples(), sparkPoints)
 	d := rec.Depths()
 
 	t.mu.Lock()
@@ -119,7 +120,7 @@ func (t *Telemetry) absorb(spec Spec, label string, sampler *obs.Sampler, rec *f
 		// Pair the trigger with its bundle when one was captured and we
 		// still have room to retain it.
 		for _, b := range bundles {
-			if b.Trigger == tr && len(t.bundles) < t.maxBundles() {
+			if b.Trigger == tr && len(t.bundles) < maxBundles {
 				t.bundleSeq++
 				a.BundleID = fmt.Sprintf("b%d", t.bundleSeq)
 				// Only a retained bundle pays for the run's identity:
@@ -133,30 +134,9 @@ func (t *Telemetry) absorb(spec Spec, label string, sampler *obs.Sampler, rec *f
 		}
 		t.anomalies = append(t.anomalies, a)
 	}
-	if max := t.maxAnomalies(); len(t.anomalies) > max {
-		t.anomalies = append(t.anomalies[:0:0], t.anomalies[len(t.anomalies)-max:]...)
+	if len(t.anomalies) > maxAnomalies {
+		t.anomalies = append(t.anomalies[:0:0], t.anomalies[len(t.anomalies)-maxAnomalies:]...)
 	}
-}
-
-func (t *Telemetry) sparkPoints() int {
-	if t.SparkPoints <= 0 {
-		return 60
-	}
-	return t.SparkPoints
-}
-
-func (t *Telemetry) maxBundles() int {
-	if t.MaxBundles <= 0 {
-		return 16
-	}
-	return t.MaxBundles
-}
-
-func (t *Telemetry) maxAnomalies() int {
-	if t.MaxAnomalies <= 0 {
-		return 256
-	}
-	return t.MaxAnomalies
 }
 
 // downsampleCAQ buckets the samples' CAQ means into at most n points.

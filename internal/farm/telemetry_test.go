@@ -21,7 +21,7 @@ import (
 func startTelemetryServer(t *testing.T, run RunFunc) (*httptest.Server, *Server, *Pool) {
 	t.Helper()
 	tel := NewTelemetry()
-	pool := New(Options{Workers: 4, Backoff: time.Millisecond, Run: run, Instrument: tel.Instrument})
+	pool := newFastRetryPool(Options{Workers: 4, Run: run, Instrument: tel.Instrument})
 	api := NewServer(pool, nil)
 	api.AttachTelemetry(tel)
 	api.sseInterval = 20 * time.Millisecond
@@ -167,7 +167,7 @@ func TestDashboardServed(t *testing.T) {
 	if ct := r.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	for _, want := range []string{"EventSource(\"/events\")", "fleet telemetry", "CAQ"} {
+	for _, want := range []string{"EventSource(\"/events\")", "fleet telemetry", "CAQ", "renderStore(p.store)"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("dashboard missing %q", want)
 		}

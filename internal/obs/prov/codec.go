@@ -2,9 +2,7 @@ package prov
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"unicode/utf8"
@@ -14,8 +12,8 @@ import (
 
 // The binary codec is the compact at-rest form of a Stream: a magic
 // header, then uvarint/zigzag-varint fields in record order. It exists
-// for the farm's per-run sidecar files; the JSONL form is the
-// greppable/interop twin. Both round-trip exactly (FuzzProvCodec).
+// for the farm's per-run sidecar files and round-trips exactly
+// (FuzzProvCodec).
 
 // binaryMagic leads every binary stream; bump the final digit on any
 // incompatible layout change.
@@ -114,9 +112,8 @@ func DecodeBinary(r io.Reader) (*Stream, error) {
 		return nil, fmt.Errorf("prov: decode trace id: %w", err)
 	}
 	s.TraceID = string(tid)
-	// Trace IDs are hex strings (or plain labels); rejecting invalid
-	// UTF-8 keeps every binary stream representable in the JSONL twin,
-	// whose JSON strings would otherwise mangle such bytes.
+	// Trace IDs are hex strings (or plain labels), so invalid UTF-8
+	// marks a corrupt stream; JSON output would mangle such bytes.
 	if !utf8.ValidString(s.TraceID) {
 		return nil, fmt.Errorf("prov: decode: trace id is not valid UTF-8")
 	}
@@ -201,85 +198,6 @@ func DecodeBinary(r io.Reader) (*Stream, error) {
 			}
 		}
 		s.Epochs = append(s.Epochs, e)
-	}
-	return s, nil
-}
-
-// jsonlHeader is the first line of the JSONL form.
-type jsonlHeader struct {
-	TraceID string `json:"trace_id"`
-	Dropped uint64 `json:"dropped,omitempty"`
-}
-
-// jsonlLine is every subsequent line: exactly one of the fields is set.
-type jsonlLine struct {
-	R *Record    `json:"r,omitempty"`
-	E *EpochSnap `json:"e,omitempty"`
-}
-
-// EncodeJSONL writes s as JSON Lines: a header line, then one line per
-// record, then one per epoch snapshot.
-func EncodeJSONL(w io.Writer, s *Stream) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonlHeader{TraceID: s.TraceID, Dropped: s.Dropped}); err != nil {
-		return err
-	}
-	for i := range s.Records {
-		if err := enc.Encode(jsonlLine{R: &s.Records[i]}); err != nil {
-			return err
-		}
-	}
-	for i := range s.Epochs {
-		if err := enc.Encode(jsonlLine{E: &s.Epochs[i]}); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// DecodeJSONL reads the JSON Lines form.
-func DecodeJSONL(r io.Reader) (*Stream, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	s := &Stream{}
-	first := true
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if first {
-			var h jsonlHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				return nil, fmt.Errorf("prov: decode jsonl header: %w", err)
-			}
-			s.TraceID, s.Dropped = h.TraceID, h.Dropped
-			first = false
-			continue
-		}
-		var l jsonlLine
-		if err := json.Unmarshal(line, &l); err != nil {
-			return nil, fmt.Errorf("prov: decode jsonl: %w", err)
-		}
-		switch {
-		case l.R != nil:
-			if len(s.Records) >= maxDecodeRecords {
-				return nil, fmt.Errorf("prov: decode jsonl: record count exceeds limit")
-			}
-			s.Records = append(s.Records, *l.R)
-		case l.E != nil:
-			if len(s.Epochs) >= maxDecodeEpochs {
-				return nil, fmt.Errorf("prov: decode jsonl: epoch count exceeds limit")
-			}
-			s.Epochs = append(s.Epochs, *l.E)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("prov: decode jsonl: %w", err)
-	}
-	if first {
-		return nil, fmt.Errorf("prov: decode jsonl: empty input")
 	}
 	return s, nil
 }

@@ -38,7 +38,7 @@ func sampleStream() *Stream {
 }
 
 // equalStreams compares two streams treating nil and empty slices as
-// equal (the binary and JSONL decoders differ on that representation).
+// equal.
 func equalStreams(a, b *Stream) bool {
 	if a.TraceID != b.TraceID || a.Dropped != b.Dropped ||
 		len(a.Records) != len(b.Records) || len(a.Epochs) != len(b.Epochs) {
@@ -74,8 +74,8 @@ func equalStreams(a, b *Stream) bool {
 // FuzzProvCodec feeds arbitrary bytes to the binary stream decoder.
 // Malformed input must fail cleanly (no panic, no unbounded
 // allocation), and any input that does decode must survive a binary
-// re-encode/decode round trip and a JSONL round trip unchanged — the
-// property the farm's sidecar store and `asdfarm explain` rest on.
+// re-encode/decode round trip unchanged — the property the farm's
+// sidecar store and `asdfarm explain` rest on.
 func FuzzProvCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(binaryMagic))
@@ -103,17 +103,6 @@ func FuzzProvCodec(f *testing.F) {
 		}
 		if !equalStreams(s, s2) {
 			t.Fatalf("binary round trip diverged:\n%+v\nvs\n%+v", s, s2)
-		}
-		var jl bytes.Buffer
-		if err := EncodeJSONL(&jl, s); err != nil {
-			t.Fatalf("jsonl encode: %v", err)
-		}
-		s3, err := DecodeJSONL(&jl)
-		if err != nil {
-			t.Fatalf("jsonl decode: %v", err)
-		}
-		if !equalStreams(s, s3) {
-			t.Fatalf("jsonl round trip diverged:\n%+v\nvs\n%+v", s, s3)
 		}
 	})
 }

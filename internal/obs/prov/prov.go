@@ -198,10 +198,11 @@ type Options struct {
 	// RingSize bounds retained records, rounded up to a power of two
 	// (default 1 << 15 records of 64 B, a 2 MiB ring).
 	RingSize int
-	// MaxEpochs bounds retained epoch snapshots (default 4096); later
-	// rolls keep their ring records but drop the table snapshot.
-	MaxEpochs int
 }
+
+// maxEpochs bounds retained epoch snapshots; later rolls keep their
+// ring records but drop the table snapshot.
+const maxEpochs = 4096
 
 // maxThreads bounds the per-thread epoch counters (SMT-2 today; sized
 // ahead for the roadmap's SMT-4/8 lift).
@@ -233,8 +234,7 @@ type Recorder struct {
 	head    uint64 // total records pushed; ring index is head & (len-1)
 	seq     uint64
 
-	epochs    []EpochSnap
-	maxEpochs int
+	epochs []EpochSnap
 
 	curEpoch [maxThreads]uint32
 	lastDec  lastDecision
@@ -258,10 +258,6 @@ func New(opts Options) *Recorder {
 	for n < size {
 		n <<= 1
 	}
-	maxEpochs := opts.MaxEpochs
-	if maxEpochs <= 0 {
-		maxEpochs = 4096
-	}
 	seed := uint64(fnvOffset64)
 	for i := 0; i < len(opts.TraceID); i++ {
 		seed = (seed ^ uint64(opts.TraceID[i])) * fnvPrime64
@@ -271,11 +267,10 @@ func New(opts Options) *Recorder {
 		ring = make([]Record, min(n, initialRing))
 	}
 	return &Recorder{
-		traceID:   opts.TraceID,
-		idSeed:    seed,
-		ring:      ring,
-		ringCap:   n,
-		maxEpochs: maxEpochs,
+		traceID: opts.TraceID,
+		idSeed:  seed,
+		ring:    ring,
+		ringCap: n,
 	}
 }
 
@@ -467,7 +462,7 @@ func (r *Recorder) OnEpochRoll(thread int32, cycle, epoch uint64, up, down *slh.
 	}
 	r.curEpoch[int(thread)&(maxThreads-1)] = uint32(epoch)
 	r.push(Record{Op: OpEpochRoll, Thread: thread, Cycle: cycle, V1: int64(epoch)})
-	if len(r.epochs) >= r.maxEpochs {
+	if len(r.epochs) >= maxEpochs {
 		return
 	}
 	uc, un := up.Snapshot()

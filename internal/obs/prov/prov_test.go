@@ -1,6 +1,7 @@
 package prov
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -219,6 +220,48 @@ func TestStoreRoundTrip(t *testing.T) {
 	for _, bad := range []string{"", "a/b", ".hidden", strings.Repeat("k", 129), "sp ace"} {
 		if err := s.Save(bad, st); err == nil {
 			t.Errorf("Save accepted hostile key %q", bad)
+		}
+	}
+}
+
+// TestStoreResolve pins key resolution, shared by `asdfarm explain`/`diff`
+// and the server's /explain and /diff: an exact key wins even when it
+// prefixes another, a unique prefix names its key, and an ambiguous or
+// unknown prefix or an invalid key is an error.
+func TestStoreResolve(t *testing.T) {
+	s, err := OpenStore(t.TempDir() + "/sidecars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"abc", "abcdef", "abd01"} {
+		if err := s.Save(k, sampleStream()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name, key, want string
+		err             error
+	}{
+		{"exact key", "abc", "abc", nil},
+		{"unique prefix", "abd", "abd01", nil},
+		{"ambiguous prefix", "ab", "", ErrAmbiguousKey},
+		{"unknown prefix", "zz", "", ErrNoStream},
+		{"invalid key", "a/b", "", nil},
+	} {
+		got, err := s.Resolve(tc.key)
+		switch {
+		case tc.want != "":
+			if err != nil || got != tc.want {
+				t.Errorf("%s: Resolve(%q) = %q, %v; want %q", tc.name, tc.key, got, err, tc.want)
+			}
+		case tc.err != nil:
+			if !errors.Is(err, tc.err) {
+				t.Errorf("%s: Resolve(%q) = %q, %v; want %v", tc.name, tc.key, got, err, tc.err)
+			}
+		default:
+			if err == nil || errors.Is(err, ErrNoStream) || errors.Is(err, ErrAmbiguousKey) {
+				t.Errorf("%s: Resolve(%q) = %q, %v; want a bad-key error", tc.name, tc.key, got, err)
+			}
 		}
 	}
 }

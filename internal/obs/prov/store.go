@@ -1,6 +1,7 @@
 package prov
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -114,4 +115,50 @@ func (s *Store) Keys() ([]string, error) {
 	}
 	sort.Strings(keys)
 	return keys, nil
+}
+
+// ErrNoStream reports a key that names no stored stream.
+var ErrNoStream = errors.New("prov: no stored stream")
+
+// ErrAmbiguousKey reports a key prefix that several stored keys share.
+var ErrAmbiguousKey = errors.New("prov: ambiguous key prefix")
+
+// Resolve returns the stored key that key names: key itself when it is
+// stored, else the one stored key it is a prefix of (as git resolves an
+// abbreviated hash). An unknown prefix wraps ErrNoStream, an ambiguous
+// one ErrAmbiguousKey; a key no sidecar could carry is an error too.
+func (s *Store) Resolve(key string) (string, error) {
+	path, err := s.path(key)
+	if err != nil {
+		return "", err
+	}
+	if _, err := os.Stat(path); err == nil {
+		return key, nil
+	}
+	keys, err := s.Keys()
+	if err != nil {
+		return "", err
+	}
+	var match string
+	for _, k := range keys {
+		if !strings.HasPrefix(k, key) {
+			continue
+		}
+		if match != "" {
+			return "", fmt.Errorf("%w %q (%s…, %s…)", ErrAmbiguousKey, key, abbrev(match), abbrev(k))
+		}
+		match = k
+	}
+	if match == "" {
+		return "", fmt.Errorf("%w for key %q (%d stored)", ErrNoStream, key, len(keys))
+	}
+	return match, nil
+}
+
+// abbrev shortens a 64-hex spec key for messages.
+func abbrev(key string) string {
+	if len(key) > 12 {
+		return key[:12]
+	}
+	return key
 }

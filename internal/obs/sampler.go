@@ -133,23 +133,34 @@ func (s *Sampler) window(cycle uint64) *Sample {
 	if last.Window < idx {
 		return s.insertAt(n, idx)
 	}
-	// Out-of-order event for an older window: scan back and, if that
-	// window was skipped over, open it in place (the rare path;
-	// cross-clock-domain probes trail only a little).
-	for i := n - 2; i >= s.lo; i-- {
-		if s.samples[i].Window == idx {
-			return &s.samples[i]
-		}
-		if s.samples[i].Window < idx {
-			return s.insertAt(i+1, idx)
+	// Out-of-order event for an older window (the rare path;
+	// cross-clock-domain probes trail only a little). The retained
+	// windows samples[lo:] ascend by Window: pos is the first one at or
+	// after idx. Check the window before the newest, then binary-search
+	// the rest, keeping samples[pos].Window >= idx; an exact hit ends
+	// the search.
+	pos := n - 1
+	if prev := n - 2; prev >= s.lo && s.samples[prev].Window >= idx {
+		pos = prev
+		for lo := s.lo; lo < pos && s.samples[pos].Window != idx; {
+			mid := int(uint(lo+pos) >> 1)
+			if s.samples[mid].Window < idx {
+				lo = mid + 1
+			} else {
+				pos = mid
+			}
 		}
 	}
-	// Older than every retained window: evicted territory.
-	if s.evictedAny {
+	if s.samples[pos].Window == idx {
+		return &s.samples[pos]
+	}
+	if pos == s.lo && s.evictedAny {
+		// Older than every retained window: evicted territory.
 		s.Dropped++
 		return nil
 	}
-	return s.insertAt(s.lo, idx)
+	// A window that was skipped over opens in place.
+	return s.insertAt(pos, idx)
 }
 
 // insertAt opens window idx at position i (keeping ascending order) and

@@ -23,21 +23,6 @@ func NewTable(headers ...string) *Table { return &Table{headers: headers} }
 // their own width.
 func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
 
-// AddRowf appends a row of formatted cells: each argument is rendered
-// with %v unless it is a float64, which renders with one decimal.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.1f", v)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.AddRow(row...)
-}
-
 // Fprint writes the table to w.
 func (t *Table) Fprint(w io.Writer) {
 	width := make([]int, 0)

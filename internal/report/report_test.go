@@ -29,19 +29,6 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("x", "y")
-	tb.AddRowf("a", 3.14159)
-	if !strings.Contains(tb.String(), "3.1") {
-		t.Errorf("float formatting: %s", tb.String())
-	}
-	tb2 := NewTable("x")
-	tb2.AddRowf(42)
-	if !strings.Contains(tb2.String(), "42") {
-		t.Errorf("int formatting: %s", tb2.String())
-	}
-}
-
 func TestTableRaggedRows(t *testing.T) {
 	tb := NewTable("a")
 	tb.AddRow("x", "extra")

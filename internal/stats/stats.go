@@ -1,5 +1,5 @@
 // Package stats provides the measurement substrate used throughout the
-// simulator: named counters, bounded integer histograms, and simple
+// simulator: event counters, bounded integer histograms, and simple
 // derived-rate helpers. All types are deterministic and allocation-light
 // so they can live on hot simulation paths.
 package stats
@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -17,9 +16,6 @@ type Counter uint64
 
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) { *c += Counter(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { *c++ }
 
 // Value returns the current count.
 func (c Counter) Value() uint64 { return uint64(c) }
@@ -31,9 +27,6 @@ func (c Counter) Ratio(denom Counter) float64 {
 	}
 	return float64(c) / float64(denom)
 }
-
-// Percent returns 100 * c / denom, or 0 when denom is zero.
-func (c Counter) Percent(denom Counter) float64 { return 100 * c.Ratio(denom) }
 
 // Histogram is a bounded histogram over the integers [1, N]; values above
 // N accumulate in the final bucket, matching the paper's Stream Length
@@ -91,18 +84,6 @@ func (h *Histogram) Frac(v int) float64 {
 		return 0
 	}
 	return float64(h.Count(v)) / float64(h.total)
-}
-
-// CumFromAbove returns the number of observations with value >= v.
-func (h *Histogram) CumFromAbove(v int) uint64 {
-	if v < 1 {
-		v = 1
-	}
-	var sum uint64
-	for i := v; i <= len(h.buckets); i++ {
-		sum += h.buckets[i-1]
-	}
-	return sum
 }
 
 // Reset zeroes all buckets.
@@ -234,66 +215,6 @@ func (h *Histogram) Quantile(q float64) int {
 		}
 	}
 	return len(h.buckets)
-}
-
-// Set is a string-keyed collection of counters with deterministic listing
-// order, used for per-run metric dumps.
-type Set struct {
-	counters map[string]*Counter
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set { return &Set{counters: make(map[string]*Counter)} }
-
-// Counter returns the counter registered under name, creating it if
-// necessary.
-func (s *Set) Counter(name string) *Counter {
-	c, ok := s.counters[name]
-	if !ok {
-		c = new(Counter)
-		s.counters[name] = c
-	}
-	return c
-}
-
-// Names returns all registered counter names in sorted order.
-func (s *Set) Names() []string {
-	names := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Get returns the value of a counter (0 if absent).
-func (s *Set) Get(name string) uint64 {
-	if c, ok := s.counters[name]; ok {
-		return c.Value()
-	}
-	return 0
-}
-
-// GeoMean returns the geometric mean of xs; it ignores non-positive
-// entries the way the paper's "average improvement" summaries must (a 0%
-// gain is kept by mapping through 1+x). Pass already-shifted values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	n := 0
-	for _, x := range xs {
-		if x <= 0 {
-			continue
-		}
-		logSum += math.Log(x)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
 }
 
 // Mean returns the arithmetic mean of xs (0 for an empty slice).

@@ -3,21 +3,17 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestCounterBasics(t *testing.T) {
 	var c Counter
-	c.Inc()
+	c.Add(1)
 	c.Add(9)
 	if c.Value() != 10 {
 		t.Fatalf("Value = %d, want 10", c.Value())
 	}
 	if got := c.Ratio(Counter(40)); got != 0.25 {
 		t.Errorf("Ratio = %v, want 0.25", got)
-	}
-	if got := c.Percent(Counter(40)); got != 25 {
-		t.Errorf("Percent = %v, want 25", got)
 	}
 	if got := c.Ratio(0); got != 0 {
 		t.Errorf("Ratio with zero denom = %v, want 0", got)
@@ -40,25 +36,6 @@ func TestHistogramObserveAndClamp(t *testing.T) {
 	}
 	if h.Count(0) != 0 || h.Count(5) != 0 {
 		t.Errorf("out-of-range Count should be 0")
-	}
-}
-
-func TestHistogramCumFromAbove(t *testing.T) {
-	h := NewHistogram(5)
-	for v := 1; v <= 5; v++ {
-		h.ObserveN(v, uint64(v)) // 1,2,3,4,5 observations
-	}
-	if got := h.CumFromAbove(1); got != 15 {
-		t.Errorf("CumFromAbove(1) = %d, want 15", got)
-	}
-	if got := h.CumFromAbove(3); got != 12 {
-		t.Errorf("CumFromAbove(3) = %d, want 12", got)
-	}
-	if got := h.CumFromAbove(6); got != 0 {
-		t.Errorf("CumFromAbove(6) = %d, want 0", got)
-	}
-	if got := h.CumFromAbove(-1); got != 15 {
-		t.Errorf("CumFromAbove(-1) = %d, want 15", got)
 	}
 }
 
@@ -105,29 +82,6 @@ func TestHistogramL1Distance(t *testing.T) {
 	}
 }
 
-// Property: the cumulative-from-above function is non-increasing in v and
-// CumFromAbove(1) equals Total.
-func TestHistogramCumMonotone(t *testing.T) {
-	f := func(obs []uint8) bool {
-		h := NewHistogram(16)
-		for _, o := range obs {
-			h.Observe(int(o % 20))
-		}
-		if h.CumFromAbove(1) != h.Total() {
-			return false
-		}
-		for v := 1; v < 16; v++ {
-			if h.CumFromAbove(v) < h.CumFromAbove(v+1) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestHistogramMean(t *testing.T) {
 	h := NewHistogram(10)
 	h.ObserveN(2, 2)
@@ -149,32 +103,12 @@ func TestNewHistogramPanics(t *testing.T) {
 	NewHistogram(0)
 }
 
-func TestSet(t *testing.T) {
-	s := NewSet()
-	s.Counter("b").Add(2)
-	s.Counter("a").Inc()
-	s.Counter("b").Inc()
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Names = %v", names)
-	}
-	if s.Get("b") != 3 || s.Get("a") != 1 || s.Get("zzz") != 0 {
-		t.Errorf("Get wrong: a=%d b=%d", s.Get("a"), s.Get("b"))
-	}
-}
-
 func TestMeanAndGeoMean(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)
 	}
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v", got)
-	}
-	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-12 {
-		t.Errorf("GeoMean = %v, want 4", got)
-	}
-	if got := GeoMean([]float64{-1, 0}); got != 0 {
-		t.Errorf("GeoMean of non-positive = %v, want 0", got)
 	}
 }
 

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"asdsim/internal/mem"
 	"asdsim/internal/stats"
 	"asdsim/internal/trace"
@@ -34,8 +32,6 @@ type Generator struct {
 	// generator completes, clamped at 16 like the paper's SLH. This is
 	// the ground truth used by the Fig. 16 accuracy experiment.
 	TrueLengths *stats.Histogram
-
-	emitted uint64
 }
 
 type genStream struct {
@@ -75,20 +71,8 @@ func NewGenerator(prof Profile, seed uint64, thread int) (*Generator, error) {
 	return g, nil
 }
 
-// MustGenerator is NewGenerator for statically known-good profiles.
-func MustGenerator(prof Profile, seed uint64, thread int) *Generator {
-	g, err := NewGenerator(prof, seed, thread)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Profile returns the generator's profile.
 func (g *Generator) Profile() Profile { return g.prof }
-
-// Emitted returns the number of records produced so far.
-func (g *Generator) Emitted() uint64 { return g.emitted }
 
 // enterPhase samples the next phase by weight and resets the phase
 // countdown.
@@ -151,7 +135,6 @@ func (g *Generator) Next() (trace.Record, bool) {
 		rec.Addr = g.advance()
 	}
 
-	g.emitted++
 	g.phaseN--
 	if g.phaseN <= 0 {
 		g.enterPhase()
@@ -203,26 +186,4 @@ func (g *Generator) advance() mem.Addr {
 	s.accLeft = g.prof.AccessesPerLine
 	s.accIdx = 0
 	return addr
-}
-
-// NewSuiteGenerators returns one generator per benchmark in the suite,
-// seeded from baseSeed.
-func NewSuiteGenerators(s Suite, baseSeed uint64) ([]*Generator, error) {
-	names := SuiteNames(s)
-	if names == nil {
-		return nil, fmt.Errorf("workload: unknown suite %q", s)
-	}
-	gens := make([]*Generator, len(names))
-	for i, n := range names {
-		p, err := ByName(n)
-		if err != nil {
-			return nil, err
-		}
-		g, err := NewGenerator(p, baseSeed+uint64(i)*7919, 0)
-		if err != nil {
-			return nil, err
-		}
-		gens[i] = g
-	}
-	return gens, nil
 }

@@ -9,6 +9,16 @@ import (
 	"asdsim/internal/trace"
 )
 
+// testGenerator builds a generator for a registered, valid profile.
+func testGenerator(t testing.TB, p Profile, seed uint64, thread int) *Generator {
+	t.Helper()
+	g, err := NewGenerator(p, seed, thread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestAllProfilesValid(t *testing.T) {
 	names := Names()
 	if len(names) != 30 {
@@ -73,8 +83,8 @@ func TestFocusBenchmarksRegistered(t *testing.T) {
 
 func TestGeneratorDeterminism(t *testing.T) {
 	p, _ := ByName("GemsFDTD")
-	a := MustGenerator(p, 99, 0)
-	b := MustGenerator(p, 99, 0)
+	a := testGenerator(t, p, 99, 0)
+	b := testGenerator(t, p, 99, 0)
 	for i := 0; i < 5000; i++ {
 		ra, _ := a.Next()
 		rb, _ := b.Next()
@@ -82,15 +92,12 @@ func TestGeneratorDeterminism(t *testing.T) {
 			t.Fatalf("diverged at record %d: %v vs %v", i, ra, rb)
 		}
 	}
-	if a.Emitted() != 5000 {
-		t.Errorf("Emitted = %d", a.Emitted())
-	}
 }
 
 func TestGeneratorThreadsDisjoint(t *testing.T) {
 	p, _ := ByName("tpcc")
-	g0 := MustGenerator(p, 5, 0)
-	g1 := MustGenerator(p, 5, 1)
+	g0 := testGenerator(t, p, 5, 0)
+	g1 := testGenerator(t, p, 5, 1)
 	r0 := trace.Collect(trace.Limit(g0, 2000), 0)
 	r1 := trace.Collect(trace.Limit(g1, 2000), 0)
 	max0, min1 := mem.Addr(0), mem.Addr(math.MaxUint64)
@@ -111,7 +118,7 @@ func TestGeneratorThreadsDisjoint(t *testing.T) {
 
 func TestGeneratorReadFraction(t *testing.T) {
 	p, _ := ByName("cg") // ReadFrac 0.90
-	g := MustGenerator(p, 3, 0)
+	g := testGenerator(t, p, 3, 0)
 	reads := 0
 	const n = 50000
 	for i := 0; i < n; i++ {
@@ -128,7 +135,7 @@ func TestGeneratorReadFraction(t *testing.T) {
 
 func TestGeneratorMeanGap(t *testing.T) {
 	p, _ := ByName("lbm")
-	g := MustGenerator(p, 3, 0)
+	g := testGenerator(t, p, 3, 0)
 	var sum float64
 	const n = 50000
 	for i := 0; i < n; i++ {
@@ -142,7 +149,7 @@ func TestGeneratorMeanGap(t *testing.T) {
 
 func TestGeneratorAddressesWithinFootprint(t *testing.T) {
 	p, _ := ByName("soplex")
-	g := MustGenerator(p, 21, 0)
+	g := testGenerator(t, p, 21, 0)
 	limit := mem.Addr(p.FootprintLines+p.HotLines) * mem.LineSize
 	for i := 0; i < 50000; i++ {
 		r, _ := g.Next()
@@ -164,7 +171,7 @@ func TestGeneratorTrueLengths(t *testing.T) {
 		Phases:       singlePhase(w16(2, 1), 0), // every stream length exactly 2
 		PhaseLenRefs: 1000,
 	}
-	g := MustGenerator(p, 8, 0)
+	g := testGenerator(t, p, 8, 0)
 	for i := 0; i < 20000; i++ {
 		g.Next()
 	}
@@ -189,7 +196,7 @@ func TestGeneratorStreamAdjacency(t *testing.T) {
 		Phases:       singlePhase(w16(4, 1), 0), // all streams length 4
 		PhaseLenRefs: 1000,
 	}
-	g := MustGenerator(p, 12, 0)
+	g := testGenerator(t, p, 12, 0)
 	recs := trace.Collect(trace.Limit(g, 4000), 0)
 	adjacent := 0
 	for i := 1; i < len(recs); i++ {
@@ -212,7 +219,7 @@ func TestGeneratorDownStreams(t *testing.T) {
 		Phases:       singlePhase(w16(4, 1), 0),
 		PhaseLenRefs: 1000,
 	}
-	g := MustGenerator(p, 12, 0)
+	g := testGenerator(t, p, 12, 0)
 	recs := trace.Collect(trace.Limit(g, 4000), 0)
 	down := 0
 	for i := 1; i < len(recs); i++ {
@@ -232,24 +239,11 @@ func TestNewGeneratorRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestNewSuiteGenerators(t *testing.T) {
-	gens, err := NewSuiteGenerators(NAS, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gens) != 8 {
-		t.Fatalf("got %d generators", len(gens))
-	}
-	if _, err := NewSuiteGenerators(Suite("bogus"), 1); err == nil {
-		t.Error("unknown suite should error")
-	}
-}
-
 // Property: generators never emit invalid records regardless of seed.
 func TestGeneratorPropertySeeds(t *testing.T) {
 	p, _ := ByName("notesbench")
 	f := func(seed uint64) bool {
-		g := MustGenerator(p, seed, 0)
+		g := testGenerator(t, p, seed, 0)
 		for i := 0; i < 200; i++ {
 			r, ok := g.Next()
 			if !ok {
@@ -305,7 +299,7 @@ func TestProfileValidateErrors(t *testing.T) {
 
 func BenchmarkGenerator(b *testing.B) {
 	p, _ := ByName("GemsFDTD")
-	g := MustGenerator(p, 1, 0)
+	g := testGenerator(b, p, 1, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g.Next()
