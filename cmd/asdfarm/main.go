@@ -137,8 +137,8 @@ func runBatch(args []string) {
 	sampleDetail := fs.Uint64("sample-detail", 0, "measured detailed instructions per window (0 = default)")
 	sampleFuncWarm := fs.Uint64("sample-funcwarm", 0, "bound functional warming to the last N instructions before each window (0 = warm the whole gap)")
 	sampleConf := fs.Float64("sample-confidence", 0, "confidence level for CPI intervals: 0.90, 0.95 or 0.99 (0 = default)")
-	out := fs.String("out", "", "results store directory; enables persistence and resume (-outcomes writes the canonical export)")
-	provDir := fs.String("prov", "", "provenance sidecar directory; records every run's per-prefetch lineage for 'asdfarm explain'/'diff'")
+	out := fs.String("out", "", "results store directory; enables persistence and resume (-outcomes writes the canonical export); not with -cluster")
+	provDir := fs.String("prov", "", "provenance sidecar directory; records every run's per-prefetch lineage for 'asdfarm explain'/'diff'; not with -cluster")
 	outcomes := fs.String("outcomes", "", "write the canonical outcome set (sorted JSON, wall-clock-free) here")
 	clusterURL := fs.String("cluster", "", "coordinator base URL; run the matrix on the distributed farm")
 	tracePath := fs.String("trace", "", "write a Perfetto/Chrome trace of the batch here (with -cluster: the coordinator's merged distributed trace)")
@@ -169,6 +169,11 @@ func runBatch(args []string) {
 	}
 
 	if *clusterURL != "" {
+		if *out != "" || *provDir != "" {
+			fatal(errors.New("-out and -prov do not apply with -cluster: the coordinator keeps results in the store " +
+				"its own 'serve -out' names, -outcomes writes the canonical outcome set locally, " +
+				"and only local runs record provenance"))
+		}
 		runOnCluster(*clusterURL, m, len(specs), *outcomes, *tracePath, *quiet)
 		return
 	}

@@ -676,6 +676,7 @@ func (c *Coordinator) RunBatch(ctx context.Context, specs []farm.Spec, store *fa
 		o farm.Outcome
 	}
 	var resumed []resumedSlot
+	created := 0
 	c.mu.Lock()
 	for i, spec := range specs {
 		key := spec.Key()
@@ -698,14 +699,16 @@ func (c *Coordinator) RunBatch(ctx context.Context, specs []farm.Spec, store *fa
 			c.spans.Event(traceID, t.root.ID(), "submit", key)
 			c.tasks[key] = t
 			c.pending = append(c.pending, key)
+			created++
 		} else {
 			c.spans.Event(traceID, rootID(t), "coalesce", key)
 		}
 		t.waiters = append(t.waiters, waiterRef{b: b, i: i})
 	}
-	// Like Pool.RunBatch, count as submitted only what the store did
-	// not serve.
-	c.metrics.RecordSubmitted(len(specs) - len(resumed))
+	// Like Pool.RunBatch, count as submitted only the tasks created: a
+	// cell the store served or that joined identical work runs no
+	// new task.
+	c.metrics.RecordSubmitted(created)
 	c.updateGaugesLocked()
 	c.mu.Unlock()
 

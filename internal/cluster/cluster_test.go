@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"path/filepath"
@@ -323,6 +324,59 @@ func TestDuplicateSpecsCoalesce(t *testing.T) {
 	}
 	if snap := c.ClusterSnapshot(); snap.Completed != 2 {
 		t.Fatalf("completed = %d, want 2 (shared cell ran once)", snap.Completed)
+	}
+}
+
+// A spec repeated in one batch runs once on the in-process Pool and on
+// the Coordinator alike: both positions get the same outcome and their
+// onDone calls, and each runner counts one submission and one
+// completion.
+func TestRepeatedSpecRunsOnceOnEveryRunner(t *testing.T) {
+	spec := testSpec("mg", sim.NP)
+	var ran atomic.Int64
+	run := func(ctx context.Context, s farm.Spec) (sim.Result, error) {
+		ran.Add(1)
+		return sim.RunContext(ctx, s.Benchmark, s.Config)
+	}
+	pool := farm.New(farm.Options{Workers: 2, Run: run})
+	defer pool.Close()
+	coord := New(Options{})
+	wpool := farm.New(farm.Options{Workers: 2, Run: run})
+	defer wpool.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		(&Worker{Transport: &Loopback{C: coord}, Pool: wpool, Name: "w", poll: 10 * time.Millisecond}).Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-stopped
+	}()
+
+	for _, r := range []farm.Runner{pool, coord} {
+		ran.Store(0)
+		var calls atomic.Int64
+		out, err := r.RunBatch(context.Background(), []farm.Spec{spec, spec}, nil,
+			func(farm.Outcome) { calls.Add(1) })
+		if err != nil {
+			t.Fatalf("%T: %v", r, err)
+		}
+		if !out[0].OK() || !out[1].OK() {
+			t.Fatalf("%T: outcomes %+v", r, out)
+		}
+		if a, b := mustMarshal(t, out[0].Result), mustMarshal(t, out[1].Result); !bytes.Equal(a, b) {
+			t.Errorf("%T: the positions' results differ:\n%s\n%s", r, truncate(a), truncate(b))
+		}
+		if n := ran.Load(); n != 1 {
+			t.Errorf("%T: the spec ran %d times, want 1", r, n)
+		}
+		if n := calls.Load(); n != 2 {
+			t.Errorf("%T: onDone called %d times, want once per position", r, n)
+		}
+		if snap := r.Metrics().Snapshot(); snap.Submitted != 1 || snap.Completed != 1 {
+			t.Errorf("%T: submitted %d, completed %d; want 1 and 1", r, snap.Submitted, snap.Completed)
+		}
 	}
 }
 

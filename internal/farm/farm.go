@@ -148,9 +148,10 @@ type Pool struct {
 	wg     sync.WaitGroup
 }
 
-// task is one queued job and its completion callback.
+// task is one queued job, its spec's key and its completion callback.
 type task struct {
 	ctx  context.Context
+	key  string
 	spec Spec
 	done func(Outcome)
 }
@@ -203,12 +204,17 @@ func (p *Pool) Submit(ctx context.Context, spec Spec, done func(Outcome)) error 
 	if done == nil {
 		return errors.New("farm: Submit needs a done callback")
 	}
+	return p.submit(ctx, spec.Key(), spec, done)
+}
+
+// submit enqueues spec, whose key the caller has computed.
+func (p *Pool) submit(ctx context.Context, key string, spec Spec, done func(Outcome)) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return ErrPoolClosed
 	}
-	p.queue = append(p.queue, &task{ctx: ctx, spec: spec, done: done})
+	p.queue = append(p.queue, &task{ctx: ctx, key: key, spec: spec, done: done})
 	p.mu.Unlock()
 	p.metrics.submitted.Add(1)
 	p.metrics.queued.Add(1)
@@ -233,16 +239,16 @@ func (p *Pool) worker() {
 		p.mu.Unlock()
 
 		p.metrics.queued.Add(-1)
-		t.done(p.runJob(t.ctx, t.spec))
+		t.done(p.runJob(t.ctx, t.key, t.spec))
 	}
 }
 
-// runJob executes one job to its terminal outcome: attempt, recover
-// panics, retry with exponential backoff up to spec.Retries, respect
-// per-attempt timeouts and batch cancellation.
-func (p *Pool) runJob(ctx context.Context, spec Spec) Outcome {
+// runJob executes one job, whose spec's key is key, to its terminal
+// outcome: attempt, recover panics, retry with exponential backoff up
+// to spec.Retries, respect per-attempt timeouts and batch cancellation.
+func (p *Pool) runJob(ctx context.Context, key string, spec Spec) Outcome {
 	start := time.Now()
-	o := Outcome{Key: spec.Key(), Benchmark: spec.Benchmark, Mode: spec.Mode,
+	o := Outcome{Key: key, Benchmark: spec.Benchmark, Mode: spec.Mode,
 		Engine: spec.Config.Engine.String(), Seed: spec.Config.Seed}
 	p.metrics.busy.Add(1)
 	for attempt := 0; ; attempt++ {
@@ -316,11 +322,14 @@ func (p *Pool) attempt(ctx context.Context, spec Spec, o *Outcome) (res sim.Resu
 
 // RunBatch submits every spec, waits for all of them, and returns
 // outcomes in spec order — deterministic output regardless of worker
-// count or completion order. A non-nil store serves previously
-// persisted successes (resume) and receives every fresh outcome; a
-// non-nil onDone observes completions as they happen (serialized). The
-// returned error is ctx.Err() after cancellation or the first store
-// write failure; per-job failures live in the outcomes.
+// count or completion order. A spec repeated in the batch runs once,
+// like a coalesced cell on the cluster coordinator: every position
+// gets its outcome. A non-nil store serves previously persisted
+// successes (resume) and receives every fresh outcome once; a non-nil
+// onDone observes each position's completion as it happens
+// (serialized). The returned error is ctx.Err() after cancellation or
+// the first store write failure; per-job failures live in the
+// outcomes.
 func (p *Pool) RunBatch(ctx context.Context, specs []Spec, store *Store, onDone func(Outcome)) ([]Outcome, error) {
 	out := make([]Outcome, len(specs))
 	var (
@@ -328,7 +337,8 @@ func (p *Pool) RunBatch(ctx context.Context, specs []Spec, store *Store, onDone 
 		mu       sync.Mutex // serializes store writes, onDone, firstErr
 		firstErr error
 	)
-	note := func(o Outcome, fresh bool) {
+	// note hands o to the positions at, storing it first if fresh.
+	note := func(o Outcome, at []int, fresh bool) {
 		mu.Lock()
 		defer mu.Unlock()
 		if fresh && store != nil {
@@ -336,30 +346,46 @@ func (p *Pool) RunBatch(ctx context.Context, specs []Spec, store *Store, onDone 
 				firstErr = err
 			}
 		}
-		if onDone != nil {
-			onDone(o)
+		for _, i := range at {
+			out[i] = o
+			if onDone != nil {
+				onDone(o)
+			}
 		}
 	}
-	for i, s := range specs {
+	// The positions left to run, grouped by key in order of first
+	// appearance.
+	var keys []string
+	positions := make(map[string][]int, len(specs))
+	for i := range specs {
+		key := specs[i].Key()
 		if store != nil {
-			if prev, ok := store.Lookup(s.Key()); ok {
+			if prev, ok := store.Lookup(key); ok {
 				prev.Resumed = true
-				out[i] = prev
 				p.metrics.resumed.Add(1)
-				note(prev, false)
+				note(prev, []int{i}, false)
 				continue
 			}
 		}
-		i := i
+		if _, seen := positions[key]; !seen {
+			keys = append(keys, key)
+		}
+		positions[key] = append(positions[key], i)
+	}
+	for _, key := range keys {
+		at := positions[key]
+		s := specs[at[0]]
 		wg.Add(1)
-		err := p.Submit(ctx, s, func(o Outcome) {
-			out[i] = o
-			note(o, true)
+		err := p.submit(ctx, key, s, func(o Outcome) {
+			note(o, at, true)
 			wg.Done()
 		})
 		if err != nil {
-			out[i] = Outcome{Key: s.Key(), Benchmark: s.Benchmark, Mode: s.Mode,
+			o := Outcome{Key: key, Benchmark: s.Benchmark, Mode: s.Mode,
 				Engine: s.Config.Engine.String(), Seed: s.Config.Seed, Err: err.Error(), Attempts: 0}
+			for _, i := range at {
+				out[i] = o
+			}
 			wg.Done()
 		}
 	}

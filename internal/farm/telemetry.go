@@ -14,13 +14,13 @@ import (
 
 // Telemetry is the farm's per-run observability aggregator. Its
 // Instrument method plugs into Options.Instrument: every attempt gets a
-// private probe bus carrying a cycle-window sampler and a flight
-// recorder, and when the attempt ends the run's depth table, CAQ
-// occupancy series, anomaly triggers and triage bundles are folded into
-// the shared state served by /metrics, /events, /dashboard and
-// /flightrec. Per-attempt sinks are private to their worker goroutine,
-// so the simulation hot path takes no locks; only the end-of-run merge
-// does.
+// private probe bus carrying one flight recorder, the run's only
+// windowed sink, and when the attempt ends the run's depth table, the
+// CAQ means of the recorder's windows (the sparkline), anomaly
+// triggers and triage bundles are folded into the shared state served
+// by /metrics, /events, /dashboard and /flightrec. Per-attempt sinks
+// are private to their worker goroutine, so the simulation hot path
+// takes no locks; only the end-of-run merge does.
 type Telemetry struct {
 	// Node names the executing node ("w1") in triage bundles so a
 	// bundle pulled off a cluster worker says where it was captured.
@@ -77,24 +77,24 @@ func NewTelemetry() *Telemetry {
 
 // Instrument implements the farm Options.Instrument contract. The
 // attempt's flight recorder returns its ring at Finish, before the
-// absorb, which reads only its bundles, triggers and depth table.
+// absorb, which reads only its CAQ series, bundles, triggers and depth
+// table.
 func (t *Telemetry) Instrument(spec Spec) (*obs.Bus, func(res *sim.Result, err error)) {
 	label := spec.Benchmark + "/" + spec.Mode.String()
 	rec := flightrec.New(flightrec.Options{
 		Label:     label,
 		Detectors: flightrec.DefaultDetectors(spec.Config.MC.CAQCap),
 	})
-	sampler := obs.NewSampler(0)
 	fin := func(res *sim.Result, err error) {
 		rec.Finish()
-		t.absorb(spec, label, sampler, rec)
+		t.absorb(spec, label, rec)
 	}
-	return obs.NewBus(sampler, rec), fin
+	return obs.NewBus(rec), fin
 }
 
-// absorb merges one finished attempt's sinks into the shared state.
-func (t *Telemetry) absorb(spec Spec, label string, sampler *obs.Sampler, rec *flightrec.Recorder) {
-	spark := downsampleCAQ(sampler.Samples(), sparkPoints)
+// absorb merges one finished attempt's recorder into the shared state.
+func (t *Telemetry) absorb(spec Spec, label string, rec *flightrec.Recorder) {
+	spark := downsampleCAQ(rec.CAQSeries(), sparkPoints)
 	d := rec.Depths()
 
 	t.mu.Lock()
@@ -139,27 +139,28 @@ func (t *Telemetry) absorb(spec Spec, label string, sampler *obs.Sampler, rec *f
 	}
 }
 
-// downsampleCAQ buckets the samples' CAQ means into at most n points.
-func downsampleCAQ(samples []obs.Sample, n int) Spark {
+// downsampleCAQ buckets a series of per-window CAQ means into at most n
+// points.
+func downsampleCAQ(caq []float64, n int) Spark {
 	s := Spark{Label: ""}
-	if len(samples) == 0 {
+	if len(caq) == 0 {
 		return s
 	}
 	if n < 1 {
 		n = 1
 	}
-	if len(samples) < n {
-		n = len(samples)
+	if len(caq) < n {
+		n = len(caq)
 	}
 	s.Points = make([]float64, n)
 	for i := 0; i < n; i++ {
-		lo, hi := i*len(samples)/n, (i+1)*len(samples)/n
+		lo, hi := i*len(caq)/n, (i+1)*len(caq)/n
 		if hi <= lo {
 			hi = lo + 1
 		}
 		var sum float64
-		for _, sm := range samples[lo:hi] {
-			sum += sm.CAQMean
+		for _, m := range caq[lo:hi] {
+			sum += m
 		}
 		s.Points[i] = sum / float64(hi-lo)
 		if s.Points[i] > s.Max {

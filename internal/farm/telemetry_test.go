@@ -6,12 +6,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"asdsim/internal/metrics"
+	"asdsim/internal/obs"
+	"asdsim/internal/obs/flightrec"
 	"asdsim/internal/obs/span"
 	"asdsim/internal/sim"
 )
@@ -352,6 +355,42 @@ func TestInstrumentDoesNotPerturbOutcomes(t *testing.T) {
 	}
 	if len(tel.Sparks()) != 1 {
 		t.Errorf("sparks = %d, want 1", len(tel.Sparks()))
+	}
+}
+
+// TestSparklineIsTheRecorderSeries: a run's sparkline is the
+// downsampled CAQ series of a flight recorder on the same cell, so the
+// dashboard shows the windows the saturation detector judges.
+func TestSparklineIsTheRecorderSeries(t *testing.T) {
+	spec := Spec{Benchmark: "tpcc", Mode: sim.PMS, Config: sim.Default(sim.PMS, 2_000_000)}
+	tel := NewTelemetry()
+	bus, fin := tel.Instrument(spec)
+	cfg := spec.Config
+	cfg.Obs = bus
+	res, err := sim.Run(spec.Benchmark, cfg)
+	fin(&res, err)
+	if err != nil {
+		t.Fatalf("instrumented run: %v", err)
+	}
+
+	rec := flightrec.New(flightrec.Options{Detectors: flightrec.DefaultDetectors(spec.Config.MC.CAQCap)})
+	cfg = spec.Config
+	cfg.Obs = obs.NewBus(rec)
+	if _, err := sim.Run(spec.Benchmark, cfg); err != nil {
+		t.Fatalf("recorded run: %v", err)
+	}
+	rec.Finish()
+	series := rec.CAQSeries()
+	if len(series) <= sparkPoints {
+		t.Fatalf("the run closed %d windows, want more than the sparkline's %d points", len(series), sparkPoints)
+	}
+	want := downsampleCAQ(series, sparkPoints)
+	want.Label = "tpcc/PMS"
+	if want.Max == 0 {
+		t.Fatal("the recorder's sparkline is flat at 0")
+	}
+	if got := tel.Sparks(); len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+		t.Errorf("sparks = %+v\nwant [%+v]", got, want)
 	}
 }
 

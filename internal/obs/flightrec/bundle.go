@@ -69,13 +69,16 @@ type Bundle struct {
 
 // capture snapshots the recorder's state into a bundle for trigger t.
 func (r *Recorder) capture(t Trigger) *Bundle {
-	evs := r.ringSnapshot()
-	recs := make([]EventRecord, len(evs))
-	for i, e := range evs {
-		recs[i] = EventRecord{
+	// The retained events are the newest min(head, len) ring slots,
+	// read oldest first.
+	n := min(r.head, uint64(len(r.ring)))
+	recs := make([]EventRecord, 0, n)
+	for i := r.head - n; i < r.head; i++ {
+		e := &r.ring[i&r.mask]
+		recs = append(recs, EventRecord{
 			Kind: e.Kind.String(), Cycle: e.Cycle, Thread: e.Thread,
 			ID: e.ID, Line: uint64(e.Line), V1: e.V1, V2: e.V2, V3: e.V3,
-		}
+		})
 	}
 	slh := make([]uint64, slhBuckets)
 	for v := 1; v <= slhBuckets; v++ {

@@ -84,8 +84,8 @@ type Trigger struct {
 }
 
 // Recorder implements obs.Sink. Attach it to a run's bus, then read
-// Triggers/Bundles after calling Finish. Its event ring comes from a
-// process-wide free list and goes back there at Finish.
+// Triggers/Bundles/CAQSeries after calling Finish. Its event ring comes
+// from a process-wide free list and goes back there at Finish.
 type Recorder struct {
 	opts Options
 
@@ -98,6 +98,9 @@ type Recorder struct {
 	started bool
 	recent  []Window
 	queues  obs.QueueGauge
+	// caq holds the closed windows' CAQ means, oldest first: at least
+	// the newest obs.DefaultMaxWindows, which CAQSeries returns.
+	caq []float64
 
 	slh    *stats.Histogram
 	depths obs.DepthStats
@@ -227,7 +230,7 @@ func (r *Recorder) roll(cycle uint64) {
 }
 
 // close finalizes the in-progress window into the recent history and
-// runs the detectors.
+// the CAQ series, and runs the detectors.
 func (r *Recorder) close() {
 	w := r.cur
 	w.CAQMean, w.CAQMax = w.queues.Mean(1), w.queues.Max[1]
@@ -235,6 +238,12 @@ func (r *Recorder) close() {
 	if len(r.recent) > recentWindows {
 		copy(r.recent, r.recent[len(r.recent)-recentWindows:])
 		r.recent = r.recent[:recentWindows]
+	}
+	// Dropping the oldest windows in bulk, once the series holds twice
+	// its bound, moves each window O(1) times.
+	r.caq = append(r.caq, w.CAQMean)
+	if len(r.caq) == 2*obs.DefaultMaxWindows {
+		r.caq = r.caq[:copy(r.caq, r.caq[obs.DefaultMaxWindows:])]
 	}
 	for i, d := range r.armed {
 		if d == nil {
@@ -256,8 +265,8 @@ func (r *Recorder) close() {
 // Finish closes the final (partial) window so detectors see it, and
 // ends the recording: the event ring goes back to the free list for a
 // later recorder, so the recorder must receive no further events.
-// Triggers, Bundles (copies of the ring taken at capture) and Depths
-// stay valid. Later calls do nothing.
+// Triggers, Bundles (copies of the ring taken at capture), CAQSeries
+// and Depths stay valid. Later calls do nothing.
 func (r *Recorder) Finish() {
 	if r.started {
 		r.close()
@@ -274,8 +283,9 @@ func (r *Recorder) Finish() {
 var rings freelist.List[int, []obs.Event]
 
 // takeRing returns an idle ring of size events, or a new one. An idle
-// ring keeps its previous recorder's events; the snapshot reads only
-// the newest min(head, len) slots, which the new recorder has written.
+// ring keeps its previous recorder's events; a bundle's capture reads
+// only the newest min(head, len) slots, which the new recorder has
+// written.
 func takeRing(size int) []obs.Event {
 	if ring, ok := rings.Take(size); ok {
 		return ring
@@ -296,15 +306,10 @@ func (r *Recorder) EventsSeen() uint64 { return r.head }
 // Depths returns the run's per-depth prefetch table so far.
 func (r *Recorder) Depths() *obs.DepthStats { return &r.depths }
 
-// ringSnapshot returns the retained events, oldest first.
-func (r *Recorder) ringSnapshot() []obs.Event {
-	n := r.head
-	if n > uint64(len(r.ring)) {
-		n = uint64(len(r.ring))
-	}
-	out := make([]obs.Event, 0, n)
-	for i := r.head - n; i < r.head; i++ {
-		out = append(out, r.ring[i&r.mask])
-	}
-	return out
+// CAQSeries returns the CAQ mean occupancy of each closed window, oldest
+// first: the last obs.DefaultMaxWindows windows the detectors checked,
+// including the partial window Finish closes. The slice is the
+// recorder's own and callers must not modify it.
+func (r *Recorder) CAQSeries() []float64 {
+	return r.caq[max(0, len(r.caq)-obs.DefaultMaxWindows):]
 }

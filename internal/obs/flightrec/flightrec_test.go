@@ -3,6 +3,7 @@ package flightrec_test
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -231,5 +232,73 @@ func TestRealRunLateSpikeAtEpochRoll(t *testing.T) {
 	}
 	if rec.Depths().MaxDepthSeen() == 0 {
 		t.Errorf("recorder accumulated no depth stats")
+	}
+}
+
+// caqLog is a detector that never fires; it records the CAQ mean of
+// every window it checks.
+type caqLog struct{ means []float64 }
+
+func (l *caqLog) Name() string { return "caq-log" }
+
+func (l *caqLog) Check(w *flightrec.Window) (string, bool) {
+	l.means = append(l.means, w.CAQMean)
+	return "", false
+}
+
+// TestCAQSeriesIsEveryCheckedWindow: over a real PMS run that closes
+// more windows than a bundle's history keeps, the CAQ series holds the
+// mean of every window the detectors checked, in order, the partial
+// last window included.
+func TestCAQSeriesIsEveryCheckedWindow(t *testing.T) {
+	cfg := sim.Default(sim.PMS, 2_000_000)
+	log := &caqLog{}
+	rec := flightrec.New(flightrec.Options{
+		Label:     "tpcc/PMS",
+		Detectors: append(flightrec.DefaultDetectors(cfg.MC.CAQCap), log),
+	})
+	cfg.Obs = obs.NewBus(rec)
+	if _, err := sim.Run("tpcc", cfg); err != nil {
+		t.Fatalf("recorded run: %v", err)
+	}
+	rec.Finish()
+
+	if len(log.means) <= 64 {
+		t.Fatalf("the run closed %d windows, want more than a bundle's 64", len(log.means))
+	}
+	if got := rec.CAQSeries(); !slices.Equal(got, log.means) {
+		t.Fatalf("CAQ series (%d windows) differs from the %d checked windows:\n got %v\nwant %v",
+			len(got), len(log.means), got, log.means)
+	}
+	if slices.Max(log.means) == 0 {
+		t.Error("every window's CAQ mean is 0")
+	}
+}
+
+// TestCAQSeriesKeepsNewestWindows: past obs.DefaultMaxWindows closed
+// windows the series drops the oldest and returns the rest in order.
+func TestCAQSeriesKeepsNewestWindows(t *testing.T) {
+	const width = 100
+	const windows = 3*obs.DefaultMaxWindows + 5
+	rec := flightrec.New(flightrec.Options{WindowCycles: width, Detectors: []flightrec.Detector{}})
+	for i := uint64(0); i < windows; i++ {
+		// Window i's two readings of depth i hold it from start to end,
+		// so its CAQ mean is i; the second covers the last window,
+		// which Finish closes before its end.
+		e := obs.Event{Kind: obs.KindMCQueues, Cycle: i * width, V2: int64(i)}
+		rec.Emit(e)
+		e.Cycle += width / 2
+		rec.Emit(e)
+	}
+	rec.Finish()
+
+	got := rec.CAQSeries()
+	if len(got) != obs.DefaultMaxWindows {
+		t.Fatalf("series holds %d windows, want %d", len(got), obs.DefaultMaxWindows)
+	}
+	for k, mean := range got {
+		if want := float64(windows - obs.DefaultMaxWindows + k); mean != want {
+			t.Fatalf("series[%d] = %v, want %v", k, mean, want)
+		}
 	}
 }

@@ -174,7 +174,7 @@ func TestBatchCellAllocation(t *testing.T) {
 // it returns.
 func TestInstrumentedCellAllocation(t *testing.T) {
 	const budget = 200_000
-	const meanLimit, maxLimit = 640 << 10, 1 << 20
+	const meanLimit, maxLimit = 320 << 10, 512 << 10
 	type cell struct {
 		bench string
 		cfg   Config

@@ -1,7 +1,7 @@
 // Package stats provides the measurement substrate used throughout the
-// simulator: event counters, bounded integer histograms, and simple
-// derived-rate helpers. All types are deterministic and allocation-light
-// so they can live on hot simulation paths.
+// simulator: bounded integer histograms and a mean helper. All types
+// are deterministic and allocation-light so they can live on hot
+// simulation paths.
 package stats
 
 import (
@@ -10,23 +10,6 @@ import (
 	"math"
 	"strings"
 )
-
-// Counter is a monotonically increasing event count.
-type Counter uint64
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { *c += Counter(n) }
-
-// Value returns the current count.
-func (c Counter) Value() uint64 { return uint64(c) }
-
-// Ratio returns c / denom as a float, or 0 when denom is zero.
-func (c Counter) Ratio(denom Counter) float64 {
-	if denom == 0 {
-		return 0
-	}
-	return float64(c) / float64(denom)
-}
 
 // Histogram is a bounded histogram over the integers [1, N]; values above
 // N accumulate in the final bucket, matching the paper's Stream Length

@@ -5,21 +5,6 @@ import (
 	"testing"
 )
 
-func TestCounterBasics(t *testing.T) {
-	var c Counter
-	c.Add(1)
-	c.Add(9)
-	if c.Value() != 10 {
-		t.Fatalf("Value = %d, want 10", c.Value())
-	}
-	if got := c.Ratio(Counter(40)); got != 0.25 {
-		t.Errorf("Ratio = %v, want 0.25", got)
-	}
-	if got := c.Ratio(0); got != 0 {
-		t.Errorf("Ratio with zero denom = %v, want 0", got)
-	}
-}
-
 func TestHistogramObserveAndClamp(t *testing.T) {
 	h := NewHistogram(4)
 	h.Observe(1)
