@@ -297,21 +297,15 @@ func runOnCluster(base string, m farm.Matrix, total int, outcomesPath, tracePath
 	if err != nil {
 		fatal(err)
 	}
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+	reply, err := coordinatorCall(http.MethodPost, base+"/jobs", body)
 	if err != nil {
 		fatal(err)
 	}
 	var sub struct {
-		ID    string `json:"id"`
-		Error string `json:"error"`
+		ID string `json:"id"`
 	}
-	err = json.NewDecoder(resp.Body).Decode(&sub)
-	resp.Body.Close()
-	if err != nil {
-		fatal(err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		fatal(fmt.Errorf("submit: HTTP %d: %s", resp.StatusCode, sub.Error))
+	if err := json.Unmarshal(reply, &sub); err != nil {
+		fatal(fmt.Errorf("submit reply: %w", err))
 	}
 	logger.Info("job submitted", "job", sub.ID, "coordinator", base, "runs", total)
 
@@ -332,15 +326,13 @@ func runOnCluster(base string, m farm.Matrix, total int, outcomesPath, tracePath
 	}
 	var lastSeq int64
 	for {
-		r, err := http.Get(base + "/jobs/" + sub.ID + "?limit=1")
+		reply, err := coordinatorCall(http.MethodGet, base+"/jobs/"+sub.ID+"?limit=1", nil)
 		if err != nil {
 			fatal(err)
 		}
 		st.LeaseEvents = st.LeaseEvents[:0]
-		err = json.NewDecoder(r.Body).Decode(&st)
-		r.Body.Close()
-		if err != nil {
-			fatal(err)
+		if err := json.Unmarshal(reply, &st); err != nil {
+			fatal(fmt.Errorf("job status reply: %w", err))
 		}
 		for _, ev := range st.LeaseEvents {
 			if ev.Seq <= lastSeq {
@@ -375,17 +367,9 @@ func runOnCluster(base string, m farm.Matrix, total int, outcomesPath, tracePath
 	}
 
 	if tracePath != "" {
-		r, err := http.Get(base + "/jobs/" + sub.ID + "?format=trace")
+		trace, err := coordinatorCall(http.MethodGet, base+"/jobs/"+sub.ID+"?format=trace", nil)
 		if err != nil {
 			fatal(err)
-		}
-		trace, err := io.ReadAll(r.Body)
-		r.Body.Close()
-		if err != nil {
-			fatal(err)
-		}
-		if r.StatusCode != http.StatusOK {
-			fatal(fmt.Errorf("trace export: HTTP %d: %s", r.StatusCode, trace))
 		}
 		if err := os.WriteFile(tracePath, trace, 0o644); err != nil {
 			fatal(err)
@@ -393,12 +377,7 @@ func runOnCluster(base string, m farm.Matrix, total int, outcomesPath, tracePath
 		logger.Info("distributed trace written", "path", tracePath, "bytes", len(trace))
 	}
 
-	r, err := http.Get(base + "/jobs/" + sub.ID + "?format=outcomes")
-	if err != nil {
-		fatal(err)
-	}
-	canon, err := io.ReadAll(r.Body)
-	r.Body.Close()
+	canon, err := coordinatorCall(http.MethodGet, base+"/jobs/"+sub.ID+"?format=outcomes", nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -412,6 +391,37 @@ func runOnCluster(base string, m farm.Matrix, total int, outcomesPath, tracePath
 	if st.Job.State != "done" || st.Job.Failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// coordinatorCall sends one request to a coordinator and returns the
+// reply body. A status outside 2xx is an error that names the URL, the
+// status and the start of the body, so an error page is never taken
+// for a reply.
+func coordinatorCall(method, url string, body []byte) ([]byte, error) {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("%s %s: %w", method, url, err)
+	}
+	if resp.StatusCode/100 != 2 {
+		const shown = 200
+		if len(reply) > shown {
+			reply = reply[:shown]
+		}
+		return nil, fmt.Errorf("%s %s: HTTP %d: %s", method, url, resp.StatusCode, bytes.TrimSpace(reply))
+	}
+	return reply, nil
 }
 
 // runMatrix executes specs on pool, rendering progress and the final

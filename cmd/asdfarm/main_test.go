@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -79,9 +80,48 @@ func TestClusterRunRefusesLocalOnlyFlags(t *testing.T) {
 		}
 	}
 
-	// Without them the same run goes to the coordinator.
-	if code, stderr := asdfarm(t, run...); code != 1 || requests.Load() == 0 {
+	// Without them the same run goes to the coordinator, and the refusal
+	// names the URL, the status and the reply.
+	code, stderr := asdfarm(t, run...)
+	if code != 1 || requests.Load() == 0 {
 		t.Errorf("plain -cluster run: exit %d after %d requests, want a submit the stub refuses; stderr:\n%s",
 			code, requests.Load(), stderr)
+	}
+	for _, want := range []string{"HTTP 500", coord.URL + "/jobs", "not a coordinator"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("plain -cluster run: stderr does not name %q:\n%s", want, stderr)
+		}
+	}
+}
+
+// TestClusterRunRefusesErrorOutcomes: when the coordinator reports the
+// job done but answers the outcome fetch with an error, the run fails
+// and writes no outcomes file.
+func TestClusterRunRefusesErrorOutcomes(t *testing.T) {
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/jobs":
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprint(w, `{"id":"job-1","runs":1}`)
+		case r.URL.Query().Get("format") == "outcomes":
+			http.Error(w, "no such job", http.StatusNotFound)
+		default:
+			fmt.Fprint(w, `{"job":{"state":"done","done":1,"total":1}}`)
+		}
+	}))
+	defer coord.Close()
+	outcomes := filepath.Join(t.TempDir(), "outcomes.json")
+	code, stderr := asdfarm(t, "run", "-benchmarks", "mg", "-modes", "NP", "-budget", "10000", "-quiet",
+		"-cluster", coord.URL, "-outcomes", outcomes)
+	if code != 1 {
+		t.Errorf("exit %d, want 1; stderr:\n%s", code, stderr)
+	}
+	for _, want := range []string{"HTTP 404", "?format=outcomes", "no such job"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr does not name %q:\n%s", want, stderr)
+		}
+	}
+	if _, err := os.Stat(outcomes); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("an error reply reached the outcomes file (%v)", err)
 	}
 }

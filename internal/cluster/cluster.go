@@ -98,23 +98,27 @@ type Coordinator struct {
 	leases   map[string]*lease
 	storeErr error // first store write failure, reported by RunBatch
 
-	// fleet retains the last-known federation state per worker id,
+	// fleet retains each worker's health and run counts by worker id,
 	// including workers whose liveness has expired, so a mid-run kill
-	// stays visible on /metrics and the dashboard.
+	// and the dead worker's runs stay visible on /metrics and the
+	// dashboard.
 	fleet  map[string]*workerHealth
 	events leaseEventLog
 }
 
-// workerHealth is one worker's retained federation state.
+// workerHealth is one worker's retained fleet entry: its liveness, and
+// the outcomes the coordinator accepted from it.
 type workerHealth struct {
-	id, name string
-	up       bool
-	lastBeat time.Time
-	snap     *WorkerSnapshot
+	id, name        string
+	up              bool
+	lastBeat        time.Time
+	completed       uint64
+	failed          uint64
+	simInstructions uint64
 }
 
-// maxFleetEntries bounds the retained per-worker federation map; the
-// oldest dead entries are evicted beyond it.
+// maxFleetEntries bounds the retained per-worker fleet map; the oldest
+// dead entries are evicted beyond it.
 const maxFleetEntries = 64
 
 // leaseEventLog is a fixed-size ring of recent lease transitions,
@@ -255,9 +259,9 @@ func (c *Coordinator) workerLabelLocked(id string) string {
 	return id
 }
 
-// touchFleetLocked refreshes a worker's federation entry, evicting the
+// touchFleetLocked refreshes a worker's fleet entry, evicting the
 // oldest dead entries past the retention bound.
-func (c *Coordinator) touchFleetLocked(id, name string, now time.Time, snap *WorkerSnapshot) {
+func (c *Coordinator) touchFleetLocked(id, name string, now time.Time) {
 	h := c.fleet[id]
 	if h == nil {
 		if len(c.fleet) >= maxFleetEntries {
@@ -286,9 +290,6 @@ func (c *Coordinator) touchFleetLocked(id, name string, now time.Time, snap *Wor
 	}
 	h.up = true
 	h.lastBeat = now
-	if snap != nil {
-		h.snap = snap
-	}
 }
 
 // logInfo emits one structured record when a logger is configured.
@@ -312,8 +313,8 @@ func (c *Coordinator) Workers() int {
 	return n
 }
 
-// ClusterSnapshot exports the fleet state for /metrics, the SSE stream
-// and the dashboard (farm.ClusterSource).
+// ClusterSnapshot exports the fleet state for /metrics, the job-status
+// lease feed and the SSE lease_events (farm.ClusterSource).
 func (c *Coordinator) ClusterSnapshot() farm.ClusterSnapshot {
 	now := c.opts.Now()
 	c.mu.Lock()
@@ -349,16 +350,14 @@ func (c *Coordinator) ClusterSnapshot() farm.ClusterSnapshot {
 	})
 	for _, id := range fids {
 		h := c.fleet[id]
-		wh := farm.WorkerHealth{
+		snap.Fleet = append(snap.Fleet, farm.WorkerHealth{
 			ID: h.id, Name: h.name, Up: h.up,
 			HeartbeatAgeSec: now.Sub(h.lastBeat).Seconds(),
 			Leases:          leasesByWorker[id],
-		}
-		if h.snap != nil {
-			pool, wall := h.snap.Pool, h.snap.Wall
-			wh.Pool, wh.Wall = &pool, &wall
-		}
-		snap.Fleet = append(snap.Fleet, wh)
+			Completed:       h.completed,
+			Failed:          h.failed,
+			SimInstructions: h.simInstructions,
+		})
 	}
 	c.mu.Unlock()
 	deliverAll(ds)
@@ -384,7 +383,7 @@ func (c *Coordinator) Register(req RegisterRequest) (RegisterResponse, error) {
 	c.seq++
 	w := &workerState{id: fmt.Sprintf("w-%d", c.seq), name: req.Name, expiry: now.Add(c.opts.WorkerTTL)}
 	c.workers[w.id] = w
-	c.touchFleetLocked(w.id, w.name, now, nil)
+	c.touchFleetLocked(w.id, w.name, now)
 	c.updateGaugesLocked()
 	c.mu.Unlock()
 	deliverAll(ds)
@@ -409,7 +408,7 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 		return HeartbeatResponse{}, fmt.Errorf("%w: %q", ErrUnknownWorker, req.WorkerID)
 	}
 	w.expiry = now.Add(c.opts.WorkerTTL)
-	c.touchFleetLocked(w.id, w.name, now, req.Stats)
+	c.touchFleetLocked(w.id, w.name, now)
 	held := 0
 	lids := make([]string, 0, len(c.leases))
 	for id := range c.leases {
@@ -446,7 +445,7 @@ func (c *Coordinator) Acquire(req AcquireRequest) (AcquireResponse, error) {
 		return AcquireResponse{}, fmt.Errorf("%w: %q", ErrUnknownWorker, req.WorkerID)
 	}
 	w.expiry = now.Add(c.opts.WorkerTTL)
-	c.touchFleetLocked(w.id, w.name, now, nil)
+	c.touchFleetLocked(w.id, w.name, now)
 
 	var t *ctask
 	for len(c.pending) > 0 && t == nil {
@@ -504,11 +503,12 @@ func rootID(t *ctask) span.ID {
 	return t.root.ID()
 }
 
-// Complete accepts a leased task's outcome: persists it, feeds the
-// metrics, and wakes every batch waiting on the key. A completion
-// whose lease has already been reclaimed is rejected with
-// ErrLeaseExpired — the replacement run produces the bit-identical
-// result, so discarding the late copy loses nothing.
+// Complete accepts a leased task's outcome: counts it under the
+// worker's fleet entry, persists it, feeds the metrics, and wakes every
+// batch waiting on the key. A completion whose lease has already been
+// reclaimed is rejected with ErrLeaseExpired and counts for no worker —
+// the replacement run produces the bit-identical result, so discarding
+// the late copy loses nothing.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	now := c.opts.Now()
 	c.mu.Lock()
@@ -538,6 +538,14 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 			ErrBadRequest, req.Outcome.Key, req.LeaseID, l.key)
 	}
 	delete(c.leases, l.id)
+	if h := c.fleet[req.WorkerID]; h != nil {
+		if req.Outcome.OK() {
+			h.completed++
+			h.simInstructions += req.Outcome.Result.Instructions
+		} else {
+			h.failed++
+		}
+	}
 	spans := req.Spans
 	if len(spans) > maxSpansPerComplete {
 		spans = spans[:maxSpansPerComplete]
@@ -652,7 +660,7 @@ func (c *Coordinator) sweepLocked(now time.Time) []delivery {
 }
 
 // updateGaugesLocked mirrors the queue/lease depths into the shared
-// farm metrics so the existing dashboard fields stay meaningful.
+// farm metrics so the farm_* pool gauges describe the fleet.
 func (c *Coordinator) updateGaugesLocked() {
 	c.metrics.SetWorkers(len(c.workers))
 	c.metrics.SetQueued(len(c.pending))

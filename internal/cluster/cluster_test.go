@@ -179,21 +179,41 @@ func TestGrantOrderAndBatchOrder(t *testing.T) {
 	}
 }
 
+// fleetEntry returns the named worker's fleet entry in snap.
+func fleetEntry(t *testing.T, snap farm.ClusterSnapshot, name string) farm.WorkerHealth {
+	t.Helper()
+	for _, h := range snap.Fleet {
+		if h.Name == name {
+			return h
+		}
+	}
+	t.Fatalf("no fleet entry for %s in %+v", name, snap.Fleet)
+	return farm.WorkerHealth{}
+}
+
+// A stolen lease's late completion is rejected and counts for no
+// worker; each outcome the coordinator accepts counts under the worker
+// that returned it, a failure as failed.
 func TestLeaseExpirySteaLateCompletionRejected(t *testing.T) {
 	clk := newFakeClock()
 	c := New(Options{LeaseTTL: 5 * time.Second, WorkerTTL: time.Hour, Now: clk.Now})
-	spec := testSpec("mcf", sim.PMS)
-	ret := startBatch(c, context.Background(), []farm.Spec{spec}, nil)
-	waitPending(t, c, 1)
+	spec, other := testSpec("mcf", sim.PMS), testSpec("mcf", sim.NP)
+	ret := startBatch(c, context.Background(), []farm.Spec{spec, other}, nil)
+	waitPending(t, c, 2)
 
 	w1 := mustRegister(t, c, "w1")
 	g1, err := c.Acquire(AcquireRequest{WorkerID: w1.WorkerID})
-	if err != nil || g1.Grant == nil {
+	if err != nil || g1.Grant == nil || g1.Grant.Key != spec.Key() {
 		t.Fatalf("w1 acquire: %+v %v", g1, err)
 	}
-	// The lease outlives its TTL unseen; a second worker steals it.
+	// The lease outlives its TTL unseen; a second worker takes the
+	// other cell, then steals this one from the back of the queue.
 	clk.Advance(6 * time.Second)
 	w2 := mustRegister(t, c, "w2")
+	gOther, err := c.Acquire(AcquireRequest{WorkerID: w2.WorkerID})
+	if err != nil || gOther.Grant == nil || gOther.Grant.Key != other.Key() {
+		t.Fatalf("w2 acquire: %+v %v", gOther, err)
+	}
 	g2, err := c.Acquire(AcquireRequest{WorkerID: w2.WorkerID})
 	if err != nil || g2.Grant == nil || g2.Grant.Key != spec.Key() {
 		t.Fatalf("w2 steal acquire: %+v %v", g2, err)
@@ -203,21 +223,35 @@ func TestLeaseExpirySteaLateCompletionRejected(t *testing.T) {
 		Outcome: fakeOutcome(spec, 111)}); !errors.Is(err, ErrLeaseExpired) {
 		t.Fatalf("late complete = %v, want ErrLeaseExpired", err)
 	}
-	// ...and w2's accepted result is what the batch sees.
+	// ...and w2's accepted results are what the batch sees.
 	if _, err := c.Complete(CompleteRequest{WorkerID: w2.WorkerID, LeaseID: g2.Grant.LeaseID,
 		Outcome: fakeOutcome(spec, 222)}); err != nil {
 		t.Fatalf("steal complete: %v", err)
 	}
+	failed := farm.Outcome{Key: other.Key(), Benchmark: other.Benchmark, Mode: other.Mode,
+		Engine: other.Config.Engine.String(), Seed: other.Config.Seed, Err: "injected failure", Attempts: 1}
+	if _, err := c.Complete(CompleteRequest{WorkerID: w2.WorkerID, LeaseID: gOther.Grant.LeaseID,
+		Outcome: failed}); err != nil {
+		t.Fatalf("failed complete: %v", err)
+	}
 	r := <-ret
-	if r.err != nil || len(r.out) != 1 || r.out[0].Result.Cycles != 222 {
+	if r.err != nil || len(r.out) != 2 || r.out[0].Result.Cycles != 222 || r.out[1].OK() {
 		t.Fatalf("batch result %+v err %v", r.out, r.err)
 	}
 	snap := c.ClusterSnapshot()
 	if snap.LeaseExpirations != 1 || snap.Steals != 1 || snap.LateResults != 1 {
 		t.Fatalf("counters %+v, want 1 expiration, 1 steal, 1 late", snap)
 	}
+	if h := fleetEntry(t, snap, "w1"); h.Completed != 0 || h.Failed != 0 || h.SimInstructions != 0 {
+		t.Errorf("w1 fleet entry %+v: its late completion must count for no worker", h)
+	}
+	if h := fleetEntry(t, snap, "w2"); h.Completed != 1 || h.Failed != 1 || h.SimInstructions != 444 {
+		t.Errorf("w2 fleet entry %+v, want 1 completed with 444 instructions and 1 failed", h)
+	}
 }
 
+// A dead worker's leases are reclaimed, and a worker keeps its fleet
+// counts after its own liveness expires.
 func TestWorkerDeathReclaimsItsLeases(t *testing.T) {
 	clk := newFakeClock()
 	// Lease TTL is long: reclaim must come from worker liveness, not
@@ -247,6 +281,14 @@ func TestWorkerDeathReclaimsItsLeases(t *testing.T) {
 	snap := c.ClusterSnapshot()
 	if snap.Workers != 1 || snap.LeaseExpirations != 1 || snap.Steals != 1 {
 		t.Fatalf("snapshot %+v", snap)
+	}
+	clk.Advance(11 * time.Second) // w2 falls silent after its cell
+	snap = c.ClusterSnapshot()
+	if h := fleetEntry(t, snap, "w2"); h.Up || h.Completed != 1 || h.Failed != 0 || h.SimInstructions != 14 {
+		t.Errorf("dead w2 fleet entry %+v, want down with 1 completed run of 14 instructions", h)
+	}
+	if h := fleetEntry(t, snap, "w1"); h.Up || h.Completed != 0 {
+		t.Errorf("dead w1 fleet entry %+v, want down with no runs", h)
 	}
 }
 

@@ -21,20 +21,28 @@ func encodeSeed(t testing.TB, m *Message) []byte {
 	return data
 }
 
+// oldHeartbeat is a heartbeat as workers built before the coordinator
+// counted fleet runs itself sent it: with a stats object of pool
+// counters and a wall-clock histogram, which the decoder now drops.
+const oldHeartbeat = `{"kind":"heartbeat","heartbeat":{"worker_id":"w-1","stats":{` +
+	`"pool":{"workers":2,"completed":9,"sim_instructions":360000000},` +
+	`"wall":{"counts":[0,0,3,6],"sum":4.25,"max":1.7}}}}`
+
 // seedMessages covers every envelope kind, including the two payloads
-// that embed full farm types (a Grant's Spec, a completion's Outcome).
+// that embed full farm types (a Grant's Spec, a completion's Outcome),
+// and an older worker's heartbeat, which must still decode.
 func seedMessages(t testing.TB) [][]byte {
 	t.Helper()
+	if m, err := DecodeMessage([]byte(oldHeartbeat)); err != nil || m.Heartbeat.WorkerID != "w-1" {
+		t.Fatalf("an older worker's heartbeat does not decode: %+v, %v", m, err)
+	}
 	spec := testSpec("GemsFDTD", sim.PMS)
 	res := sim.Result{Cycles: 123456, Instructions: 654321}
 	return [][]byte{
 		encodeSeed(t, &Message{Kind: "register", Register: &RegisterRequest{Name: "node-3", Version: ProtocolVersion}}),
 		encodeSeed(t, &Message{Kind: "registered", Registered: &RegisterResponse{WorkerID: "w-1", LeaseTTLMS: 15000, HeartbeatMS: 3333}}),
 		encodeSeed(t, &Message{Kind: "heartbeat", Heartbeat: &HeartbeatRequest{WorkerID: "w-1"}}),
-		encodeSeed(t, &Message{Kind: "heartbeat", Heartbeat: &HeartbeatRequest{WorkerID: "w-1",
-			Stats: &WorkerSnapshot{
-				Pool: farm.Snapshot{Workers: 2, Completed: 9, SimInstructions: 360000000},
-				Wall: farm.WallSnapshot{Counts: []uint64{0, 0, 3, 6}, Sum: 4.25, Max: 1.7}}}}),
+		[]byte(oldHeartbeat),
 		encodeSeed(t, &Message{Kind: "heartbeat_ok", HeartbeatOK: &HeartbeatResponse{Leases: 2}}),
 		encodeSeed(t, &Message{Kind: "acquire", Acquire: &AcquireRequest{WorkerID: "w-1"}}),
 		encodeSeed(t, &Message{Kind: "acquire_ok", AcquireOK: &AcquireResponse{

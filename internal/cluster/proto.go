@@ -47,22 +47,11 @@ type RegisterResponse struct {
 }
 
 // HeartbeatRequest refreshes a worker's liveness and extends its
-// leases.
+// leases. It carries liveness only: the coordinator counts each
+// worker's runs from the outcomes it accepts. A stats object sent by an
+// older worker is ignored on decode.
 type HeartbeatRequest struct {
 	WorkerID string `json:"worker_id"`
-	// Stats optionally piggybacks the worker's local metrics snapshot;
-	// the coordinator folds it into the fleet_* federation families.
-	// Optional so pre-federation workers stay wire-compatible.
-	Stats *WorkerSnapshot `json:"stats,omitempty"`
-}
-
-// WorkerSnapshot is the metrics-federation payload: the worker's local
-// pool counters and its run wall-clock histogram, shipped whole on
-// each carrying heartbeat (counts are cumulative, so a lost heartbeat
-// costs nothing).
-type WorkerSnapshot struct {
-	Pool farm.Snapshot     `json:"pool"`
-	Wall farm.WallSnapshot `json:"wall"`
 }
 
 // HeartbeatResponse acknowledges a heartbeat.

@@ -14,9 +14,10 @@ import (
 // Worker is one executor node: it registers with a coordinator over a
 // Transport, pulls leased specs, runs them on a local farm.Pool
 // (inheriting its retry/backoff/panic-recovery policy), heartbeats to
-// keep long-running leases alive, and returns outcomes. Run blocks;
-// the caller decides the concurrency (cmd/asdfarm runs one Run loop
-// per configured slot).
+// keep long-running leases alive, and returns outcomes. It pushes no
+// metrics: the coordinator counts its runs from the outcomes it
+// accepts. Run blocks; the caller decides the concurrency (cmd/asdfarm
+// runs one Run loop per configured slot).
 type Worker struct {
 	Transport Transport
 	Pool      *farm.Pool
@@ -38,12 +39,6 @@ type Worker struct {
 // workerPoll is the idle wait between acquire attempts when the queue
 // is empty.
 const workerPoll = 250 * time.Millisecond
-
-// snapshot builds the metrics-federation payload from the local pool.
-func (w *Worker) snapshot() *WorkerSnapshot {
-	m := w.Pool.Metrics()
-	return &WorkerSnapshot{Pool: m.Snapshot(), Wall: m.Wall()}
-}
 
 // logInfo emits one structured record when a logger is configured.
 func (w *Worker) logInfo(msg string, args ...any) {
@@ -86,13 +81,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := register(); err != nil {
 		return err
 	}
-	// statsEvery spaces stats-carrying idle heartbeats at roughly the
-	// heartbeat cadence, counted in poll sleeps (no wall-clock reads).
-	statsEvery := int(hbEvery / poll)
-	if statsEvery < 1 {
-		statsEvery = 1
-	}
-	idleSince := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -113,18 +101,13 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		if resp.Grant == nil {
-			idleSince++
-			if idleSince%statsEvery == 0 {
-				// Acquire already refreshed liveness; this heartbeat only
-				// pushes the federation snapshot. Best-effort.
-				w.Transport.Heartbeat(ctx, HeartbeatRequest{WorkerID: id, Stats: w.snapshot()})
-			}
+			// Acquire already refreshed liveness, so an idle worker
+			// needs no heartbeat.
 			if serr := sleepCtx(ctx, poll); serr != nil {
 				return serr
 			}
 			continue
 		}
-		idleSince = 0
 		w.stats.noteAcquired()
 		w.runLease(ctx, id, resp.Grant, hbEvery)
 	}
@@ -178,11 +161,11 @@ func (w *Worker) runLease(ctx context.Context, id string, g *Grant, hbEvery time
 			return
 		case <-tick.C:
 			// Best-effort: a failed heartbeat just means the lease may be
-			// stolen, which is safe. Each carries the federation snapshot.
+			// stolen, which is safe.
 			if exec != nil {
 				w.Spans.Event(g.Trace.TraceID, exec.ID(), "heartbeat", g.Key)
 			}
-			w.Transport.Heartbeat(ctx, HeartbeatRequest{WorkerID: id, Stats: w.snapshot()})
+			w.Transport.Heartbeat(ctx, HeartbeatRequest{WorkerID: id})
 		case <-ctx.Done():
 			return
 		}

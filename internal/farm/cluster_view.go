@@ -10,30 +10,33 @@ import (
 // internal/cluster) so the Server can render it without an import
 // cycle — cluster imports farm, and hands the Server a ClusterSource.
 type ClusterSnapshot struct {
-	Workers          int    `json:"workers"`
-	TasksPending     int    `json:"tasks_pending"`
-	LeasesActive     int    `json:"leases_active"`
-	LeaseExpirations uint64 `json:"lease_expirations_total"`
-	Steals           uint64 `json:"steals_total"`
-	LateResults      uint64 `json:"late_results_total"`
-	Completed        uint64 `json:"completed_total"`
-	// Fleet is the per-worker federation view: health plus the metrics
-	// snapshot each worker last pushed with a heartbeat. Dead workers
-	// are retained (Up=false) so a kill remains visible.
-	Fleet []WorkerHealth `json:"fleet,omitempty"`
+	Workers          int
+	TasksPending     int
+	LeasesActive     int
+	LeaseExpirations uint64
+	Steals           uint64
+	LateResults      uint64
+	Completed        uint64
+	// Fleet is the per-worker view: health plus the outcomes the
+	// coordinator accepted from each worker. Dead workers are retained
+	// (Up=false) so a kill remains visible.
+	Fleet []WorkerHealth
 	// LeaseEvents is the recent lease-transition ring, oldest first.
-	LeaseEvents []LeaseEvent `json:"lease_events,omitempty"`
+	LeaseEvents []LeaseEvent
 }
 
-// WorkerHealth is one worker node's federated state.
+// WorkerHealth is one worker node's fleet entry. Completed, Failed and
+// SimInstructions count the outcomes the coordinator accepted from the
+// worker; a result rejected as late counts for no worker.
 type WorkerHealth struct {
-	ID              string        `json:"id"`
-	Name            string        `json:"name"`
-	Up              bool          `json:"up"`
-	HeartbeatAgeSec float64       `json:"heartbeat_age_sec"`
-	Leases          int           `json:"leases"`
-	Pool            *Snapshot     `json:"pool,omitempty"`
-	Wall            *WallSnapshot `json:"wall,omitempty"`
+	ID              string
+	Name            string
+	Up              bool
+	HeartbeatAgeSec float64
+	Leases          int
+	Completed       uint64
+	Failed          uint64
+	SimInstructions uint64
 }
 
 // LeaseEvent is one lease transition: grant, steal, renewal batch,
@@ -47,8 +50,8 @@ type LeaseEvent struct {
 }
 
 // ClusterSource is implemented by Runners that are cluster
-// coordinators; the Server uses it to light up the cluster_* metric
-// families, the SSE cluster field and the dashboard panel.
+// coordinators; the Server uses it to light up the cluster_* and
+// fleet_* metric families and the lease-event feeds.
 type ClusterSource interface {
 	ClusterSnapshot() ClusterSnapshot
 }
@@ -87,9 +90,9 @@ func addClusterTo(reg *prom.Registry, cs *ClusterSnapshot) {
 	addFleetTo(reg, cs.Fleet)
 }
 
-// addFleetTo renders the metrics-federation families: per-worker
-// health/lease gauges and pushed counters, plus one fleet-merged run
-// wall-clock histogram summed over every worker's pushed buckets.
+// addFleetTo renders the per-worker fleet families: health and lease
+// gauges, and the coordinator's counts of the outcomes it accepted from
+// each worker.
 func addFleetTo(reg *prom.Registry, fleet []WorkerHealth) {
 	if len(fleet) == 0 {
 		return
@@ -97,18 +100,9 @@ func addFleetTo(reg *prom.Registry, fleet []WorkerHealth) {
 	up := reg.Gauge("fleet_worker_up", "1 while the worker's registration is live, 0 after liveness expiry.", "worker")
 	age := reg.Gauge("fleet_worker_heartbeat_age_seconds", "Seconds since the worker last renewed its liveness.", "worker")
 	leases := reg.Gauge("fleet_worker_leases", "Leases the coordinator currently attributes to the worker.", "worker")
-	busy := reg.Gauge("fleet_worker_busy_slots", "Busy executor slots the worker last reported.", "worker")
-	completed := reg.Counter("fleet_runs_completed_total", "Runs each worker reported finishing locally.", "worker")
-	failed := reg.Counter("fleet_runs_failed_total", "Runs each worker reported failing locally.", "worker")
-	instr := reg.Counter("fleet_sim_instructions_total", "Simulated instructions each worker reported.", "worker")
-
-	merged := make([]uint64, len(latencyBounds)+1)
-	var mergedSum float64
-	var anyWall bool
-	wall := reg.Histogram("fleet_run_wall_seconds",
-		"Run wall-clock duration merged across every worker's pushed histogram.",
-		latencyBounds)
-
+	completed := reg.Counter("fleet_runs_completed_total", "Successful outcomes the coordinator accepted from the worker.", "worker")
+	failed := reg.Counter("fleet_runs_failed_total", "Failed outcomes the coordinator accepted from the worker.", "worker")
+	instr := reg.Counter("fleet_sim_instructions_total", "Simulated instructions in the successful outcomes accepted from the worker.", "worker")
 	for _, w := range fleet {
 		label := w.Name
 		if label == "" {
@@ -121,29 +115,8 @@ func addFleetTo(reg *prom.Registry, fleet []WorkerHealth) {
 		up.With(label).Set(v)
 		age.With(label).Set(w.HeartbeatAgeSec)
 		leases.With(label).Set(float64(w.Leases))
-		if w.Pool != nil {
-			busy.With(label).Set(float64(w.Pool.BusyWorkers))
-			completed.With(label).Add(float64(w.Pool.Completed))
-			failed.With(label).Add(float64(w.Pool.Failed))
-			instr.With(label).Add(float64(w.Pool.SimInstructions))
-		}
-		if w.Wall != nil && len(w.Wall.Counts) > 0 {
-			anyWall = true
-			for i, n := range w.Wall.Counts {
-				if i < len(merged) {
-					merged[i] += n
-				}
-			}
-			mergedSum += w.Wall.Sum
-		}
-	}
-	if anyWall {
-		ws := wall.With()
-		for i, n := range merged {
-			if n > 0 {
-				ws.AddBucket(i, n, 0)
-			}
-		}
-		ws.AddBucket(len(merged), 0, mergedSum) // fold the true sum in
+		completed.With(label).Add(float64(w.Completed))
+		failed.With(label).Add(float64(w.Failed))
+		instr.With(label).Add(float64(w.SimInstructions))
 	}
 }

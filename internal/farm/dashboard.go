@@ -6,9 +6,10 @@ import (
 )
 
 // dashboardHTML is the single-file live dashboard: it subscribes to
-// /events with EventSource and renders worker utilization, queue depth,
-// the per-job gain table, CAQ-occupancy sparklines and the anomaly
-// feed. Embedded so `asdfarm serve` stays a single static binary.
+// /events with EventSource for the per-job gain table, CAQ-occupancy
+// sparklines, the anomaly feed and lease transitions, and on each frame
+// reads every counter panel from GET /metrics. Embedded so `asdfarm
+// serve` stays a single static binary.
 //
 //go:embed dashboard.html
 var dashboardHTML []byte

@@ -76,7 +76,6 @@ type Metrics struct {
 	mu      sync.Mutex
 	cells   map[cellKey]*cellStats
 	wall    *stats.Histogram // all runs
-	wallSum float64
 	wallMax float64
 }
 
@@ -146,7 +145,6 @@ func (m *Metrics) finish(spec *Spec, o *Outcome) {
 	c.wall.Observe(latencyBucket(sec))
 	c.wallSum += sec
 	m.wall.Observe(latencyBucket(sec))
-	m.wallSum += sec
 	if sec > m.wallMax {
 		m.wallMax = sec
 	}
@@ -173,55 +171,22 @@ func (m *Metrics) LatencySummary() (p50, p95, max float64, n uint64) {
 	return bound(0.5), bound(0.95), m.wallMax, n
 }
 
-// WallSnapshot is the run wall-clock histogram in transportable form:
-// per-bucket counts over latencyBounds (the final slot is the open
-// +Inf bucket) plus the exact sum and maximum. Workers ship it with
-// heartbeats so the coordinator can merge fleet-level latency.
-type WallSnapshot struct {
-	Counts []uint64 `json:"counts,omitempty"`
-	Sum    float64  `json:"sum"`
-	Max    float64  `json:"max"`
-}
-
-// Total returns the number of observations in the snapshot.
-func (w WallSnapshot) Total() uint64 {
-	var n uint64
-	for _, c := range w.Counts {
-		n += c
-	}
-	return n
-}
-
-// Wall exports the current wall-clock histogram.
-func (m *Metrics) Wall() WallSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ws := WallSnapshot{Sum: m.wallSum, Max: m.wallMax}
-	if m.wall.Total() > 0 {
-		ws.Counts = make([]uint64, m.wall.Buckets())
-		for v := 1; v <= m.wall.Buckets(); v++ {
-			ws.Counts[v-1] = m.wall.Count(v)
-		}
-	}
-	return ws
-}
-
-// Snapshot is a point-in-time view of the farm, shaped for JSON.
+// Snapshot is a point-in-time view of the farm's counters, the source
+// of the farm_* pool families and of the asdfarm run summary.
 type Snapshot struct {
-	Workers           int     `json:"workers"`
-	BusyWorkers       int     `json:"busy_workers"`
-	WorkerUtilization float64 `json:"worker_utilization"`
-	QueueDepth        int     `json:"queue_depth"`
-	Submitted         uint64  `json:"submitted"`
-	Completed         uint64  `json:"completed"`
-	Failed            uint64  `json:"failed"`
-	Retried           uint64  `json:"retried"`
-	Resumed           uint64  `json:"resumed"`
-	UptimeSec         float64 `json:"uptime_sec"`
-	RunsPerSec        float64 `json:"runs_per_sec"`
-	SimInstructions   uint64  `json:"sim_instructions"`
-	SimCycles         uint64  `json:"sim_cycles"`
-	SimInstrPerSec    float64 `json:"sim_instr_per_sec"`
+	Workers           int
+	BusyWorkers       int
+	WorkerUtilization float64
+	QueueDepth        int
+	Submitted         uint64
+	Completed         uint64
+	Failed            uint64
+	Retried           uint64
+	Resumed           uint64
+	UptimeSec         float64
+	SimInstructions   uint64
+	SimCycles         uint64
+	SimInstrPerSec    float64
 }
 
 // Snapshot captures the current counters.
@@ -244,7 +209,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	elapsed := time.Since(time.Unix(0, m.start.Load())).Seconds()
 	if elapsed > 0 {
 		s.UptimeSec = elapsed
-		s.RunsPerSec = float64(s.Completed) / elapsed
 		s.SimInstrPerSec = float64(s.SimInstructions) / elapsed
 	}
 	return s

@@ -89,57 +89,21 @@ func (m *Metrics) AddTo(reg *prom.Registry) {
 	}
 }
 
-// sortedJobIDs returns the server's job IDs in creation order (the
-// numeric suffix orders them; lexicographic sort is wrong past job-9).
-func (s *Server) sortedJobIDs() []string {
-	ids := make([]string, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if len(ids[a]) != len(ids[b]) {
-			return len(ids[a]) < len(ids[b])
-		}
-		return ids[a] < ids[b]
-	})
-	return ids
-}
-
-// addJobsTo folds per-job progress gauges into reg.
-func (s *Server) addJobsTo(reg *prom.Registry) {
-	s.mu.Lock()
-	ids := s.sortedJobIDs()
-	sums := make([]jobSummary, 0, len(ids))
-	for _, id := range ids {
-		sums = append(sums, s.jobs[id].summary())
-	}
-	s.mu.Unlock()
-
-	if len(sums) == 0 {
-		return
-	}
-	jr := reg.Gauge("farm_job_runs",
-		"Per-job run counts by state (total, done, failed, resumed).",
-		"job", "state")
-	el := reg.Gauge("farm_job_elapsed_seconds", "Per-job elapsed wall-clock.", "job")
-	for _, sum := range sums {
-		jr.With(sum.ID, "total").Set(float64(sum.Total))
-		jr.With(sum.ID, "done").Set(float64(sum.Done))
-		jr.With(sum.ID, "failed").Set(float64(sum.Failed))
-		jr.With(sum.ID, "resumed").Set(float64(sum.Resumed))
-		el.With(sum.ID).Set(sum.ElapsedSec)
-	}
+// traceCacheSource is implemented by runners carrying a shared-trace
+// cache (the in-process Pool; cluster coordinators don't).
+type traceCacheSource interface {
+	TraceCacheStats() workload.TraceCacheStats
 }
 
 // buildRegistry assembles the full scrape payload: pool counters,
-// labeled run series, per-job progress, the result store's shape when
-// the server has one, the cluster fleet state when the runner is a
-// coordinator, and — when telemetry is attached — the aggregated
-// per-depth prefetch table.
+// labeled run series, the result store's shape when the server has one,
+// the cluster fleet state when the runner is a coordinator, and — when
+// telemetry is attached — the aggregated per-depth prefetch table. Its
+// series are bounded by the cells, workers and detectors the server has
+// seen, not by the jobs it has run: per-job progress is on GET /jobs.
 func (s *Server) buildRegistry() *prom.Registry {
 	reg := prom.NewRegistry()
 	s.runner.Metrics().AddTo(reg)
-	s.addJobsTo(reg)
 	if s.store != nil {
 		addStoreTo(reg, s.store.Stats())
 	}

@@ -38,9 +38,15 @@ type Runner interface {
 //	                   ?format=outcomes for the canonical comparison set)
 //	DELETE /jobs/{id}  cancel a running job
 //	GET    /metrics    Prometheus text exposition of every counter
+//	GET    /events     SSE stream of what is not a counter: job progress,
+//	                   gains, sparklines, anomalies, timelines, and a
+//	                   coordinator's lease transitions
+//	GET    /dashboard  live page over /events and /metrics
 //
 // A non-nil store gives every submitted job resume-from-partial-results
-// against the same store the CLI writes.
+// against the same store the CLI writes. The job table keeps every
+// running job and the maxFinishedJobs newest finished ones; an older
+// finished job is dropped at the next submit and is then a 404.
 type Server struct {
 	runner     Runner
 	store      *Store
@@ -53,14 +59,24 @@ type Server struct {
 	mu       sync.Mutex
 	seq      int
 	jobs     map[string]*serverJob
+	order    []*serverJob  // the jobs in creation order
 	shutdown chan struct{} // closed by Shutdown; nil until first Handler use
 }
+
+// maxFinishedJobs bounds how many finished jobs, with their specs and
+// results, the server keeps for GET /jobs, GET /jobs/{id} and /events.
+const maxFinishedJobs = 64
 
 // serverJob tracks one submitted matrix through the pool.
 type serverJob struct {
 	id     string
 	specs  []Spec
 	cancel context.CancelFunc
+
+	// keys are the specs' content addresses, hashed on first use: only
+	// a coordinator's status and trace views need them.
+	keysOnce sync.Once
+	keys     []string
 
 	mu       sync.Mutex
 	outcomes []Outcome // completion order
@@ -104,10 +120,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	default:
 		close(s.shutdown)
 	}
-	jobs := make([]*serverJob, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
+	jobs := append([]*serverJob(nil), s.order...)
 	s.mu.Unlock()
 	for _, j := range jobs {
 		j.cancel()
@@ -117,10 +130,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for {
 		settled := true
 		for _, j := range jobs {
-			j.mu.Lock()
-			fin := !j.finished.IsZero()
-			j.mu.Unlock()
-			if !fin {
+			if !j.isFinished() {
 				settled = false
 				break
 			}
@@ -195,9 +205,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := &serverJob{specs: specs, cancel: cancel, state: "running", started: time.Now()}
 
 	s.mu.Lock()
+	s.evictFinishedLocked()
 	s.seq++
 	j.id = fmt.Sprintf("job-%d", s.seq)
 	s.jobs[j.id] = j
+	s.order = append(s.order, j)
 	s.mu.Unlock()
 
 	go func() {
@@ -249,10 +261,63 @@ func (j *serverJob) summary() jobSummary {
 	return sum
 }
 
+// isFinished reports whether the job's batch has returned.
+func (j *serverJob) isFinished() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return !j.finished.IsZero()
+}
+
+// specKeys returns the job's spec keys (the trace handles of every cell
+// it touches, including cache-served ones), hashing them once.
+func (j *serverJob) specKeys() []string {
+	j.keysOnce.Do(func() {
+		j.keys = make([]string, len(j.specs))
+		for i := range j.specs {
+			j.keys[i] = j.specs[i].Key()
+		}
+	})
+	return j.keys
+}
+
+// evictFinishedLocked runs at submit and drops the oldest finished jobs
+// so that, with the job being submitted, at most maxFinishedJobs remain
+// once it finishes; running jobs always stay.
+func (s *Server) evictFinishedLocked() {
+	finished := 0
+	for _, j := range s.order {
+		if j.isFinished() {
+			finished++
+		}
+	}
+	drop := finished + 1 - maxFinishedJobs
+	if drop <= 0 {
+		return
+	}
+	kept := s.order[:0]
+	for _, j := range s.order {
+		if drop > 0 && j.isFinished() {
+			drop--
+			delete(s.jobs, j.id)
+			continue
+		}
+		kept = append(kept, j)
+	}
+	clear(s.order[len(kept):])
+	s.order = kept
+}
+
 func (s *Server) job(id string) *serverJob {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs[id]
+}
+
+// jobList returns the kept jobs in creation order.
+func (s *Server) jobList() []*serverJob {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]*serverJob(nil), s.order...)
 }
 
 // pageParams reads the shared ?limit= and ?after= pagination query
@@ -299,13 +364,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	s.mu.Lock()
-	ids := s.sortedJobIDs() // creation order: deterministic pagination
-	jobs := make([]*serverJob, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, s.jobs[id])
-	}
-	s.mu.Unlock()
+	jobs := s.jobList() // creation order: deterministic pagination
 	sums := make([]jobSummary, len(jobs))
 	for i, j := range jobs {
 		sums[i] = j.summary()
@@ -419,7 +478,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		span.WriteChromeTrace(w, ts.Spans(jobKeys(j)))
+		span.WriteChromeTrace(w, ts.Spans(j.specKeys()))
 		return
 	}
 
@@ -438,19 +497,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"runs":  runs,
 	}
 	if cs := s.clusterSnapshot(); cs != nil {
-		resp["lease_events"] = filterLeaseEvents(cs.LeaseEvents, jobKeys(j))
+		resp["lease_events"] = filterLeaseEvents(cs.LeaseEvents, j.specKeys())
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// jobKeys returns the job's spec keys (the trace handles of every cell
-// it touches, including cache-served ones).
-func jobKeys(j *serverJob) []string {
-	keys := make([]string, len(j.specs))
-	for i := range j.specs {
-		keys[i] = j.specs[i].Key()
-	}
-	return keys
 }
 
 // filterLeaseEvents keeps the transitions belonging to the given spec

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -134,10 +135,9 @@ func TestServerJobLifecycle(t *testing.T) {
 }
 
 // A local server with a store renders the farm_store_* families on
-// /metrics and carries the store's shape at the top level of each
-// /events frame, where the dashboard's store cells read it. A repeated
-// matrix is served from the store and counts as resumed, not
-// submitted.
+// /metrics, where the dashboard's store cells read them, and not in the
+// /events frame. A repeated matrix is served from the store and counts
+// as resumed, not submitted.
 func TestLocalServerExposesStore(t *testing.T) {
 	store, err := OpenStore(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
@@ -180,15 +180,81 @@ func TestLocalServerExposesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var top struct {
-		Store   *StoreStats     `json:"store"`
-		Cluster json.RawMessage `json:"cluster"`
+	if strings.Contains(string(frame), `"store"`) {
+		t.Fatalf("events frame still carries the store: %s", frame)
 	}
-	if err := json.Unmarshal(frame, &top); err != nil {
+}
+
+// A scrape's series are bounded by the cells the server has run, not
+// by its jobs: five finished jobs of one matrix render as many series
+// as the first.
+func TestScrapeSeriesDoNotGrowWithJobs(t *testing.T) {
+	srv := startTestServer(t, func(ctx context.Context, s Spec) (sim.Result, error) {
+		return fakeResult(1), nil
+	})
+	m := Matrix{Benchmarks: []string{"GemsFDTD", "tpcc"}, Budget: 1000}
+	series := func() int {
+		n := 0
+		for _, line := range scrapeLines(t, srv.URL) {
+			if line != "" && line[0] != '#' {
+				n++
+			}
+		}
+		return n
+	}
+	submitAndFinish(t, srv, m)
+	first := series()
+	for i := 0; i < 4; i++ {
+		submitAndFinish(t, srv, m)
+	}
+	if got := series(); got != first {
+		t.Errorf("scrape has %d series after five jobs, %d after the first", got, first)
+	}
+}
+
+// The job table keeps every running job and the newest maxFinishedJobs
+// finished ones; an evicted job is a 404.
+func TestServerJobTableIsBounded(t *testing.T) {
+	release := make(chan struct{})
+	pool := New(Options{Workers: 2, Run: func(ctx context.Context, s Spec) (sim.Result, error) {
+		if s.Benchmark == "tpcc" {
+			<-release
+		}
+		return fakeResult(1), nil
+	}})
+	defer pool.Close()
+	defer close(release)
+	srv := httptest.NewServer(NewServer(pool, nil).Handler())
+	defer srv.Close()
+
+	resp := postJSON(t, srv.URL+"/jobs", Matrix{Benchmarks: []string{"tpcc"}, Modes: []string{"NP"}, Budget: 1000})
+	blocked := decode[map[string]any](t, resp)["id"].(string)
+	var finished []string
+	for i := 0; i < maxFinishedJobs+3; i++ {
+		finished = append(finished, submitAndFinish(t, srv,
+			Matrix{Benchmarks: []string{"GemsFDTD"}, Modes: []string{"NP"}, Budget: 1000}))
+	}
+
+	r, err := http.Get(srv.URL + "/jobs")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if top.Store == nil || top.Store.Entries != 4 || top.Store.CacheHits != 4 || top.Cluster != nil {
-		t.Fatalf("events frame store = %+v, cluster = %s; want the store at top level", top.Store, top.Cluster)
+	var listed []string
+	for _, j := range decode[[]jobSummary](t, r) {
+		listed = append(listed, j.ID)
+	}
+	if want := append([]string{blocked}, finished[3:]...); !reflect.DeepEqual(listed, want) {
+		t.Errorf("GET /jobs lists %v,\nwant the running job and the %d newest finished ones %v", listed, maxFinishedJobs, want)
+	}
+	for _, id := range finished[:3] {
+		r, err := http.Get(srv.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusNotFound {
+			t.Errorf("evicted %s: status %d, want 404", id, r.StatusCode)
+		}
 	}
 }
 

@@ -3,10 +3,14 @@ package farm
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -147,10 +151,54 @@ func TestSSEStreamsState(t *testing.T) {
 	if len(datas) < 2 {
 		t.Fatalf("got %d SSE frames, want 2 (scan err %v)", len(datas), sc.Err())
 	}
-	for _, want := range []string{`"snapshot"`, `"jobs"`, `"sparks"`, `"GemsFDTD/MS"`} {
+	for _, want := range []string{`"jobs"`, `"sparks"`, `"GemsFDTD/MS"`} {
 		if !strings.Contains(datas[0], want) {
 			t.Errorf("first frame missing %s: %.300s", want, datas[0])
 		}
+	}
+}
+
+// frameKeys returns the sorted top-level keys of api's /events frame.
+func frameKeys(t *testing.T, api *Server) []string {
+	t.Helper()
+	b, err := json.Marshal(api.eventsFrame())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(b, &top); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(top))
+	for k := range top {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// An /events frame carries what GET /metrics does not: job progress,
+// sparklines, anomalies and timelines, plus a coordinator's lease
+// transitions. No counter rides in it.
+func TestEventsFrameCarriesNoCounters(t *testing.T) {
+	run := func(ctx context.Context, s Spec) (sim.Result, error) { return fakeResult(1), nil }
+	m := Matrix{Benchmarks: []string{"GemsFDTD"}, Modes: []string{"NP"}, Budget: 1000}
+
+	srv, api, _ := startTelemetryServer(t, run)
+	submitAndFinish(t, srv, m)
+	if got, want := frameKeys(t, api), []string{"anomalies", "jobs", "sparks", "timelines"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("local frame keys = %v, want %v", got, want)
+	}
+
+	pool := New(Options{Workers: 1, Run: run})
+	defer pool.Close()
+	capi := NewServer(&fakeClusterRunner{pool: pool, snap: ClusterSnapshot{Workers: 1,
+		LeaseEvents: []LeaseEvent{{Seq: 1, Event: "grant", Key: "k", Worker: "w1"}}}}, nil)
+	csrv := httptest.NewServer(capi.Handler())
+	defer csrv.Close()
+	submitAndFinish(t, csrv, m)
+	if got, want := frameKeys(t, capi), []string{"anomalies", "jobs", "lease_events", "sparks", "timelines"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("coordinator frame keys = %v, want %v", got, want)
 	}
 }
 
@@ -170,7 +218,7 @@ func TestDashboardServed(t *testing.T) {
 	if ct := r.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	for _, want := range []string{"EventSource(\"/events\")", "fleet telemetry", "CAQ", "renderStore(p.store)"} {
+	for _, want := range []string{"EventSource(\"/events\")", "fleet telemetry", "CAQ", "fetch(\"/metrics\")"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("dashboard missing %q", want)
 		}
@@ -416,5 +464,74 @@ func TestLatencySummaryPercentiles(t *testing.T) {
 	}
 	if max < 0.039 || max > 0.041 {
 		t.Errorf("max = %v, want 0.04", max)
+	}
+}
+
+// scrapeLines returns the lines of one /metrics scrape of base.
+func scrapeLines(t *testing.T, base string) []string {
+	t.Helper()
+	r, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(r.Body)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(string(body), "\n")
+}
+
+// scrapeNames returns the family and series names in one /metrics
+// scrape of base.
+func scrapeNames(t *testing.T, base string) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	for _, line := range scrapeLines(t, base) {
+		if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			names[strings.Fields(fam)[0]] = true
+		} else if line != "" && line[0] != '#' {
+			names[strings.FieldsFunc(line, func(r rune) bool { return r == '{' || r == ' ' })[0]] = true
+		}
+	}
+	return names
+}
+
+// Every farm, cluster and fleet family the dashboard reads is in a real
+// scrape, of a local server with a store and finished runs or of a
+// coordinator with a fleet, so renaming a family fails here instead of
+// blanking a panel.
+func TestDashboardFamiliesAreScraped(t *testing.T) {
+	run := func(ctx context.Context, s Spec) (sim.Result, error) { return fakeResult(1), nil }
+	m := Matrix{Benchmarks: []string{"GemsFDTD"}, Modes: []string{"NP"}, Budget: 1000}
+	store, err := OpenStore(filepath.Join(t.TempDir(), "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	pool := New(Options{Workers: 1, Run: run})
+	defer pool.Close()
+	local := httptest.NewServer(NewServer(pool, store).Handler())
+	defer local.Close()
+	submitAndFinish(t, local, m)
+
+	cpool := New(Options{Workers: 1, Run: run})
+	defer cpool.Close()
+	coord := httptest.NewServer(NewServer(&fakeClusterRunner{pool: cpool, snap: ClusterSnapshot{Workers: 1,
+		Fleet: []WorkerHealth{{ID: "w-1", Name: "w1", Up: true, Completed: 1, SimInstructions: 2}}}}, nil).Handler())
+	defer coord.Close()
+
+	scraped := scrapeNames(t, local.URL)
+	for name := range scrapeNames(t, coord.URL) {
+		scraped[name] = true
+	}
+	read := regexp.MustCompile(`\b(farm|cluster|fleet)_[a-z0-9_]+`).FindAllString(string(dashboardHTML), -1)
+	if len(read) < 20 {
+		t.Fatalf("found %d family names in the dashboard, want the page's counter panels", len(read))
+	}
+	for _, name := range read {
+		if !scraped[name] {
+			t.Errorf("the dashboard reads %s, which no scrape carries", name)
+		}
 	}
 }
