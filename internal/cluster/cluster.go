@@ -307,10 +307,22 @@ func (c *Coordinator) Workers() int {
 	now := c.opts.Now()
 	c.mu.Lock()
 	ds := c.sweepLocked(now)
-	n := len(c.workers)
+	n := c.liveNodesLocked()
 	c.mu.Unlock()
 	deliverAll(ds)
 	return n
+}
+
+// liveNodesLocked counts the distinct labels of the live registrations:
+// every lease loop of a multi-slot node registers under the node's
+// name, so one node is one label however many slots it runs.
+func (c *Coordinator) liveNodesLocked() int {
+	labels := make(map[string]bool, len(c.workers))
+	//asd:allow determinism a count of distinct labels is order-independent
+	for id := range c.workers {
+		labels[c.workerLabelLocked(id)] = true
+	}
+	return len(labels)
 }
 
 // ClusterSnapshot exports the fleet state for /metrics, the job-status
@@ -320,7 +332,7 @@ func (c *Coordinator) ClusterSnapshot() farm.ClusterSnapshot {
 	c.mu.Lock()
 	ds := c.sweepLocked(now)
 	snap := farm.ClusterSnapshot{
-		Workers:          len(c.workers),
+		Workers:          c.liveNodesLocked(),
 		TasksPending:     len(c.pending),
 		LeasesActive:     len(c.leases),
 		LeaseExpirations: c.counters.expirations.Load(),

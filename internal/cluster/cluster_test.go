@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -289,6 +290,53 @@ func TestWorkerDeathReclaimsItsLeases(t *testing.T) {
 	}
 	if h := fleetEntry(t, snap, "w1"); h.Up || h.Completed != 0 {
 		t.Errorf("dead w1 fleet entry %+v, want down with no runs", h)
+	}
+}
+
+// The slots of one node register under one name and count as one
+// worker: the fleet gauges fold the registrations by name, and
+// cluster_workers counts names.
+func TestFleetGaugesCountNodesNotSlots(t *testing.T) {
+	clk := newFakeClock()
+	c := New(Options{LeaseTTL: time.Hour, WorkerTTL: time.Hour, Now: clk.Now})
+	specs := []farm.Spec{testSpec("tpcc", sim.NP), testSpec("tpcc", sim.PMS)}
+	ret := startBatch(c, context.Background(), specs, nil)
+	waitPending(t, c, 2)
+	var slots []string
+	var grants []*Grant
+	for slot := 0; slot < 2; slot++ {
+		w := mustRegister(t, c, "w1")
+		g, err := c.Acquire(AcquireRequest{WorkerID: w.WorkerID})
+		if err != nil || g.Grant == nil {
+			t.Fatalf("slot %d acquire: %+v %v", slot, g, err)
+		}
+		slots = append(slots, w.WorkerID)
+		grants = append(grants, g.Grant)
+		clk.Advance(time.Second)
+	}
+
+	rec := httptest.NewRecorder()
+	farm.NewServer(c, nil).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		`fleet_worker_leases{worker="w1"} 2`,
+		`fleet_worker_up{worker="w1"} 1`,
+		`fleet_worker_heartbeat_age_seconds{worker="w1"} 1`,
+		"cluster_workers 1",
+		"cluster_leases_active 2",
+	} {
+		if !strings.Contains(rec.Body.String(), "\n"+want+"\n") {
+			t.Errorf("scrape lacks %q:\n%s", want, rec.Body)
+		}
+	}
+
+	for i, g := range grants {
+		if _, err := c.Complete(CompleteRequest{WorkerID: slots[i], LeaseID: g.LeaseID,
+			Outcome: fakeOutcome(g.Spec, 5)}); err != nil {
+			t.Fatalf("complete: %v", err)
+		}
+	}
+	if r := <-ret; r.err != nil {
+		t.Fatal(r.err)
 	}
 }
 

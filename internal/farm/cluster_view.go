@@ -10,6 +10,8 @@ import (
 // internal/cluster) so the Server can render it without an import
 // cycle — cluster imports farm, and hands the Server a ClusterSource.
 type ClusterSnapshot struct {
+	// Workers counts the live worker nodes: the distinct names of the
+	// live registrations.
 	Workers          int
 	TasksPending     int
 	LeasesActive     int
@@ -25,9 +27,10 @@ type ClusterSnapshot struct {
 	LeaseEvents []LeaseEvent
 }
 
-// WorkerHealth is one worker node's fleet entry. Completed, Failed and
-// SimInstructions count the outcomes the coordinator accepted from the
-// worker; a result rejected as late counts for no worker.
+// WorkerHealth is one worker registration's fleet entry; every slot of
+// a multi-slot node registers under the node's name. Completed, Failed
+// and SimInstructions count the outcomes the coordinator accepted from
+// the registration; a result rejected as late counts for no worker.
 type WorkerHealth struct {
 	ID              string
 	Name            string
@@ -92,31 +95,46 @@ func addClusterTo(reg *prom.Registry, cs *ClusterSnapshot) {
 
 // addFleetTo renders the per-worker fleet families: health and lease
 // gauges, and the coordinator's counts of the outcomes it accepted from
-// each worker.
+// each worker. A worker is a label (its name, else its registration
+// id), so a node's registrations fold into one series: it is up while
+// any of them is live, its heartbeat age is the freshest live one's,
+// and its leases and runs are their sums.
 func addFleetTo(reg *prom.Registry, fleet []WorkerHealth) {
 	if len(fleet) == 0 {
 		return
 	}
-	up := reg.Gauge("fleet_worker_up", "1 while the worker's registration is live, 0 after liveness expiry.", "worker")
-	age := reg.Gauge("fleet_worker_heartbeat_age_seconds", "Seconds since the worker last renewed its liveness.", "worker")
-	leases := reg.Gauge("fleet_worker_leases", "Leases the coordinator currently attributes to the worker.", "worker")
+	up := reg.Gauge("fleet_worker_up", "1 while any of the worker's registrations is live, 0 after liveness expiry.", "worker")
+	age := reg.Gauge("fleet_worker_heartbeat_age_seconds", "Seconds since the worker's freshest live registration renewed its liveness.", "worker")
+	leases := reg.Gauge("fleet_worker_leases", "Leases the coordinator currently attributes to the worker's registrations.", "worker")
 	completed := reg.Counter("fleet_runs_completed_total", "Successful outcomes the coordinator accepted from the worker.", "worker")
 	failed := reg.Counter("fleet_runs_failed_total", "Failed outcomes the coordinator accepted from the worker.", "worker")
 	instr := reg.Counter("fleet_sim_instructions_total", "Simulated instructions in the successful outcomes accepted from the worker.", "worker")
+	nodes := make(map[string]*WorkerHealth, len(fleet))
 	for _, w := range fleet {
 		label := w.Name
 		if label == "" {
 			label = w.ID
 		}
-		v := 0.0
-		if w.Up {
-			v = 1
-		}
-		up.With(label).Set(v)
-		age.With(label).Set(w.HeartbeatAgeSec)
-		leases.With(label).Set(float64(w.Leases))
 		completed.With(label).Add(float64(w.Completed))
 		failed.With(label).Add(float64(w.Failed))
 		instr.With(label).Add(float64(w.SimInstructions))
+		n := nodes[label]
+		if n == nil {
+			nodes[label] = &WorkerHealth{Up: w.Up, HeartbeatAgeSec: w.HeartbeatAgeSec, Leases: w.Leases}
+			continue
+		}
+		if w.Up && !n.Up || w.Up == n.Up && w.HeartbeatAgeSec < n.HeartbeatAgeSec {
+			n.Up, n.HeartbeatAgeSec = w.Up, w.HeartbeatAgeSec
+		}
+		n.Leases += w.Leases
+	}
+	for label, n := range nodes {
+		v := 0.0
+		if n.Up {
+			v = 1
+		}
+		up.With(label).Set(v)
+		age.With(label).Set(n.HeartbeatAgeSec)
+		leases.With(label).Set(float64(n.Leases))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"asdsim/internal/sim"
+	"asdsim/internal/workload"
 )
 
 // testSpec returns a valid tiny spec for the given benchmark.
@@ -322,5 +323,32 @@ func TestMatrixSpecs(t *testing.T) {
 	}
 	if specs[0].Config.Seed != DeriveSeed(1, "GemsFDTD", sim.NP) {
 		t.Error("DeriveSeeds did not derive the cell seed")
+	}
+}
+
+// A pool serving the focus matrix at a fresh seed per batch keeps one
+// trace per benchmark, and every batch shares its traces the same way:
+// each benchmark's first cell materializes (8 misses), its other three
+// modes reuse that trace (24 hits).
+func TestPoolKeepsOneTracePerStream(t *testing.T) {
+	p := New(Options{Workers: 2})
+	defer p.Close()
+	const batches = 3
+	for seed := uint64(1); seed <= batches; seed++ {
+		specs, err := Matrix{Benchmarks: workload.FocusBenchmarks(), Budget: 20_000, Seed: seed}.Specs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := p.TraceCacheStats()
+		if _, err := p.RunBatch(context.Background(), specs, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		st := p.TraceCacheStats()
+		if hits, misses := st.Hits-before.Hits, st.Misses-before.Misses; hits != 24 || misses != 8 {
+			t.Fatalf("seed %d: %d hits, %d misses, want 24 and 8", seed, hits, misses)
+		}
+	}
+	if st := p.TraceCacheStats(); st.Entries != 8 || st.Evictions != 8*(batches-1) {
+		t.Fatalf("after %d seeds: %+v, want 8 entries and %d evictions", batches, st, 8*(batches-1))
 	}
 }

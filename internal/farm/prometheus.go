@@ -147,9 +147,9 @@ func addTraceCacheTo(reg *prom.Registry, st workload.TraceCacheStats) {
 	reg.Counter("farm_trace_cache_misses_total",
 		"Jobs that had to materialize a workload trace.").With().Add(float64(st.Misses))
 	reg.Counter("farm_trace_cache_evictions_total",
-		"Materialized traces dropped by the LRU byte budget.").With().Add(float64(st.Evictions))
+		"Materialized traces dropped by the LRU byte budget or superseded by a newer seed of their stream.").With().Add(float64(st.Evictions))
 	reg.Gauge("farm_trace_cache_entries",
 		"Materialized traces currently resident.").With().Set(float64(st.Entries))
 	reg.Gauge("farm_trace_cache_bytes",
-		"Bytes of materialized trace currently resident.").With().Set(float64(st.Bytes))
+		"Bytes the resident materialized traces keep reachable: records at capacity, histograms and entries.").With().Set(float64(st.Bytes))
 }

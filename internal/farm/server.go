@@ -8,8 +8,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -83,6 +86,16 @@ type serverJob struct {
 	state    string    // "running", "done", "cancelled"
 	started  time.Time
 	finished time.Time
+
+	// The status the outcomes add up to, kept current as they land so
+	// that a poll copies only its page: the failed and resumed counts,
+	// the run rows in rowBefore order, each benchmark's cycles by mode
+	// (the newest outcome of a mode wins) and the gains they give, by
+	// benchmark.
+	failed, resumed int
+	rows            []runView
+	cycles          map[string]map[sim.Mode]uint64
+	gains           []benchGains
 }
 
 // NewServer wraps a Runner — an in-process Pool or a cluster
@@ -214,11 +227,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	go func() {
 		defer cancel()
-		s.runner.RunBatch(ctx, specs, s.store, func(o Outcome) {
-			j.mu.Lock()
-			j.outcomes = append(j.outcomes, o)
-			j.mu.Unlock()
-		})
+		s.runner.RunBatch(ctx, specs, s.store, j.land)
 		j.mu.Lock()
 		if j.state == "running" {
 			j.state = "done"
@@ -244,21 +253,68 @@ type jobSummary struct {
 func (j *serverJob) summary() jobSummary {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	sum := jobSummary{ID: j.id, State: j.state, Total: len(j.specs), Done: len(j.outcomes)}
-	for i := range j.outcomes {
-		if !j.outcomes[i].OK() {
-			sum.Failed++
-		}
-		if j.outcomes[i].Resumed {
-			sum.Resumed++
-		}
-	}
+	return j.summaryLocked()
+}
+
+func (j *serverJob) summaryLocked() jobSummary {
 	end := j.finished
 	if end.IsZero() {
 		end = time.Now()
 	}
-	sum.ElapsedSec = end.Sub(j.started).Seconds()
-	return sum
+	return jobSummary{ID: j.id, State: j.state, Total: len(j.specs), Done: len(j.outcomes),
+		Failed: j.failed, Resumed: j.resumed, ElapsedSec: end.Sub(j.started).Seconds()}
+}
+
+// progress returns the job's summary and a copy of its gains.
+func (j *serverJob) progress() (jobSummary, []benchGains) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.summaryLocked(), append([]benchGains{}, j.gains...)
+}
+
+// land records one outcome, in completion order, and folds it into the
+// job's status.
+func (j *serverJob) land(o Outcome) {
+	v := runView{Key: o.Key, Benchmark: o.Benchmark, Mode: o.Mode.String(), Engine: o.Engine,
+		Attempts: o.Attempts, WallMS: o.WallMS, Resumed: o.Resumed, Error: o.Err}
+	if o.OK() {
+		v.Cycles, v.IPC = o.Result.Cycles, o.Result.IPC
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.outcomes = append(j.outcomes, o)
+	if !o.OK() {
+		j.failed++
+	}
+	if o.Resumed {
+		j.resumed++
+	}
+	at := sort.Search(len(j.rows), func(i int) bool { return rowBefore(&v, &j.rows[i]) })
+	j.rows = slices.Insert(j.rows, at, v)
+	if !o.OK() {
+		return
+	}
+	if j.cycles == nil {
+		j.cycles = map[string]map[sim.Mode]uint64{}
+	}
+	c := j.cycles[o.Benchmark]
+	if c == nil {
+		c = map[sim.Mode]uint64{}
+		j.cycles[o.Benchmark] = c
+	}
+	c[o.Mode] = o.Result.Cycles
+	g := benchGainsOf(o.Benchmark, c)
+	at, found := slices.BinarySearchFunc(j.gains, o.Benchmark, func(g benchGains, b string) int {
+		return strings.Compare(g.Benchmark, b)
+	})
+	switch none := g.PMSvsNP == nil && g.MSvsNP == nil && g.PMSvsPS == nil; {
+	case found && none:
+		j.gains = slices.Delete(j.gains, at, at+1)
+	case found:
+		j.gains[at] = g
+	case !none:
+		j.gains = slices.Insert(j.gains, at, g)
+	}
 }
 
 // isFinished reports whether the job's batch has returned.
@@ -323,8 +379,7 @@ func (s *Server) jobList() []*serverJob {
 // pageParams reads the shared ?limit= and ?after= pagination query
 // parameters. limit <= 0 (or absent) means unbounded; after names the
 // last item of the previous page by its ID in the deterministic order.
-func pageParams(r *http.Request) (limit int, after string, err error) {
-	q := r.URL.Query()
+func pageParams(q url.Values) (limit int, after string, err error) {
 	after = q.Get("after")
 	if s := q.Get("limit"); s != "" {
 		limit, err = strconv.Atoi(s)
@@ -359,7 +414,7 @@ func paginate[T any](items []T, limit int, after string, idOf func(T) string) []
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	limit, after, err := pageParams(r)
+	limit, after, err := pageParams(r.URL.Query())
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -396,34 +451,22 @@ type benchGains struct {
 	PMSvsPS   *float64 `json:"pms_vs_ps_pct,omitempty"`
 }
 
-// runsAndGains shapes a job's outcomes into sorted run rows and the
-// per-benchmark paper-comparison gains; shared by /jobs/{id} and the
-// SSE stream.
-func runsAndGains(outcomes []Outcome) ([]runView, []benchGains) {
-	runs := make([]runView, len(outcomes))
-	cycles := map[string]map[sim.Mode]uint64{}
-	for i, o := range outcomes {
-		runs[i] = runView{Key: o.Key, Benchmark: o.Benchmark, Mode: o.Mode.String(), Engine: o.Engine,
-			Attempts: o.Attempts, WallMS: o.WallMS, Resumed: o.Resumed, Error: o.Err}
-		if o.OK() {
-			runs[i].Cycles = o.Result.Cycles
-			runs[i].IPC = o.Result.IPC
-			if cycles[o.Benchmark] == nil {
-				cycles[o.Benchmark] = map[sim.Mode]uint64{}
-			}
-			cycles[o.Benchmark][o.Mode] = o.Result.Cycles
-		}
+// rowBefore orders run rows by benchmark, mode and key: a total order,
+// so pagination cursors are stable.
+func rowBefore(a, b *runView) bool {
+	if a.Benchmark != b.Benchmark {
+		return a.Benchmark < b.Benchmark
 	}
-	sort.Slice(runs, func(a, b int) bool {
-		if runs[a].Benchmark != runs[b].Benchmark {
-			return runs[a].Benchmark < runs[b].Benchmark
-		}
-		if runs[a].Mode != runs[b].Mode {
-			return runs[a].Mode < runs[b].Mode
-		}
-		return runs[a].Key < runs[b].Key // total order: stable pagination cursors
-	})
+	if a.Mode != b.Mode {
+		return a.Mode < b.Mode
+	}
+	return a.Key < b.Key
+}
 
+// benchGainsOf computes one benchmark's paper comparisons from its
+// cycles by mode; a comparison is nil until both of its modes have
+// nonzero cycles.
+func benchGainsOf(bench string, cycles map[sim.Mode]uint64) benchGains {
 	gain := func(base, res uint64) *float64 {
 		if base == 0 || res == 0 {
 			return nil
@@ -431,23 +474,41 @@ func runsAndGains(outcomes []Outcome) ([]runView, []benchGains) {
 		g := 100 * (float64(base)/float64(res) - 1)
 		return &g
 	}
-	benches := make([]string, 0, len(cycles))
-	for b := range cycles {
-		benches = append(benches, b)
+	return benchGains{Benchmark: bench,
+		PMSvsNP: gain(cycles[sim.NP], cycles[sim.PMS]),
+		MSvsNP:  gain(cycles[sim.NP], cycles[sim.MS]),
+		PMSvsPS: gain(cycles[sim.PS], cycles[sim.PMS])}
+}
+
+// pageLocked copies the page of the job's run rows that q's ?bench=,
+// ?mode= and ?engine= filters, the ?after= cursor and the limit select.
+// Filter values match the row's rendered fields exactly ("PMS", "asd",
+// ...); an empty one is a wildcard. The cursor names a row's key among
+// the filtered rows, and an unknown one gives an empty page (see
+// paginate). The page is never nil.
+func (j *serverJob) pageLocked(q url.Values, limit int, after string) []runView {
+	bench, mode, engine := q.Get("bench"), q.Get("mode"), q.Get("engine")
+	n := len(j.rows)
+	if limit > 0 && limit < n {
+		n = limit
 	}
-	sort.Strings(benches)
-	gains := make([]benchGains, 0, len(benches))
-	for _, b := range benches {
-		c := cycles[b]
-		g := benchGains{Benchmark: b,
-			PMSvsNP: gain(c[sim.NP], c[sim.PMS]),
-			MSvsNP:  gain(c[sim.NP], c[sim.MS]),
-			PMSvsPS: gain(c[sim.PS], c[sim.PMS])}
-		if g.PMSvsNP != nil || g.MSvsNP != nil || g.PMSvsPS != nil {
-			gains = append(gains, g)
+	runs := make([]runView, 0, n)
+	started := after == ""
+	for i := range j.rows {
+		v := &j.rows[i]
+		if bench != "" && v.Benchmark != bench || mode != "" && v.Mode != mode || engine != "" && v.Engine != engine {
+			continue
 		}
+		if !started {
+			started = v.Key == after
+			continue
+		}
+		if limit > 0 && len(runs) == limit {
+			break
+		}
+		runs = append(runs, *v)
 	}
-	return runs, gains
+	return runs
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -456,14 +517,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
-	j.mu.Lock()
-	outcomes := append([]Outcome(nil), j.outcomes...)
-	j.mu.Unlock()
-
-	switch r.URL.Query().Get("format") {
+	q := r.URL.Query()
+	switch q.Get("format") {
 	case "outcomes":
 		// The canonical comparison set: what `asdfarm run -outcomes`
 		// writes locally, so distributed and serial runs byte-diff.
+		j.mu.Lock()
+		outcomes := append([]Outcome(nil), j.outcomes...)
+		j.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		WriteCanonical(w, outcomes)
 		return
@@ -482,20 +543,18 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	limit, after, err := pageParams(r)
+	limit, after, err := pageParams(q)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	runs, gains := runsAndGains(outcomes)
-	runs = filterRuns(runs, r)
-	runs = paginate(runs, limit, after, func(v runView) string { return v.Key })
-
+	j.mu.Lock()
 	resp := map[string]any{
-		"job":   j.summary(),
-		"gains": gains,
-		"runs":  runs,
+		"job":   j.summaryLocked(),
+		"gains": append([]benchGains{}, j.gains...),
+		"runs":  j.pageLocked(q, limit, after),
 	}
+	j.mu.Unlock()
 	if cs := s.clusterSnapshot(); cs != nil {
 		resp["lease_events"] = filterLeaseEvents(cs.LeaseEvents, j.specKeys())
 	}
@@ -514,26 +573,6 @@ func filterLeaseEvents(events []LeaseEvent, keys []string) []LeaseEvent {
 	for _, e := range events {
 		if want[e.Key] {
 			kept = append(kept, e)
-		}
-	}
-	return kept
-}
-
-// filterRuns applies the ?bench=, ?mode= and ?engine= row filters.
-// Values match the row's rendered fields exactly ("PMS", "asd", ...);
-// an empty parameter is a wildcard.
-func filterRuns(runs []runView, r *http.Request) []runView {
-	q := r.URL.Query()
-	bench, mode, engine := q.Get("bench"), q.Get("mode"), q.Get("engine")
-	if bench == "" && mode == "" && engine == "" {
-		return runs
-	}
-	kept := make([]runView, 0, len(runs))
-	for _, v := range runs {
-		if (bench == "" || v.Benchmark == bench) &&
-			(mode == "" || v.Mode == mode) &&
-			(engine == "" || v.Engine == engine) {
-			kept = append(kept, v)
 		}
 	}
 	return kept

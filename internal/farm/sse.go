@@ -30,11 +30,8 @@ func (s *Server) eventsFrame() eventsPayload {
 	jobs := s.jobList()
 	p := eventsPayload{Jobs: make([]eventsJob, 0, len(jobs))}
 	for _, j := range jobs {
-		j.mu.Lock()
-		outcomes := append([]Outcome(nil), j.outcomes...)
-		j.mu.Unlock()
-		_, gains := runsAndGains(outcomes)
-		p.Jobs = append(p.Jobs, eventsJob{jobSummary: j.summary(), Gains: gains})
+		sum, gains := j.progress()
+		p.Jobs = append(p.Jobs, eventsJob{jobSummary: sum, Gains: gains})
 	}
 	if s.telemetry != nil {
 		p.Sparks = s.telemetry.Sparks()

@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
+	"unsafe"
 
 	"asdsim/internal/stats"
 	"asdsim/internal/trace"
@@ -31,10 +33,19 @@ type MaterializedTrace struct {
 	Instructions uint64
 }
 
-// sizeBytes approximates the trace's memory footprint for cache
-// accounting.
-func (m *MaterializedTrace) sizeBytes() int64 {
-	return int64(len(m.Records))*16 + 256
+// entryBytes is what a cache entry holds besides its records,
+// histogram buckets and profile hash: the entry, trace and histogram
+// structs, plus about 192 bytes for the entry's done channel and its
+// slots in the cache's two maps.
+const entryBytes = int64(unsafe.Sizeof(cacheEntry{})+unsafe.Sizeof(MaterializedTrace{})+
+	unsafe.Sizeof(stats.Histogram{})) + 192
+
+// sizeBytes is the memory the cache entry e keeps reachable: the
+// records' backing array at its capacity, the ground-truth histogram,
+// the key and the structs around them.
+func (e *cacheEntry) sizeBytes() int64 {
+	return int64(cap(e.mt.Records))*int64(unsafe.Sizeof(trace.Record{})) +
+		int64(e.mt.TrueLengths.Buckets())*8 + int64(len(e.key.profile)) + entryBytes
 }
 
 // Materialize generates the trace a thread with the given per-thread
@@ -84,8 +95,17 @@ func materialize(ctx context.Context, prof Profile, seed uint64, thread int, bud
 
 // ProfileHash returns a stable content hash of the profile, so traces
 // for user-registered profiles that reuse a name never collide with the
-// built-in ones in a TraceCache.
+// built-in ones in a TraceCache. A registered profile's hash is computed
+// once, at registration; any other profile is hashed on each call.
 func ProfileHash(prof Profile) string {
+	if r, ok := profiles[prof.Name]; ok && reflect.DeepEqual(r.prof, prof) {
+		return r.hash
+	}
+	return hashProfile(prof)
+}
+
+// hashProfile is the SHA-256 of the profile's JSON encoding, in hex.
+func hashProfile(prof Profile) string {
 	b, err := json.Marshal(prof)
 	if err != nil {
 		// Profile is a tree of plain exported value fields; this cannot
@@ -96,14 +116,19 @@ func ProfileHash(prof Profile) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// traceKey identifies one materialized trace: profile content, seed,
-// thread and instruction budget — everything record generation depends
-// on.
-type traceKey struct {
+// streamKey names a workload stream: profile content, thread and
+// instruction budget. The cache keeps one seed per stream.
+type streamKey struct {
 	profile string
-	seed    uint64
 	thread  int
 	budget  uint64
+}
+
+// traceKey identifies one materialized trace: its stream and seed —
+// everything record generation depends on.
+type traceKey struct {
+	streamKey
+	seed uint64
 }
 
 // cacheEntry is one cache slot. The first getter of a key generates
@@ -127,22 +152,29 @@ type TraceCacheStats struct {
 	// Hits counts Gets that found their key cached or in generation;
 	// Misses counts Gets that had to generate.
 	Hits, Misses uint64
-	// Evictions counts traces dropped by the LRU byte budget.
+	// Evictions counts traces dropped by the LRU byte budget or
+	// superseded by a newer seed of their stream.
 	Evictions uint64
-	// Entries and Bytes describe current residency.
+	// Entries and Bytes describe current residency; Bytes is the memory
+	// the resident entries keep reachable.
 	Entries int
 	Bytes   int64
 }
 
 // TraceCache memoizes materialized traces behind (profile hash, seed,
 // thread, budget) keys, so a benchmark×mode×engine sweep generates each
-// benchmark's workload once instead of once per cell. Bounded by bytes
-// with least-recently-used eviction; safe for concurrent use. Evicted
-// traces remain valid for callers already holding them (they are
-// immutable), the cache merely drops its reference.
+// benchmark's workload once instead of once per cell. It keeps one seed
+// per stream (profile, thread, budget): a trace materialized for a new
+// seed replaces the stream's previous one, which no cell at the new seed
+// can reuse. Across streams it is bounded by bytes with
+// least-recently-used eviction. Safe for concurrent use. Evicted traces
+// remain valid for callers already holding them (they are immutable),
+// the cache merely drops its reference.
 type TraceCache struct {
 	mu      sync.Mutex
 	entries map[traceKey]*cacheEntry
+	// streams maps each stream to its accounted entry.
+	streams map[streamKey]*cacheEntry
 	// head is most recently used, tail least.
 	head, tail *cacheEntry
 	maxBytes   int64
@@ -164,7 +196,8 @@ func NewTraceCache(maxBytes int64) *TraceCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultTraceCacheBytes
 	}
-	return &TraceCache{entries: make(map[traceKey]*cacheEntry), maxBytes: maxBytes}
+	return &TraceCache{entries: make(map[traceKey]*cacheEntry),
+		streams: make(map[streamKey]*cacheEntry), maxBytes: maxBytes}
 }
 
 // Get returns the materialized trace for (prof, seed, thread, budget),
@@ -174,7 +207,7 @@ func NewTraceCache(maxBytes int64) *TraceCache {
 // generation caches nothing, and the getters waiting on it whose own
 // ctx is still live generate the trace anew.
 func (c *TraceCache) Get(ctx context.Context, prof Profile, seed uint64, thread int, budget uint64) (*MaterializedTrace, error) {
-	key := traceKey{profile: ProfileHash(prof), seed: seed, thread: thread, budget: budget}
+	key := traceKey{streamKey{ProfileHash(prof), thread, budget}, seed}
 	for {
 		c.mu.Lock()
 		e := c.entries[key]
@@ -215,7 +248,8 @@ func (e *cacheEntry) generate(ctx context.Context, prof Profile, seed uint64, th
 // settle files a finished entry: a failed one is dropped so a later Get
 // can retry (e.g. after a cancellation, or after the caller registers a
 // fixed profile under the same content), a successful one becomes the
-// most recently used.
+// most recently used, and a first-settled one replaces its stream's
+// other seed.
 func (c *TraceCache) settle(e *cacheEntry) (*MaterializedTrace, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -226,14 +260,18 @@ func (c *TraceCache) settle(e *cacheEntry) (*MaterializedTrace, error) {
 		return nil, e.err
 	}
 	if c.entries[e.key] != e {
-		// Evicted (or replaced) while this caller was waiting on the
+		// Evicted or superseded while this caller was waiting on the
 		// generation; the trace itself is immutable and still valid, so
 		// serve it without touching the LRU accounting.
 		return e.mt, nil
 	}
 	if !e.accounted {
 		e.accounted = true
-		c.bytes += e.mt.sizeBytes()
+		c.bytes += e.sizeBytes()
+		if old := c.streams[e.key.streamKey]; old != nil {
+			c.dropLocked(old)
+		}
+		c.streams[e.key.streamKey] = e
 	} else {
 		c.unlink(e)
 	}
@@ -256,12 +294,17 @@ func (c *TraceCache) Stats() TraceCacheStats {
 // else).
 func (c *TraceCache) evictLocked() {
 	for c.bytes > c.maxBytes && c.tail != nil && c.tail != c.head {
-		e := c.tail
-		c.unlink(e)
-		delete(c.entries, e.key)
-		c.bytes -= e.mt.sizeBytes()
-		c.evictions++
+		c.dropLocked(c.tail)
 	}
+}
+
+// dropLocked evicts the accounted entry e.
+func (c *TraceCache) dropLocked(e *cacheEntry) {
+	c.unlink(e)
+	delete(c.entries, e.key)
+	delete(c.streams, e.key.streamKey)
+	c.bytes -= e.sizeBytes()
+	c.evictions++
 }
 
 // pushFront makes e the most recently used entry.

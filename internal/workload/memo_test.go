@@ -3,9 +3,13 @@ package workload
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
+
+	"asdsim/internal/trace"
 )
 
 // Materialize must be a pure function of (profile, seed, thread,
@@ -125,8 +129,9 @@ func TestTraceCacheHitMiss(t *testing.T) {
 }
 
 // A byte budget smaller than two traces forces eviction of the older
-// entry; the evicted trace stays valid for holders, and re-Getting it
-// counts as a miss again.
+// entry, although the two are different streams (two threads) that the
+// one-seed rule would both keep; the evicted trace stays valid for
+// holders, and re-Getting it counts as a miss again.
 func TestTraceCacheEviction(t *testing.T) {
 	prof, err := ByName("milc")
 	if err != nil {
@@ -138,11 +143,11 @@ func TestTraceCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantLen := len(a.Records)
-	if _, err := c.Get(context.Background(), prof, 2, 0, 50_000); err != nil {
+	if _, err := c.Get(context.Background(), prof, 1, 1, 50_000); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Entries != 1 {
-		t.Fatalf("entries = %d after over-budget insert, want 1", st.Entries)
+	if st := c.Stats(); st.Entries != 1 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v after over-budget insert, want 1 entry and 1 eviction", st)
 	}
 	// The evicted trace is immutable and still usable.
 	if len(a.Records) != wantLen {
@@ -153,6 +158,142 @@ func TestTraceCacheEviction(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != 3 {
 		t.Fatalf("misses = %d, want 3 (evicted key re-materializes)", st.Misses)
+	}
+}
+
+// sameRecords fails t unless got holds exactly want's records.
+func sameRecords(t *testing.T, got, want *MaterializedTrace) {
+	t.Helper()
+	if len(got.Records) != len(want.Records) || got.Instructions != want.Instructions {
+		t.Fatalf("trace has %d records / %d instructions, want %d / %d",
+			len(got.Records), got.Instructions, len(want.Records), want.Instructions)
+	}
+	for i := range want.Records {
+		if got.Records[i] != want.Records[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got.Records[i], want.Records[i])
+		}
+	}
+}
+
+// A stream (profile, thread, budget) keeps one seed: the second seed's
+// trace replaces the first, which stays valid for its holder, while
+// streams that differ in thread or budget coexist. Bytes counts each
+// resident trace's records at their capacity.
+func TestTraceCacheOneSeedPerStream(t *testing.T) {
+	prof, err := ByName("milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	c := NewTraceCache(0)
+	a, err := c.Get(ctx, prof, 1, 0, 50_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Get(ctx, prof, 2, 0, 50_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Entries != 1 || st.Evictions != 1 || st.Misses != 2 {
+		t.Fatalf("stats = %+v after a second seed, want 1 entry, 1 eviction, 2 misses", st)
+	}
+	if min := int64(cap(b.Records)) * int64(unsafe.Sizeof(trace.Record{})); st.Bytes < min {
+		t.Fatalf("bytes = %d, below the resident records' capacity %d", st.Bytes, min)
+	}
+	want, err := Materialize(prof, 1, 0, 50_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, a, want)
+	if again, err := c.Get(ctx, prof, 2, 0, 50_000); err != nil || again != b {
+		t.Fatalf("the kept seed did not hit: %v", err)
+	}
+
+	if _, err := c.Get(ctx, prof, 2, 1, 50_000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Get(ctx, prof, 2, 0, 60_000); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Entries != 3 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want streams of other threads and budgets to coexist (3 entries, 1 eviction)", st)
+	}
+}
+
+// The documented trade-off: two seeds that alternate on one stream
+// regenerate each other's trace, so every Get misses.
+func TestTraceCacheAlternatingSeedsMiss(t *testing.T) {
+	prof, err := ByName("milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewTraceCache(0)
+	for i := 0; i < 6; i++ {
+		if _, err := c.Get(context.Background(), prof, uint64(1+i%2), 0, 20_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 6 || st.Evictions != 5 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 0 hits, 6 misses, 5 evictions, 1 entry", st)
+	}
+}
+
+// A getter that waited on a generation whose seed another seed of the
+// stream superseded before the getter settled still gets the trace, and
+// leaves the cache as the superseding seed left it. Concurrent getters
+// of two seeds of one stream all get their own seed's trace.
+func TestTraceCacheSupersededWaiter(t *testing.T) {
+	prof, err := ByName("milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	c := NewTraceCache(0)
+	a, err := c.Get(ctx, prof, 1, 0, 50_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	waitedOn := c.entries[traceKey{streamKey{ProfileHash(prof), 0, 50_000}, 1}]
+	c.mu.Unlock()
+	if _, err := c.Get(ctx, prof, 2, 0, 50_000); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	// What the waiter does once its generation's done channel closes.
+	if mt, err := c.settle(waitedOn); err != nil || mt != a {
+		t.Fatalf("waiter got (%p, %v), want the superseded trace %p", mt, err, a)
+	}
+	if st := c.Stats(); st != before {
+		t.Fatalf("the waiter's settle moved the cache: %+v, was %+v", st, before)
+	}
+
+	const n = 8
+	got := make([]*MaterializedTrace, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = c.Get(ctx, prof, uint64(3+i%2), 0, 100_000)
+		}(i)
+	}
+	wg.Wait()
+	for seed := uint64(3); seed <= 4; seed++ {
+		want, err := Materialize(prof, seed, 0, 100_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int(seed - 3); i < n; i += 2 {
+			if got[i] == nil {
+				t.Fatalf("getter %d of seed %d got no trace", i, seed)
+			}
+			sameRecords(t, got[i], want)
+		}
+	}
+	if st := c.Stats(); st.Entries != 2 {
+		t.Fatalf("entries = %d, want one per stream (50k and 100k)", st.Entries)
 	}
 }
 
@@ -269,8 +410,18 @@ func TestProfileHashContent(t *testing.T) {
 	if ProfileHash(a) != ProfileHash(b) {
 		t.Fatal("equal profiles hash differently")
 	}
+	// The hash computed at registration is the content hash.
+	if ProfileHash(a) != hashProfile(a) {
+		t.Fatal("registered hash differs from the profile's content hash")
+	}
 	b.MeanGap++
 	if ProfileHash(a) == ProfileHash(b) {
 		t.Fatal("profiles with different MeanGap hash equal")
+	}
+	c := a
+	c.Phases = slices.Clone(a.Phases)
+	c.Phases[0].TailContinue /= 2
+	if ProfileHash(a) == ProfileHash(c) {
+		t.Fatal("profiles with different phases hash equal")
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -155,7 +156,14 @@ func geomWeights(ratio float64) []float64 {
 }
 
 // profiles holds every named benchmark profile, keyed by name.
-var profiles = map[string]Profile{}
+var profiles = map[string]registered{}
+
+// registered is one registry entry: the profile and its ProfileHash,
+// computed once at registration.
+type registered struct {
+	prof Profile
+	hash string
+}
 
 // register adds p to the profile registry (panics on duplicates or
 // invalid profiles; this runs at init time with literal data).
@@ -167,6 +175,8 @@ func register(p Profile) {
 
 // Register adds a custom profile to the registry so user-defined
 // workloads can be simulated by name alongside the built-in benchmarks.
+// The registry keeps its own copy of p's phases, so the caller may reuse
+// p afterwards.
 func Register(p Profile) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -174,17 +184,22 @@ func Register(p Profile) error {
 	if _, dup := profiles[p.Name]; dup {
 		return fmt.Errorf("workload: duplicate profile %s", p.Name)
 	}
-	profiles[p.Name] = p
+	p.Phases = slices.Clone(p.Phases)
+	for i := range p.Phases {
+		p.Phases[i].StreamLen = slices.Clone(p.Phases[i].StreamLen)
+	}
+	profiles[p.Name] = registered{prof: p, hash: hashProfile(p)}
 	return nil
 }
 
-// ByName returns the profile registered under name.
+// ByName returns the profile registered under name. It shares its
+// Phases with the registry: copy them before modifying them.
 func ByName(name string) (Profile, error) {
-	p, ok := profiles[name]
+	r, ok := profiles[name]
 	if !ok {
 		return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
 	}
-	return p, nil
+	return r.prof, nil
 }
 
 // Names returns all registered benchmark names, sorted.
