@@ -598,7 +598,7 @@ func serve(args []string) {
 	workerTTL := fs.Duration("worker-ttl", 10*time.Second, "worker liveness TTL (coordinator)")
 	name := fs.String("name", "", "worker label shown by the coordinator (default hostname)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof endpoints under /debug/pprof/ and runtime memstats at /debug/vars")
-	observe := fs.Bool("observe", true, "attach per-run telemetry (flight recorder, sparklines, depth table)")
+	observe := fs.Bool("observe", true, "attach per-run telemetry: flight recorder, sparklines, depth table (local role)")
 	provDir := fs.String("prov", "", "provenance sidecar directory; records per-prefetch lineage and serves /explain and /diff (local role)")
 	fs.Parse(args)
 
@@ -620,7 +620,7 @@ func serve(args []string) {
 		if *coordURL == "" {
 			fatal(errors.New("serve -role=worker needs -coordinator=<url>"))
 		}
-		serveWorker(*coordURL, *workers, *name, *observe)
+		serveWorker(*coordURL, *workers, *name)
 	default:
 		fatal(fmt.Errorf("unknown serve role %q (local, coordinator, worker)", *role))
 	}
@@ -676,20 +676,15 @@ func serveCoordinator(addr string, store *farm.Store, leaseTTL, workerTTL time.D
 }
 
 // serveWorker joins a coordinator and serves leases until interrupted:
-// one lease loop per configured slot, all feeding one local pool.
-func serveWorker(coordURL string, slots int, name string, observe bool) {
+// one lease loop per configured slot, all feeding one local pool. A
+// worker serves no HTTP, so it attaches no telemetry: nothing could
+// read it.
+func serveWorker(coordURL string, slots int, name string) {
 	if name == "" {
 		name, _ = os.Hostname()
 	}
 	wlog := logger.With("role", "worker", "worker", name)
-	opts := farm.Options{Workers: slots}
-	var tel *farm.Telemetry
-	if observe {
-		tel = farm.NewTelemetry()
-		tel.Node = name
-		opts.Instrument = tel.Instrument
-	}
-	pool := farm.New(opts)
+	pool := farm.New(farm.Options{Workers: slots})
 	defer pool.Close()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

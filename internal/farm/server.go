@@ -601,13 +601,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFlightrecList returns the retained triage bundles' index: ID,
-// run label and trigger, so a bundle can be fetched by ID.
+// run label and trigger, so a bundle can be fetched by ID. Listing
+// replays nothing.
 func (s *Server) handleFlightrecList(w http.ResponseWriter, r *http.Request) {
 	type row struct {
 		ID       string `json:"id"`
 		Label    string `json:"label"`
 		Key      string `json:"key,omitempty"`
-		Node     string `json:"node,omitempty"`
 		TraceID  string `json:"trace_id,omitempty"`
 		Detector string `json:"detector"`
 		Detail   string `json:"detail"`
@@ -617,24 +617,29 @@ func (s *Server) handleFlightrecList(w http.ResponseWriter, r *http.Request) {
 	rows := []row{}
 	if s.telemetry != nil {
 		for _, b := range s.telemetry.Bundles() {
-			rows = append(rows, row{ID: b.ID, Label: b.Bundle.Label,
-				Key: b.Bundle.Key, Node: b.Bundle.Node, TraceID: b.Bundle.TraceID,
-				Detector: b.Bundle.Trigger.Detector, Detail: b.Bundle.Trigger.Detail,
-				Window: b.Bundle.Trigger.Window, Cycle: b.Bundle.Trigger.Cycle})
+			rows = append(rows, row{ID: b.ID, Label: b.Label, Key: b.Key, TraceID: b.TraceID,
+				Detector: b.Trigger.Detector, Detail: b.Trigger.Detail,
+				Window: b.Trigger.Window, Cycle: b.Trigger.Cycle})
 		}
 	}
 	writeJSON(w, http.StatusOK, rows)
 }
 
 // handleFlightrecBundle serves one triage bundle: JSON by default, the
-// human-readable report with ?format=report.
+// human-readable report with ?format=report. The first request for a
+// bundle replays its run; a replay that does not reproduce the trigger
+// is a 500.
 func (s *Server) handleFlightrecBundle(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if s.telemetry == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no telemetry attached"))
 		return
 	}
-	b := s.telemetry.Bundle(id)
+	b, err := s.telemetry.Bundle(r.Context(), id)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
 	if b == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no such bundle %q", id))
 		return

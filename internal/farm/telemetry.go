@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -14,27 +15,32 @@ import (
 
 // Telemetry is the farm's per-run observability aggregator. Its
 // Instrument method plugs into Options.Instrument: every attempt gets a
-// private probe bus carrying one flight recorder, the run's only
-// windowed sink, and when the attempt ends the run's depth table, the
-// CAQ means of the recorder's windows (the sparkline), anomaly
-// triggers and triage bundles are folded into the shared state served
-// by /metrics, /events, /dashboard and /flightrec. Per-attempt sinks
-// are private to their worker goroutine, so the simulation hot path
-// takes no locks; only the end-of-run merge does.
+// private probe bus carrying one detect-only flight recorder, the run's
+// only windowed sink, and when the attempt ends the run's depth table,
+// the CAQ means of the recorder's windows (the sparkline) and anomaly
+// triggers are folded into the shared state served by /metrics,
+// /events, /dashboard and /flightrec. Per-attempt sinks are private to
+// their worker goroutine, so the simulation hot path takes no locks;
+// only the end-of-run merge does.
+//
+// No attempt captures a triage bundle. Telemetry retains the triggers a
+// capturing recorder would have bundled, with their specs, and builds a
+// bundle on its first request by running the spec again with a
+// capturing recorder (see Bundle): a run is a pure function of its
+// spec, and a detect-only recorder closes the windows a capturing one
+// does, so the trigger recurs.
 type Telemetry struct {
-	// Node names the executing node ("w1") in triage bundles so a
-	// bundle pulled off a cluster worker says where it was captured.
-	// Optional; empty for standalone farms.
-	Node string
-
 	mu        sync.Mutex
 	runs      uint64
 	depths    obs.DepthStats
 	sparks    map[string]Spark // keyed by "bench/mode"; last run wins
 	order     []string         // spark insertion order
 	anomalies []Anomaly
-	bundles   []TriageBundle
+	bundles   []*TriageBundle
 	bundleSeq int
+
+	// replaying admits one bundle replay at a time.
+	replaying chan struct{}
 }
 
 // Spark is one run's downsampled CAQ-occupancy time series.
@@ -53,11 +59,20 @@ type Anomaly struct {
 	BundleID  string            `json:"bundle_id,omitempty"`
 }
 
-// TriageBundle is a retained flight-recorder bundle with a stable ID
-// for /flightrec/{id}.
+// TriageBundle is a retained trigger with a stable ID for
+// /flightrec/{id}: the run's identity, stamped at retention, and the
+// spec that replays it.
 type TriageBundle struct {
-	ID     string
-	Bundle *flightrec.Bundle
+	ID      string
+	Label   string
+	Key     string
+	TraceID string
+	Trigger flightrec.Trigger
+
+	spec Spec
+	// bundle is the capture, built on the first request; guarded by
+	// Telemetry.mu.
+	bundle *flightrec.Bundle
 }
 
 // Telemetry's retention bounds.
@@ -66,25 +81,36 @@ const (
 	sparkPoints = 60
 	// maxBundles bounds retained triage bundles across all runs.
 	maxBundles = 16
+	// runBundles bounds the bundles of one run: each attempt's recorder
+	// captures (or, detect-only, would capture) its first runBundles
+	// triggers.
+	runBundles = 4
 	// maxAnomalies bounds the retained trigger list.
 	maxAnomalies = 256
 )
 
 // NewTelemetry returns an empty telemetry aggregator.
 func NewTelemetry() *Telemetry {
-	return &Telemetry{sparks: make(map[string]Spark)}
+	return &Telemetry{sparks: make(map[string]Spark), replaying: make(chan struct{}, 1)}
+}
+
+// newRecorder returns the flight recorder for one run of spec: the
+// attempt's detect-only one, or a replay's capturing one.
+func newRecorder(spec Spec, label string, detectOnly bool) *flightrec.Recorder {
+	return flightrec.New(flightrec.Options{
+		Label:      label,
+		MaxBundles: runBundles,
+		Detectors:  flightrec.DefaultDetectors(spec.Config.MC.CAQCap),
+		DetectOnly: detectOnly,
+	})
 }
 
 // Instrument implements the farm Options.Instrument contract. The
-// attempt's flight recorder returns its ring at Finish, before the
-// absorb, which reads only its CAQ series, bundles, triggers and depth
-// table.
+// attempt's recorder is detect-only; absorb reads its CAQ series,
+// triggers and depth table.
 func (t *Telemetry) Instrument(spec Spec) (*obs.Bus, func(res *sim.Result, err error)) {
 	label := spec.Benchmark + "/" + spec.Mode.String()
-	rec := flightrec.New(flightrec.Options{
-		Label:     label,
-		Detectors: flightrec.DefaultDetectors(spec.Config.MC.CAQCap),
-	})
+	rec := newRecorder(spec, label, true)
 	fin := func(res *sim.Result, err error) {
 		rec.Finish()
 		t.absorb(spec, label, rec)
@@ -113,24 +139,18 @@ func (t *Telemetry) absorb(spec Spec, label string, rec *flightrec.Recorder) {
 	}
 	t.sparks[label] = spark
 
-	bundles := rec.Bundles()
-	for _, tr := range rec.Triggers() {
+	for i, tr := range rec.Triggers() {
 		a := Anomaly{Benchmark: spec.Benchmark, Mode: spec.Mode.String(),
 			Engine: spec.Config.Engine.String(), Trigger: tr}
-		// Pair the trigger with its bundle when one was captured and we
-		// still have room to retain it.
-		for _, b := range bundles {
-			if b.Trigger == tr && len(t.bundles) < maxBundles {
-				t.bundleSeq++
-				a.BundleID = fmt.Sprintf("b%d", t.bundleSeq)
-				// Only a retained bundle pays for the run's identity:
-				// spec key, node, trace and serialized config.
-				b.Key, b.Node = spec.Key(), t.Node
-				b.TraceID = span.TraceIDFromKey(b.Key)
-				b.Config, _ = json.Marshal(spec.Config)
-				t.bundles = append(t.bundles, TriageBundle{ID: a.BundleID, Bundle: b})
-				break
-			}
+		// Retain a trigger a capturing recorder would have bundled
+		// while there is room. Only a retained trigger pays for the
+		// run's identity: spec key and trace.
+		if i < runBundles && len(t.bundles) < maxBundles {
+			t.bundleSeq++
+			a.BundleID = fmt.Sprintf("b%d", t.bundleSeq)
+			key := spec.Key()
+			t.bundles = append(t.bundles, &TriageBundle{ID: a.BundleID, Label: label,
+				Key: key, TraceID: span.TraceIDFromKey(key), Trigger: tr, spec: spec})
 		}
 		t.anomalies = append(t.anomalies, a)
 	}
@@ -190,23 +210,107 @@ func (t *Telemetry) Anomalies() []Anomaly {
 	return append([]Anomaly(nil), t.anomalies...)
 }
 
-// Bundles returns the retained triage bundles' IDs and trigger lines.
+// Bundles returns the retained triage bundles' identities and triggers.
 func (t *Telemetry) Bundles() []TriageBundle {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]TriageBundle(nil), t.bundles...)
+	out := make([]TriageBundle, len(t.bundles))
+	for i, tb := range t.bundles {
+		out[i] = *tb
+	}
+	return out
 }
 
-// Bundle returns the bundle with the given ID, or nil.
-func (t *Telemetry) Bundle(id string) *flightrec.Bundle {
+// Bundle returns the bundle with the given ID, or nil and no error when
+// no retained trigger has that ID. The first request builds the bundle
+// by replaying the trigger's run, one replay at a time, and keeps it; a
+// request that waits on another's replay of the same bundle gets that
+// replay's bundle. ctx cancels the wait and the replay.
+func (t *Telemetry) Bundle(ctx context.Context, id string) (*flightrec.Bundle, error) {
+	tb, b := t.retained(id)
+	if tb == nil || b != nil {
+		return b, nil
+	}
+	select {
+	case t.replaying <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-t.replaying }()
+	if _, b = t.retained(id); b != nil {
+		return b, nil
+	}
+	b, err := replay(ctx, tb)
+	if err != nil {
+		return nil, err
+	}
+	t.mu.Lock()
+	tb.bundle = b
+	t.mu.Unlock()
+	return b, nil
+}
+
+// retained returns the retained trigger with the given ID and its
+// bundle, nil until built.
+func (t *Telemetry) retained(id string) (*TriageBundle, *flightrec.Bundle) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, b := range t.bundles {
-		if b.ID == id {
-			return b.Bundle
+	for _, tb := range t.bundles {
+		if tb.ID == id {
+			return tb, tb.bundle
 		}
 	}
-	return nil
+	return nil, nil
+}
+
+// replay runs tb's spec again as Pool.attempt runs it, with a capturing
+// recorder, and returns the bundle of tb's trigger, stamped with the
+// run's key, trace and config. ctx, not Spec.Timeout, bounds the
+// replay. A run that fails or is cancelled after the trigger has still
+// captured it. A replay in which the trigger does not recur is an error
+// naming it, never another bundle.
+func replay(ctx context.Context, tb *TriageBundle) (*flightrec.Bundle, error) {
+	spec := tb.spec
+	rec := newRecorder(spec, tb.Label, false)
+	spec.Config.Obs = obs.NewBus(rec)
+	runErr := runOnce(ctx, spec)
+	captured := len(rec.Bundles())
+	rec.Finish()
+	if runErr == nil {
+		// Finish closed the run's last window; a failed run's last
+		// window is cut short and is not the run's.
+		captured = len(rec.Bundles())
+	}
+	for _, b := range rec.Bundles()[:captured] {
+		if b.Trigger == tb.Trigger {
+			b.Key, b.TraceID = tb.Key, tb.TraceID
+			b.Config, _ = json.Marshal(tb.spec.Config)
+			return b, nil
+		}
+	}
+	tr := tb.Trigger
+	if runErr != nil {
+		return nil, fmt.Errorf("farm: replay of %s stopped before %s at window %d: %w",
+			tb.Label, tr.Detector, tr.Window, runErr)
+	}
+	return nil, fmt.Errorf("farm: replay of %s did not reproduce %s at window %d (%s)",
+		tb.Label, tr.Detector, tr.Window, tr.Detail)
+}
+
+// runOnce runs spec once, sampled when spec.Sample is set, converting a
+// panic into an error.
+func runOnce(ctx context.Context, spec Spec) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("farm: job %s/%v panicked: %v", spec.Benchmark, spec.Mode, rec)
+		}
+	}()
+	if spec.Sample != nil {
+		_, err = sim.SampledContext(ctx, spec.Benchmark, spec.Config, *spec.Sample)
+		return err
+	}
+	_, err = sim.RunContext(ctx, spec.Benchmark, spec.Config)
+	return err
 }
 
 // Depths returns a copy of the farm-wide per-depth prefetch table.

@@ -2,8 +2,10 @@ package farm
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -533,5 +535,235 @@ func TestDashboardFamiliesAreScraped(t *testing.T) {
 		if !scraped[name] {
 			t.Errorf("the dashboard reads %s, which no scrape carries", name)
 		}
+	}
+}
+
+// gemsMS trips the late-prefetch detector at the first SLH epoch roll
+// (window 5).
+var gemsMS = Matrix{Benchmarks: []string{"GemsFDTD"}, Modes: []string{"MS"}, Budget: 400_000}
+
+// getBody returns the status and body of a GET of url.
+func getBody(url string) (int, []byte, error) {
+	r, err := http.Get(url)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer r.Body.Close()
+	body, err := io.ReadAll(r.Body)
+	return r.StatusCode, body, err
+}
+
+// A farm bundle is the bundle an inline capturing recorder takes on the
+// same spec, stamped with the run's key, trace and config, byte for
+// byte, as JSON and as the report. Listing the bundles does not build
+// them.
+func TestFlightrecBundleIsTheInlineCapture(t *testing.T) {
+	srv, api, _ := startTelemetryServer(t, nil)
+	id := submitAndFinish(t, srv, gemsMS)
+	spec := api.job(id).specs[0]
+	tel := api.Telemetry()
+	if len(tel.Bundles()) != 1 {
+		t.Fatalf("retained %d bundles, want 1", len(tel.Bundles()))
+	}
+	r, err := http.Get(srv.URL + "/flightrec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := decode[[]map[string]any](t, r)
+	tb, built := tel.retained(tel.Bundles()[0].ID)
+	if built != nil {
+		t.Fatal("listing the bundles built one")
+	}
+	if len(rows) != 1 || rows[0]["id"] != tb.ID {
+		t.Fatalf("GET /flightrec = %v, want %s listed", rows, tb.ID)
+	}
+
+	rec := flightrec.New(flightrec.Options{Label: "GemsFDTD/MS",
+		Detectors: flightrec.DefaultDetectors(spec.Config.MC.CAQCap)})
+	cfg := spec.Config
+	cfg.Obs = obs.NewBus(rec)
+	if _, err := sim.Run(spec.Benchmark, cfg); err != nil {
+		t.Fatal(err)
+	}
+	rec.Finish()
+	var want *flightrec.Bundle
+	for _, b := range rec.Bundles() {
+		if b.Trigger == tb.Trigger {
+			want = b
+		}
+	}
+	if want == nil {
+		t.Fatalf("the inline capture has no bundle for %+v", tb.Trigger)
+	}
+	want.Key = spec.Key()
+	want.TraceID = span.TraceIDFromKey(want.Key)
+	want.Config, _ = json.Marshal(spec.Config)
+	var wantJSON, wantReport bytes.Buffer
+	want.WriteJSON(&wantJSON)
+	want.WriteReport(&wantReport)
+
+	for _, q := range []struct {
+		query string
+		want  []byte
+	}{{"", wantJSON.Bytes()}, {"?format=report", wantReport.Bytes()}} {
+		status, body, err := getBody(srv.URL + "/flightrec/" + tb.ID + q.query)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("GET /flightrec/%s%s: %d %v", tb.ID, q.query, status, err)
+		}
+		if !bytes.Equal(body, q.want) {
+			t.Errorf("GET /flightrec/%s%s differs from the inline capture:\n got %.600s\nwant %.600s",
+				tb.ID, q.query, body, q.want)
+		}
+	}
+}
+
+// Concurrent requests for one bundle, in process and over HTTP, replay
+// its run once: every caller gets the one bundle built.
+func TestConcurrentBundleRequestsReplayOnce(t *testing.T) {
+	srv, api, _ := startTelemetryServer(t, nil)
+	submitAndFinish(t, srv, gemsMS)
+	tel := api.Telemetry()
+	id := tel.Bundles()[0].ID
+
+	const n = 4
+	got := make([]*flightrec.Bundle, n)
+	bodies := make([][]byte, n)
+	errs := make([]error, 2*n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = tel.Bundle(context.Background(), id)
+		}()
+		go func() {
+			defer wg.Done()
+			var status int
+			status, bodies[i], errs[n+i] = getBody(srv.URL + "/flightrec/" + id)
+			if errs[n+i] == nil && status != http.StatusOK {
+				errs[n+i] = fmt.Errorf("status %d: %s", status, bodies[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	var want bytes.Buffer
+	got[0].WriteJSON(&want)
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("requests %d and 0 got different bundles: the run was replayed twice", i)
+		}
+		if !bytes.Equal(bodies[i], want.Bytes()) {
+			t.Fatalf("HTTP request %d served another bundle", i)
+		}
+	}
+	if _, b := tel.retained(id); b != got[0] {
+		t.Fatal("the kept bundle is not the one served")
+	}
+}
+
+// A retained trigger that the replay does not reproduce is a 500 naming
+// it, and no bundle is kept or served in its place.
+func TestUnreproducedTriggerIsAnError(t *testing.T) {
+	srv, api, _ := startTelemetryServer(t, nil)
+	submitAndFinish(t, srv, gemsMS)
+	tel := api.Telemetry()
+	tel.mu.Lock()
+	tb := tel.bundles[0]
+	tb.Trigger.Window++
+	tb.Trigger.Cycle += obs.DefaultSampleInterval
+	tel.mu.Unlock()
+
+	for range 2 {
+		status, body, err := getBody(srv.URL + "/flightrec/" + tb.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status != http.StatusInternalServerError || !strings.Contains(string(body), "did not reproduce late-prefetch-spike at window 6") {
+			t.Fatalf("GET = %d %s, want a 500 naming late-prefetch-spike at window 6", status, body)
+		}
+	}
+	if _, b := tel.retained(tb.ID); b != nil {
+		t.Fatal("an unreproduced trigger kept a bundle")
+	}
+}
+
+// A run that fails after its trigger still yields the bundle captured
+// before the failure: a sampled run with a single measurement window
+// simulates the whole budget in detail, trips the detector, and then
+// fails for want of a second window.
+func TestBundleOfRunFailingAfterTrigger(t *testing.T) {
+	srv, api, _ := startTelemetryServer(t, nil)
+	m := gemsMS
+	m.Sample = &sim.SampleConfig{Period: 400_000, Warmup: 300_000, Detail: 100_000}
+	id := submitAndFinish(t, srv, m)
+	if outs := api.job(id).outcomes; len(outs) != 1 || outs[0].OK() || !strings.Contains(outs[0].Err, "measurement windows") {
+		t.Fatalf("outcomes = %+v, want one sampled run failing for want of windows", outs)
+	}
+	bundles := api.Telemetry().Bundles()
+	if len(bundles) != 1 {
+		t.Fatalf("retained %d bundles, want 1", len(bundles))
+	}
+	status, body, err := getBody(srv.URL + "/flightrec/" + bundles[0].ID)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("GET = %d %v: %s", status, err, body)
+	}
+	var b flightrec.Bundle
+	if err := json.Unmarshal(body, &b); err != nil {
+		t.Fatal(err)
+	}
+	if b.Trigger != bundles[0].Trigger || len(b.Events) == 0 {
+		t.Fatalf("bundle trigger %+v with %d events, want %+v", b.Trigger, len(b.Events), bundles[0].Trigger)
+	}
+}
+
+// always is a detector that trips on the first window it checks.
+type always string
+
+func (a always) Name() string                           { return string(a) }
+func (a always) Check(*flightrec.Window) (string, bool) { return "always", true }
+
+// Telemetry retains, while it holds fewer than maxBundles, each trigger
+// among the first runBundles of its run, and numbers them in order.
+func TestBundleRetentionStopsAt16(t *testing.T) {
+	tel := NewTelemetry()
+	const runs, perRun = 5, runBundles + 1
+	for run := range runs {
+		var dets []flightrec.Detector
+		for d := range perRun {
+			dets = append(dets, always(fmt.Sprint("d", d)))
+		}
+		rec := flightrec.New(flightrec.Options{DetectOnly: true, MaxBundles: runBundles, Detectors: dets})
+		rec.Emit(obs.Event{Kind: obs.KindMCIssue})
+		rec.Finish()
+		spec := Spec{Benchmark: fmt.Sprint("bench", run), Mode: sim.MS, Config: sim.Default(sim.MS, 1000)}
+		tel.absorb(spec, spec.Benchmark+"/MS", rec)
+	}
+	bundles := tel.Bundles()
+	if len(bundles) != maxBundles {
+		t.Fatalf("retained %d bundles, want %d", len(bundles), maxBundles)
+	}
+	for i, b := range bundles {
+		run, d := i/runBundles, i%runBundles
+		if b.ID != fmt.Sprint("b", i+1) || b.Label != fmt.Sprint("bench", run, "/MS") || b.Trigger.Detector != fmt.Sprint("d", d) {
+			t.Errorf("bundle %d = %s %s %s, want b%d bench%d/MS d%d", i, b.ID, b.Label, b.Trigger.Detector, i+1, run, d)
+		}
+	}
+	anomalies := tel.Anomalies()
+	if len(anomalies) != runs*perRun {
+		t.Fatalf("recorded %d anomalies, want %d", len(anomalies), runs*perRun)
+	}
+	linked := 0
+	for _, a := range anomalies {
+		if a.BundleID != "" {
+			linked++
+		}
+	}
+	if linked != maxBundles {
+		t.Errorf("%d anomalies link a bundle, want %d", linked, maxBundles)
 	}
 }

@@ -37,12 +37,10 @@ type DepthRow struct {
 // simulation.
 type Bundle struct {
 	Label string `json:"label"`
-	// Key, Node and TraceID carry the farm job identity, the executing
-	// node, and the distributed trace this run belonged to. The farm
-	// stamps them, and Config, on the bundles it retains; the recorder
-	// leaves all four empty.
+	// Key and TraceID carry the farm job identity and the distributed
+	// trace this run belonged to. The farm stamps them, and Config, on
+	// the bundles it serves; the recorder leaves all three empty.
 	Key     string `json:"key,omitempty"`
-	Node    string `json:"node,omitempty"`
 	TraceID string `json:"trace_id,omitempty"`
 	// Epoch is the SLH epoch index (completed rolls) at capture time,
 	// aligning the bundle with the run's provenance epoch timeline; 0
@@ -132,8 +130,8 @@ func (b *Bundle) WriteReport(w io.Writer) error {
 	fmt.Fprintf(w, "flight recorder: %s — %s at window %d (cycle %d)\n",
 		b.Label, b.Trigger.Detector, b.Trigger.Window, b.Trigger.Cycle)
 	fmt.Fprintf(w, "  %s\n", b.Trigger.Detail)
-	if b.Key != "" || b.Node != "" || b.TraceID != "" {
-		fmt.Fprintf(w, "  job=%s node=%s trace=%s\n", b.Key, b.Node, b.TraceID)
+	if b.Key != "" || b.TraceID != "" {
+		fmt.Fprintf(w, "  job=%s trace=%s\n", b.Key, b.TraceID)
 	}
 	if b.Epoch > 0 {
 		fmt.Fprintf(w, "  slh epoch at capture: %d\n", b.Epoch)

@@ -1,13 +1,21 @@
-// Package flightrec is the simulator's always-on flight recorder: a
-// fixed-size ring of probe-bus events plus a set of pluggable anomaly
-// detectors evaluated over fixed-width cycle windows. While a run is
-// healthy the recorder costs one ring write per retained event and a
-// handful of counter updates; when a detector trips it captures a
+// Package flightrec is the simulator's flight recorder: a set of
+// pluggable anomaly detectors evaluated over fixed-width cycle windows,
+// plus a fixed-size ring of probe-bus events. While a run is healthy
+// the recorder costs a handful of counter updates per event and one
+// ring write per retained event; when a detector trips it captures a
 // self-contained triage bundle — the last-N events, the recent window
 // series, a decision-time stream-length histogram and the per-depth
 // prefetch table (the farm adds the run's configuration and job
 // identity to the bundles it keeps) — so a pathological run can be
 // diagnosed without re-running it under a full trace.
+//
+// A detect-only recorder (Options.DetectOnly) keeps the detectors, the
+// CAQ series and the depth table and drops the capture: it reads only
+// the nine kinds those count, takes no ring and captures no bundle.
+// Since only those kinds open and roll windows, it closes the same
+// windows and records the same triggers as a capturing recorder on the
+// same run, so a deterministic run's bundle can be rebuilt by running
+// it again with a capturing recorder.
 //
 // The recorder is an obs.Sink; it reuses the bus's nil fast path, so a
 // run without a recorder attached pays only the usual one-branch probe
@@ -44,7 +52,22 @@ type Options struct {
 	Detectors []Detector
 	// Label names the run in bundles and reports ("GemsFDTD/MS").
 	Label string
+	// DetectOnly records triggers without capturing bundles: the
+	// recorder reads only the kinds its windows count, takes no ring,
+	// and leaves the bundle-only window counters (completions,
+	// installs, epoch rolls) at zero, so its detectors must not read
+	// them. The zero value captures bundles inline.
+	DetectOnly bool
 }
+
+// detectKinds are the kinds the detectors, the CAQ series and the depth
+// table read: all a detect-only recorder takes. Only they open and roll
+// windows; any other kind counts in the window open when it arrives, so
+// a capturing recorder's windows are a detect-only one's.
+const detectKinds = obs.KindSet(1)<<obs.KindMCQueues | 1<<obs.KindMCIssue |
+	1<<obs.KindMCBankConflict | 1<<obs.KindMCPBHit | 1<<obs.KindMCPFNominate |
+	1<<obs.KindMCPFDrop | 1<<obs.KindMCPFIssue | 1<<obs.KindMCPFLate |
+	1<<obs.KindMCPFWasted
 
 // Window is one closed detector-evaluation window's aggregate of the
 // event stream.
@@ -84,8 +107,9 @@ type Trigger struct {
 }
 
 // Recorder implements obs.Sink. Attach it to a run's bus, then read
-// Triggers/Bundles/CAQSeries after calling Finish. Its event ring comes
-// from a process-wide free list and goes back there at Finish.
+// Triggers/Bundles/CAQSeries after calling Finish. A capturing
+// recorder's event ring comes from a process-wide free list and goes
+// back there at Finish.
 type Recorder struct {
 	opts Options
 
@@ -133,32 +157,46 @@ func New(opts Options) *Recorder {
 	if opts.Detectors == nil {
 		opts.Detectors = DefaultDetectors(0)
 	}
-	return &Recorder{
-		opts:  opts,
-		ring:  takeRing(size),
-		mask:  uint64(size - 1),
-		slh:   stats.NewHistogram(slhBuckets),
-		armed: append([]Detector(nil), opts.Detectors...),
+	r := &Recorder{opts: opts, armed: append([]Detector(nil), opts.Detectors...)}
+	if !opts.DetectOnly {
+		r.ring, r.mask = takeRing(size), uint64(size-1)
+		r.slh = stats.NewHistogram(slhBuckets)
 	}
+	return r
 }
 
-// Kinds implements the bus's routing: the recorder reads every kind,
-// since its ring keeps everything but L1 hits.
-func (r *Recorder) Kinds() obs.KindSet { return obs.AllKinds }
+// Kinds implements the bus's routing: a capturing recorder reads every
+// kind, since its ring keeps everything but L1 hits; a detect-only one
+// reads only detectKinds.
+func (r *Recorder) Kinds() obs.KindSet {
+	if r.opts.DetectOnly {
+		return detectKinds
+	}
+	return obs.AllKinds
+}
 
 // Emit implements obs.Sink. The per-event cost is one switch, a few
-// counter updates, and (for forensically interesting kinds) one ring
-// write; the highest-frequency gauge probes are aggregated but not
-// retained, keeping a recorded run's overhead small.
+// counter updates, and, when capturing, one ring write for each
+// forensically interesting kind; the highest-frequency gauge probes are
+// aggregated but not retained, keeping a recorded run's overhead small.
 //
 //asd:hotpath
 func (r *Recorder) Emit(e obs.Event) {
-	if !r.started {
+	// Only a detect kind opens or rolls a window.
+	switch {
+	case !detectKinds.Has(e.Kind):
+		// Counted in the window open when it arrives (in none before
+		// the first detect kind), however far its cycle runs ahead. A
+		// detect-only recorder handed one anyway ignores it.
+		if r.opts.DetectOnly {
+			return
+		}
+	case !r.started:
 		r.started = true
 		idx := e.Cycle / r.opts.WindowCycles
 		r.cur = Window{Index: idx, Start: idx * r.opts.WindowCycles}
 		r.winEnd = r.cur.Start + r.opts.WindowCycles
-	} else if e.Cycle >= r.winEnd {
+	case e.Cycle >= r.winEnd:
 		r.roll(e.Cycle)
 	}
 	// The queue gauge is a frequent event: fast-path it ahead of the
@@ -210,6 +248,9 @@ func (r *Recorder) Emit(e obs.Event) {
 		// above (unreachable here); the rest carry no window counters
 		// and flow straight to the forensic ring below.
 	}
+	if r.opts.DetectOnly {
+		return
+	}
 	// Masking with len-1 (a power of two) lets the compiler drop the
 	// bounds check on this store.
 	r.ring[int(r.head)&(len(r.ring)-1)] = e
@@ -229,15 +270,17 @@ func (r *Recorder) roll(cycle uint64) {
 	r.winEnd = r.cur.Start + r.opts.WindowCycles
 }
 
-// close finalizes the in-progress window into the recent history and
-// the CAQ series, and runs the detectors.
+// close finalizes the in-progress window into the CAQ series and, when
+// capturing, the recent history, and runs the detectors.
 func (r *Recorder) close() {
 	w := r.cur
 	w.CAQMean, w.CAQMax = w.queues.Mean(1), w.queues.Max[1]
-	r.recent = append(r.recent, w)
-	if len(r.recent) > recentWindows {
-		copy(r.recent, r.recent[len(r.recent)-recentWindows:])
-		r.recent = r.recent[:recentWindows]
+	if !r.opts.DetectOnly {
+		r.recent = append(r.recent, w)
+		if len(r.recent) > recentWindows {
+			copy(r.recent, r.recent[len(r.recent)-recentWindows:])
+			r.recent = r.recent[:recentWindows]
+		}
 	}
 	// Dropping the oldest windows in bulk, once the series holds twice
 	// its bound, moves each window O(1) times.
@@ -256,7 +299,7 @@ func (r *Recorder) close() {
 		r.armed[i] = nil
 		t := Trigger{Detector: d.Name(), Detail: detail, Window: w.Index, Cycle: w.Start}
 		r.triggers = append(r.triggers, t)
-		if len(r.bundles) < r.opts.MaxBundles {
+		if !r.opts.DetectOnly && len(r.bundles) < r.opts.MaxBundles {
 			r.bundles = append(r.bundles, r.capture(t))
 		}
 	}
@@ -296,7 +339,8 @@ func takeRing(size int) []obs.Event {
 // Triggers returns every detector firing, in order.
 func (r *Recorder) Triggers() []Trigger { return r.triggers }
 
-// Bundles returns the captured triage bundles (at most MaxBundles).
+// Bundles returns the captured triage bundles (at most MaxBundles; none
+// when DetectOnly).
 func (r *Recorder) Bundles() []*Bundle { return r.bundles }
 
 // EventsSeen returns the number of events retained in (or aged out of)

@@ -3,6 +3,7 @@ package flightrec_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"asdsim/internal/obs"
 	"asdsim/internal/obs/flightrec"
 	"asdsim/internal/sim"
+	"asdsim/internal/workload"
 )
 
 // emitWindow pushes one window's worth of synthetic prefetch traffic:
@@ -64,7 +66,7 @@ func TestCAQSaturationNeedsConsecutiveWindows(t *testing.T) {
 	sat(200, 1) // breaks the run
 	sat(300, 3)
 	sat(400, 3)
-	if rec.Emit(obs.Event{Kind: obs.KindMCEnqueue, Cycle: 500}); len(rec.Triggers()) != 0 {
+	if rec.Emit(obs.Event{Kind: obs.KindMCIssue, Cycle: 500}); len(rec.Triggers()) != 0 {
 		t.Fatalf("saturation fired without 3 consecutive windows: %+v", rec.Triggers())
 	}
 	sat(500, 3)
@@ -300,5 +302,77 @@ func TestCAQSeriesKeepsNewestWindows(t *testing.T) {
 		if want := float64(windows - obs.DefaultMaxWindows + k); mean != want {
 			t.Fatalf("series[%d] = %v, want %v", k, mean, want)
 		}
+	}
+}
+
+// TestDetectOnlyMatchesCapture: on real runs, triggering ones among
+// them, exact and sampled, a detect-only recorder and a capturing one
+// close the same windows, so their CAQ series, triggers and depth
+// tables are equal, while only the capturing one holds bundles. The
+// farm rebuilds a bundle by replaying a detect-only run with a
+// capturing recorder and relies on this.
+func TestDetectOnlyMatchesCapture(t *testing.T) {
+	type cell struct {
+		bench string
+		cfg   sim.Config
+		sc    *sim.SampleConfig
+	}
+	var cells []cell
+	for _, bench := range workload.FocusBenchmarks() {
+		for _, mode := range []sim.Mode{sim.MS, sim.PMS} {
+			cells = append(cells, cell{bench, sim.Default(mode, 200_000), nil})
+		}
+	}
+	sc := sim.DefaultSampleConfig()
+	cells = append(cells,
+		cell{"tpcc", sim.Default(sim.PMS, 2_000_000), nil},
+		cell{"tpcc", sim.Default(sim.MS, 5_000_000), &sc},
+		cell{"sap", sim.Default(sim.PMS, 5_000_000), &sc})
+
+	record := func(c cell, detectOnly bool) *flightrec.Recorder {
+		rec := flightrec.New(flightrec.Options{Label: c.bench,
+			Detectors: flightrec.DefaultDetectors(c.cfg.MC.CAQCap), DetectOnly: detectOnly})
+		cfg := c.cfg
+		cfg.Obs = obs.NewBus(rec)
+		var err error
+		if c.sc != nil {
+			_, err = sim.Sampled(c.bench, cfg, *c.sc)
+		} else {
+			_, err = sim.Run(c.bench, cfg)
+		}
+		if err != nil {
+			t.Fatalf("%s/%v: %v", c.bench, c.cfg.Mode, err)
+		}
+		rec.Finish()
+		return rec
+	}
+	triggering, sampledTriggering := 0, 0
+	for _, c := range cells {
+		name := fmt.Sprintf("%s/%v/%d sampled=%v", c.bench, c.cfg.Mode, c.cfg.InstrBudget, c.sc != nil)
+		det, capt := record(c, true), record(c, false)
+		if !slices.Equal(det.CAQSeries(), capt.CAQSeries()) {
+			t.Errorf("%s: CAQ series differ:\n detect  %v\n capture %v", name, det.CAQSeries(), capt.CAQSeries())
+		}
+		if !slices.Equal(det.Triggers(), capt.Triggers()) {
+			t.Errorf("%s: triggers differ:\n detect  %+v\n capture %+v", name, det.Triggers(), capt.Triggers())
+		}
+		if *det.Depths() != *capt.Depths() {
+			t.Errorf("%s: depth tables differ", name)
+		}
+		if len(det.Bundles()) != 0 || det.EventsSeen() != 0 {
+			t.Errorf("%s: the detect-only recorder captured %d bundles over %d events", name, len(det.Bundles()), det.EventsSeen())
+		}
+		if len(capt.Triggers()) > 0 {
+			triggering++
+			if c.sc != nil {
+				sampledTriggering++
+			}
+			if len(capt.Bundles()) != len(capt.Triggers()) {
+				t.Errorf("%s: %d bundles for %d triggers", name, len(capt.Bundles()), len(capt.Triggers()))
+			}
+		}
+	}
+	if triggering < 8 || sampledTriggering == 0 {
+		t.Fatalf("%d cells triggered, %d of them sampled; want at least 8 and 1", triggering, sampledTriggering)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"asdsim/internal/mem"
@@ -18,7 +19,20 @@ type consumers struct {
 	depths  *obs.DepthStats
 	trace   *obs.TraceBuilder
 	flight  *flightrec.Recorder
+	detect  *flightrec.Recorder // detect-only, armed like flight
 	prov    *prov.Recorder
+}
+
+// recorderOptions arms a flight recorder's detectors low and sizes its
+// windows and ring small.
+func recorderOptions(detectOnly bool) flightrec.Options {
+	return flightrec.Options{RingSize: 256, WindowCycles: 3000, MaxBundles: 8, DetectOnly: detectOnly,
+		Detectors: []flightrec.Detector{
+			&flightrec.CAQSaturation{Capacity: 3, MeanFrac: 0.4, Consecutive: 2},
+			&flightrec.LatePrefetchSpike{Ratio: 0.3, MinUseful: 3},
+			&flightrec.BankConflictStorm{MinConflicts: 2, IssueFrac: 0.1},
+			&flightrec.PrefetchWasteSpike{Ratio: 0.3, MinIssued: 3},
+		}}
 }
 
 // newConsumers sizes windows and rings small, and arms the flight
@@ -31,27 +45,23 @@ func newConsumers() *consumers {
 		sampler: sampler,
 		depths:  &obs.DepthStats{},
 		trace:   obs.NewTraceBuilder(),
-		flight: flightrec.New(flightrec.Options{RingSize: 256, WindowCycles: 3000, MaxBundles: 8,
-			Detectors: []flightrec.Detector{
-				&flightrec.CAQSaturation{Capacity: 3, MeanFrac: 0.4, Consecutive: 2},
-				&flightrec.LatePrefetchSpike{Ratio: 0.3, MinUseful: 3},
-				&flightrec.BankConflictStorm{MinConflicts: 2, IssueFrac: 0.1},
-				&flightrec.PrefetchWasteSpike{Ratio: 0.3, MinIssued: 3},
-			}}),
-		prov: prov.New(prov.Options{TraceID: "routing", RingSize: 512}),
+		flight:  flightrec.New(recorderOptions(false)),
+		detect:  flightrec.New(recorderOptions(true)),
+		prov:    prov.New(prov.Options{TraceID: "routing", RingSize: 512}),
 	}
 	c.trace.StartProcess("routing")
 	return c
 }
 
 func (c *consumers) sinks() []obs.Sink {
-	return []obs.Sink{c.sampler, c.depths, c.trace, c.flight, c.prov}
+	return []obs.Sink{c.sampler, c.depths, c.trace, c.flight, c.detect, c.prov}
 }
 
 // output finishes the recorders and renders every consumer's output.
 func (c *consumers) output(t *testing.T) []byte {
 	t.Helper()
 	c.flight.Finish()
+	c.detect.Finish()
 	st := c.prov.Stream()
 	var counts [prov.NumOps]uint64
 	for op := range counts {
@@ -62,6 +72,7 @@ func (c *consumers) output(t *testing.T) []byte {
 	for _, v := range []any{
 		c.sampler.Samples(), c.sampler.Dropped, c.depths,
 		c.flight.Triggers(), c.flight.Bundles(), c.flight.EventsSeen(), c.flight.Depths(),
+		c.flight.CAQSeries(), c.detect.Triggers(), c.detect.Depths(), c.detect.CAQSeries(),
 		st.Records, st.Dropped, counts,
 	} {
 		if err := enc.Encode(v); err != nil {
@@ -188,6 +199,14 @@ func TestRoutedBusMatchesEveryKindBus(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: routed outputs differ from every-kind outputs\nrouted: %.2000s\nevery:  %.2000s", seed, got, want)
+		}
+		// Trailing and non-detect events included, a detect-only
+		// recorder closes the windows a capturing one does.
+		f, d := routed.flight, routed.detect
+		if len(f.Triggers()) == 0 || !slices.Equal(d.Triggers(), f.Triggers()) ||
+			!slices.Equal(d.CAQSeries(), f.CAQSeries()) || *d.Depths() != *f.Depths() {
+			t.Fatalf("seed %d: detect-only recorder differs from the capturing one\ncapture triggers %+v\ndetect  triggers %+v",
+				seed, f.Triggers(), d.Triggers())
 		}
 	}
 }

@@ -80,13 +80,9 @@ func (b *Batch) RunContext(ctx context.Context, bench string, cfg Config) (Resul
 // before it gets the hierarchy, so a run that fails or is cancelled
 // while its trace materializes takes none.
 func (b *Batch) buildRunner(ctx context.Context, bench string, cfg Config, newHier func(cache.Config) *cache.Hierarchy) (*runner, error) {
-	prof, err := workload.ByName(bench)
-	if err != nil {
-		return nil, err
-	}
 	mts := make([]*workload.MaterializedTrace, 0, 2)
 	for t := 0; t < cfg.Threads; t++ {
-		mt, err := b.cache.Get(ctx, prof, cfg.Seed, t, cfg.InstrBudget)
+		mt, err := b.cache.Get(ctx, bench, cfg.Seed, t, cfg.InstrBudget)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"asdsim/internal/workload"
+	"asdsim/internal/cache"
+	"asdsim/internal/mem"
 )
 
 // A cancelled context must abort the run promptly with the context's
@@ -45,11 +46,7 @@ func TestDeadlineInterruptsCachedRun(t *testing.T) {
 	const bench, budget = "GemsFDTD", 20_000_000
 	cfg := Default(PMS, budget)
 	b := NewBatch()
-	prof, err := workload.ByName(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.cache.Get(context.Background(), prof, cfg.Seed, 0, budget); err != nil {
+	if _, err := b.cache.Get(context.Background(), bench, cfg.Seed, 0, budget); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -75,6 +72,79 @@ func TestDeadlineInterruptsCachedRun(t *testing.T) {
 		if st := b.CacheStats(); st.Misses != 1 || st.Hits != hits+1 {
 			t.Fatalf("%s: cache %+v, want the warmed trace replayed", tc.name, st)
 		}
+	}
+}
+
+// backlogReads is how many queued Reads give each MC drain loop more
+// than ctxCheckInterval steps of work.
+const backlogReads = 4096
+
+// backlog returns a runner whose memory controller holds backlogReads
+// queued Reads, one per line, with no flight waiting on them.
+func backlog(t *testing.T) *runner {
+	t.Helper()
+	r, err := NewBatch().buildRunner(context.Background(), "GemsFDTD", Default(NP, 1000), cache.NewHierarchy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < backlogReads; i++ {
+		r.enqueueRead(mem.Line(1_000_000+i), 0, 0)
+	}
+	return r
+}
+
+// drainMC polls ctx between controller steps: cancelled while more than
+// ctxCheckInterval steps of its drain remain, it stops with ctx's error
+// and leaves the rest of the work queued.
+func TestDrainMCObservesCancel(t *testing.T) {
+	full := backlog(t)
+	if err := full.drainMC(context.Background()); err != nil {
+		t.Fatalf("uncancelled drain: %v", err)
+	}
+	if steps := full.ctrl.Steps(); steps <= 2*ctxCheckInterval {
+		t.Fatalf("the drain took %d steps, want more than %d", steps, 2*ctxCheckInterval)
+	}
+
+	r := backlog(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := r.drainMC(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("drain with a cancelled context = %v, want context.Canceled", err)
+	}
+	if r.ctrl.NextWake(r.mcNow) == ^uint64(0) {
+		t.Fatal("the cancelled drain finished its work")
+	}
+}
+
+// stepUntilFlightDone polls ctx between controller steps: cancelled
+// while its flight's Read still queues behind more than ctxCheckInterval
+// steps of work, it stops with ctx's error and the flight not done.
+func TestStepUntilFlightDoneObservesCancel(t *testing.T) {
+	// The flight's Read is enqueued behind the whole backlog.
+	behind := func() (*runner, *flight) {
+		r := backlog(t)
+		f := r.getFlight()
+		f.line = mem.Line(1_000_000 + backlogReads)
+		r.flights.put(f)
+		r.enqueueRead(f.line, 0, 0)
+		return r, f
+	}
+	r, f := behind()
+	if err := r.stepUntilFlightDone(context.Background(), f); err != nil || !f.done {
+		t.Fatalf("uncancelled wait: err %v, done %v", err, f.done)
+	}
+	if steps := r.ctrl.Steps(); steps <= 2*ctxCheckInterval {
+		t.Fatalf("the flight completed after %d steps, want more than %d", steps, 2*ctxCheckInterval)
+	}
+
+	r, f = behind()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := r.stepUntilFlightDone(ctx, f); !errors.Is(err, context.Canceled) {
+		t.Fatalf("wait with a cancelled context = %v, want context.Canceled", err)
+	}
+	if f.done {
+		t.Fatal("the cancelled wait completed its flight")
 	}
 }
 

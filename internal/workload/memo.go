@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"sync"
 	"unsafe"
 
@@ -93,19 +92,10 @@ func materialize(ctx context.Context, prof Profile, seed uint64, thread int, bud
 	return mt, nil
 }
 
-// ProfileHash returns a stable content hash of the profile, so traces
-// for user-registered profiles that reuse a name never collide with the
-// built-in ones in a TraceCache. A registered profile's hash is computed
-// once, at registration; any other profile is hashed on each call.
+// ProfileHash returns a stable content hash of the profile: the SHA-256
+// of its JSON encoding, in hex. A registered profile's hash, taken once
+// at registration, keys its traces in a TraceCache.
 func ProfileHash(prof Profile) string {
-	if r, ok := profiles[prof.Name]; ok && reflect.DeepEqual(r.prof, prof) {
-		return r.hash
-	}
-	return hashProfile(prof)
-}
-
-// hashProfile is the SHA-256 of the profile's JSON encoding, in hex.
-func hashProfile(prof Profile) string {
 	b, err := json.Marshal(prof)
 	if err != nil {
 		// Profile is a tree of plain exported value fields; this cannot
@@ -200,14 +190,18 @@ func NewTraceCache(maxBytes int64) *TraceCache {
 		streams: make(map[streamKey]*cacheEntry), maxBytes: maxBytes}
 }
 
-// Get returns the materialized trace for (prof, seed, thread, budget),
-// generating and caching it on first use. Concurrent Gets of the same
-// key share one generation. Get returns ctx's error once ctx is
-// cancelled, whether it is generating or waiting; a cancelled
-// generation caches nothing, and the getters waiting on it whose own
-// ctx is still live generate the trace anew.
-func (c *TraceCache) Get(ctx context.Context, prof Profile, seed uint64, thread int, budget uint64) (*MaterializedTrace, error) {
-	key := traceKey{streamKey{ProfileHash(prof), thread, budget}, seed}
+// Get returns the materialized trace of the registered benchmark bench
+// for (seed, thread, budget), generating and caching it on first use.
+// Concurrent Gets of the same key share one generation. Get returns
+// ctx's error once ctx is cancelled, whether it is generating or
+// waiting; a cancelled generation caches nothing, and the getters
+// waiting on it whose own ctx is still live generate the trace anew.
+func (c *TraceCache) Get(ctx context.Context, bench string, seed uint64, thread int, budget uint64) (*MaterializedTrace, error) {
+	r, ok := profiles[bench]
+	if !ok {
+		return nil, errUnknown(bench)
+	}
+	key := traceKey{streamKey{r.hash, thread, budget}, seed}
 	for {
 		c.mu.Lock()
 		e := c.entries[key]
@@ -222,7 +216,7 @@ func (c *TraceCache) Get(ctx context.Context, prof Profile, seed uint64, thread 
 		c.mu.Unlock()
 
 		if fresh {
-			e.generate(ctx, prof, seed, thread, budget)
+			e.generate(ctx, r.prof, seed, thread, budget)
 		} else {
 			select {
 			case <-e.done:

@@ -105,18 +105,18 @@ func TestTraceCacheHitMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewTraceCache(0)
-	a, err := c.Get(context.Background(), prof, 1, 0, 50_000)
+	a, err := c.Get(context.Background(), prof.Name, 1, 0, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Get(context.Background(), prof, 1, 0, 50_000)
+	b, err := c.Get(context.Background(), prof.Name, 1, 0, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("second Get of the same key returned a different trace")
 	}
-	if _, err := c.Get(context.Background(), prof, 1, 0, 60_000); err != nil {
+	if _, err := c.Get(context.Background(), prof.Name, 1, 0, 60_000); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -138,12 +138,12 @@ func TestTraceCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewTraceCache(1) // below any single trace: only the newest survives
-	a, err := c.Get(context.Background(), prof, 1, 0, 50_000)
+	a, err := c.Get(context.Background(), prof.Name, 1, 0, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantLen := len(a.Records)
-	if _, err := c.Get(context.Background(), prof, 1, 1, 50_000); err != nil {
+	if _, err := c.Get(context.Background(), prof.Name, 1, 1, 50_000); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Entries != 1 || st.Evictions != 1 {
@@ -153,7 +153,7 @@ func TestTraceCacheEviction(t *testing.T) {
 	if len(a.Records) != wantLen {
 		t.Fatal("evicted trace mutated")
 	}
-	if _, err := c.Get(context.Background(), prof, 1, 0, 50_000); err != nil {
+	if _, err := c.Get(context.Background(), prof.Name, 1, 0, 50_000); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Misses != 3 {
@@ -186,11 +186,11 @@ func TestTraceCacheOneSeedPerStream(t *testing.T) {
 	}
 	ctx := context.Background()
 	c := NewTraceCache(0)
-	a, err := c.Get(ctx, prof, 1, 0, 50_000)
+	a, err := c.Get(ctx, prof.Name, 1, 0, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Get(ctx, prof, 2, 0, 50_000)
+	b, err := c.Get(ctx, prof.Name, 2, 0, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +206,14 @@ func TestTraceCacheOneSeedPerStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRecords(t, a, want)
-	if again, err := c.Get(ctx, prof, 2, 0, 50_000); err != nil || again != b {
+	if again, err := c.Get(ctx, prof.Name, 2, 0, 50_000); err != nil || again != b {
 		t.Fatalf("the kept seed did not hit: %v", err)
 	}
 
-	if _, err := c.Get(ctx, prof, 2, 1, 50_000); err != nil {
+	if _, err := c.Get(ctx, prof.Name, 2, 1, 50_000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(ctx, prof, 2, 0, 60_000); err != nil {
+	if _, err := c.Get(ctx, prof.Name, 2, 0, 60_000); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Entries != 3 || st.Evictions != 1 {
@@ -230,7 +230,7 @@ func TestTraceCacheAlternatingSeedsMiss(t *testing.T) {
 	}
 	c := NewTraceCache(0)
 	for i := 0; i < 6; i++ {
-		if _, err := c.Get(context.Background(), prof, uint64(1+i%2), 0, 20_000); err != nil {
+		if _, err := c.Get(context.Background(), prof.Name, uint64(1+i%2), 0, 20_000); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,14 +250,14 @@ func TestTraceCacheSupersededWaiter(t *testing.T) {
 	}
 	ctx := context.Background()
 	c := NewTraceCache(0)
-	a, err := c.Get(ctx, prof, 1, 0, 50_000)
+	a, err := c.Get(ctx, prof.Name, 1, 0, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.mu.Lock()
 	waitedOn := c.entries[traceKey{streamKey{ProfileHash(prof), 0, 50_000}, 1}]
 	c.mu.Unlock()
-	if _, err := c.Get(ctx, prof, 2, 0, 50_000); err != nil {
+	if _, err := c.Get(ctx, prof.Name, 2, 0, 50_000); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Stats()
@@ -276,7 +276,7 @@ func TestTraceCacheSupersededWaiter(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], _ = c.Get(ctx, prof, uint64(3+i%2), 0, 100_000)
+			got[i], _ = c.Get(ctx, prof.Name, uint64(3+i%2), 0, 100_000)
 		}(i)
 	}
 	wg.Wait()
@@ -314,7 +314,7 @@ func TestTraceCacheConcurrentSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			mt, err := c.Get(context.Background(), prof, 1, 0, 100_000)
+			mt, err := c.Get(context.Background(), prof.Name, 1, 0, 100_000)
 			if err != nil {
 				t.Error(err)
 				return
@@ -362,7 +362,7 @@ func TestTraceCacheWaiterOutlivesCancelledGenerator(t *testing.T) {
 		genCtx, cancelGen := context.WithCancel(context.Background())
 		genErr := make(chan error, 1)
 		go func() {
-			_, err := c.Get(genCtx, prof, 1, 0, budget)
+			_, err := c.Get(genCtx, prof.Name, 1, 0, budget)
 			genErr <- err
 		}()
 		waitFor("the generator", func(st TraceCacheStats) bool { return st.Misses == 1 })
@@ -373,7 +373,7 @@ func TestTraceCacheWaiterOutlivesCancelledGenerator(t *testing.T) {
 		)
 		go func() {
 			defer close(waited)
-			mt, mtErr = c.Get(context.Background(), prof, 1, 0, budget)
+			mt, mtErr = c.Get(context.Background(), prof.Name, 1, 0, budget)
 		}()
 		waitFor("the waiter", func(st TraceCacheStats) bool { return st.Hits == 1 })
 		cancelGen()
@@ -410,8 +410,8 @@ func TestProfileHashContent(t *testing.T) {
 	if ProfileHash(a) != ProfileHash(b) {
 		t.Fatal("equal profiles hash differently")
 	}
-	// The hash computed at registration is the content hash.
-	if ProfileHash(a) != hashProfile(a) {
+	// The hash taken at registration is the content hash.
+	if profiles[a.Name].hash != ProfileHash(a) {
 		t.Fatal("registered hash differs from the profile's content hash")
 	}
 	b.MeanGap++
@@ -423,5 +423,32 @@ func TestProfileHashContent(t *testing.T) {
 	c.Phases[0].TailContinue /= 2
 	if ProfileHash(a) == ProfileHash(c) {
 		t.Fatal("profiles with different phases hash equal")
+	}
+}
+
+// A ByName result's phases are the caller's: editing one in place
+// leaves the registered benchmark, and so its hash and its traces' key,
+// as they were, and the edited profile hashes as the new content.
+func TestByNamePhasesAreTheCallers(t *testing.T) {
+	a, err := ByName("GemsFDTD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := profiles["GemsFDTD"].hash
+	a.Phases[0].StreamLen[0] += 1
+	a.Phases[0].TailContinue /= 2
+
+	b, err := ByName("GemsFDTD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Phases[0].StreamLen[0] == a.Phases[0].StreamLen[0] || b.Phases[0].TailContinue == a.Phases[0].TailContinue {
+		t.Fatalf("editing a ByName result's phase edited the registry: %+v", b.Phases[0])
+	}
+	if got := ProfileHash(b); got != registered || profiles["GemsFDTD"].hash != registered {
+		t.Fatalf("registered hash moved: %s, want %s", got, registered)
+	}
+	if ProfileHash(a) == registered {
+		t.Fatal("the edited profile hashes as the registered one")
 	}
 }

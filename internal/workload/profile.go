@@ -184,22 +184,35 @@ func Register(p Profile) error {
 	if _, dup := profiles[p.Name]; dup {
 		return fmt.Errorf("workload: duplicate profile %s", p.Name)
 	}
-	p.Phases = slices.Clone(p.Phases)
-	for i := range p.Phases {
-		p.Phases[i].StreamLen = slices.Clone(p.Phases[i].StreamLen)
-	}
-	profiles[p.Name] = registered{prof: p, hash: hashProfile(p)}
+	p.Phases = clonePhases(p.Phases)
+	profiles[p.Name] = registered{prof: p, hash: ProfileHash(p)}
 	return nil
 }
 
-// ByName returns the profile registered under name. It shares its
-// Phases with the registry: copy them before modifying them.
+// ByName returns the profile registered under name. Its phases are the
+// caller's own: editing them leaves the registered benchmark as it was.
 func ByName(name string) (Profile, error) {
 	r, ok := profiles[name]
 	if !ok {
-		return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
+		return Profile{}, errUnknown(name)
 	}
-	return r.prof, nil
+	p := r.prof
+	p.Phases = clonePhases(p.Phases)
+	return p, nil
+}
+
+// errUnknown is the error for a benchmark name nothing registered.
+func errUnknown(name string) error {
+	return fmt.Errorf("workload: unknown benchmark %q", name)
+}
+
+// clonePhases returns a copy of phases that shares no slice with it.
+func clonePhases(phases []Phase) []Phase {
+	phases = slices.Clone(phases)
+	for i := range phases {
+		phases[i].StreamLen = slices.Clone(phases[i].StreamLen)
+	}
+	return phases
 }
 
 // Names returns all registered benchmark names, sorted.
