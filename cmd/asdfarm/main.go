@@ -27,7 +27,9 @@
 //
 // Daemon mode exposes POST /jobs, GET /jobs, GET /jobs/{id},
 // DELETE /jobs/{id}, and the Prometheus exposition on GET /metrics
-// (with the store's farm_store_* families under -out).
+// (with the store's farm_store_* families under -out). GET
+// /explain/{key} and /diff/{a}/{b} replay the specs of held jobs to
+// explain a prefetch or attribute an outcome delta.
 // -role=coordinator additionally serves the cluster lease protocol on
 // POST /cluster/rpc and executes jobs on registered workers;
 // -role=worker joins a coordinator and contributes -workers lease
@@ -49,7 +51,6 @@ import (
 	"os/signal"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -58,9 +59,7 @@ import (
 	"asdsim/internal/cluster"
 	"asdsim/internal/cluster/rpc"
 	"asdsim/internal/farm"
-	"asdsim/internal/mem"
 	"asdsim/internal/obs"
-	"asdsim/internal/obs/prov"
 	"asdsim/internal/obs/span"
 	"asdsim/internal/report"
 	"asdsim/internal/sim"
@@ -82,10 +81,6 @@ func main() {
 		runBatch(os.Args[2:])
 	case "serve":
 		serve(os.Args[2:])
-	case "explain":
-		explainCmd(os.Args[2:])
-	case "diff":
-		diffCmd(os.Args[2:])
 	default:
 		fmt.Fprintf(os.Stderr, "asdfarm: unknown subcommand %q\n", os.Args[1])
 		usage()
@@ -95,11 +90,8 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  asdfarm run     [flags]             run a benchmark x mode matrix to completion
-  asdfarm serve   [flags]             serve the farm's HTTP job API
-  asdfarm explain [flags] <key>       print a stored run's prefetch lineage tree
-  asdfarm diff    [flags] <a> <b>     attribute two stored runs' outcome delta
-                                      to their decision divergences
+  asdfarm run   [flags]   run a benchmark x mode matrix to completion
+  asdfarm serve [flags]   serve the farm's HTTP job API
 run 'asdfarm <cmd> -h' for flags`)
 }
 
@@ -138,7 +130,6 @@ func runBatch(args []string) {
 	sampleFuncWarm := fs.Uint64("sample-funcwarm", 0, "bound functional warming to the last N instructions before each window (0 = warm the whole gap)")
 	sampleConf := fs.Float64("sample-confidence", 0, "confidence level for CPI intervals: 0.90, 0.95 or 0.99 (0 = default)")
 	out := fs.String("out", "", "results store directory; enables persistence and resume (-outcomes writes the canonical export); not with -cluster")
-	provDir := fs.String("prov", "", "provenance sidecar directory; records every run's per-prefetch lineage for 'asdfarm explain'/'diff'; not with -cluster")
 	outcomes := fs.String("outcomes", "", "write the canonical outcome set (sorted JSON, wall-clock-free) here")
 	clusterURL := fs.String("cluster", "", "coordinator base URL; run the matrix on the distributed farm")
 	tracePath := fs.String("trace", "", "write a Perfetto/Chrome trace of the batch here (with -cluster: the coordinator's merged distributed trace)")
@@ -169,10 +160,9 @@ func runBatch(args []string) {
 	}
 
 	if *clusterURL != "" {
-		if *out != "" || *provDir != "" {
-			fatal(errors.New("-out and -prov do not apply with -cluster: the coordinator keeps results in the store " +
-				"its own 'serve -out' names, -outcomes writes the canonical outcome set locally, " +
-				"and only local runs record provenance"))
+		if *out != "" {
+			fatal(errors.New("-out does not apply with -cluster: the coordinator keeps results in the store " +
+				"its own 'serve -out' names, and -outcomes writes the canonical outcome set locally"))
 		}
 		runOnCluster(*clusterURL, m, len(specs), *outcomes, *tracePath, *quiet)
 		return
@@ -194,13 +184,6 @@ func runBatch(args []string) {
 	if *tracePath != "" {
 		bt = newBatchTracer()
 		opts.Instrument = bt.instrument
-	}
-	if *provDir != "" {
-		ps, err := prov.OpenStore(*provDir)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Provenance = farm.NewProvenance(ps).Attach
 	}
 	pool := farm.New(opts)
 	runMatrix(pool, specs, store, *outcomes, *quiet)
@@ -599,7 +582,6 @@ func serve(args []string) {
 	name := fs.String("name", "", "worker label shown by the coordinator (default hostname)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof endpoints under /debug/pprof/ and runtime memstats at /debug/vars")
 	observe := fs.Bool("observe", true, "attach per-run telemetry: flight recorder, sparklines, depth table (local role)")
-	provDir := fs.String("prov", "", "provenance sidecar directory; records per-prefetch lineage and serves /explain and /diff (local role)")
 	fs.Parse(args)
 
 	var store *farm.Store
@@ -613,7 +595,7 @@ func serve(args []string) {
 
 	switch *role {
 	case "local":
-		serveLocal(*addr, *workers, store, *pprofOn, *observe, *provDir)
+		serveLocal(*addr, *workers, store, *pprofOn, *observe)
 	case "coordinator":
 		serveCoordinator(*addr, store, *leaseTTL, *workerTTL, *pprofOn)
 	case "worker":
@@ -626,29 +608,17 @@ func serve(args []string) {
 	}
 }
 
-func serveLocal(addr string, workers int, store *farm.Store, pprofOn, observe bool, provDir string) {
+func serveLocal(addr string, workers int, store *farm.Store, pprofOn, observe bool) {
 	opts := farm.Options{Workers: workers}
 	var tel *farm.Telemetry
 	if observe {
 		tel = farm.NewTelemetry()
 		opts.Instrument = tel.Instrument
 	}
-	var pcol *farm.Provenance
-	if provDir != "" {
-		ps, err := prov.OpenStore(provDir)
-		if err != nil {
-			fatal(err)
-		}
-		pcol = farm.NewProvenance(ps)
-		opts.Provenance = pcol.Attach
-	}
 	pool := farm.New(opts)
 	api := farm.NewServer(pool, store)
 	if tel != nil {
 		api.AttachTelemetry(tel)
-	}
-	if pcol != nil {
-		api.AttachProvenance(pcol)
 	}
 	if pprofOn {
 		api.EnablePprof()
@@ -723,106 +693,6 @@ func serveHTTP(addr string, api *farm.Server, handler http.Handler) {
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
-}
-
-// loadProvStream loads one stored stream by spec key or unique key
-// prefix from the sidecar directory.
-func loadProvStream(dir, key string) (*prov.Stream, string) {
-	ps, err := prov.OpenStore(dir)
-	if err != nil {
-		fatal(err)
-	}
-	full, err := ps.Resolve(key)
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", dir, err))
-	}
-	st, ok, err := ps.Load(full)
-	if err != nil {
-		fatal(err)
-	}
-	if !ok {
-		fatal(fmt.Errorf("no provenance stream for key %q in %s", full, dir))
-	}
-	return st, full
-}
-
-// explainCmd prints the lineage tree of one prefetch from a stored
-// run's provenance sidecar — the CLI twin of the server's
-// GET /explain/{key}.
-func explainCmd(args []string) {
-	fs := flag.NewFlagSet("asdfarm explain", flag.ExitOnError)
-	provDir := fs.String("prov", "prov", "provenance sidecar directory (written by run/serve with -prov)")
-	lineFlag := fs.String("line", "", "cache line to explain, hex or decimal (default: the last explainable prefetch)")
-	cycleFlag := fs.Uint64("cycle", math.MaxUint64, "explain the line's lineage generation at or before this cycle")
-	jsonOut := fs.Bool("json", false, "emit the structured lineage as JSON instead of the tree")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fatal(errors.New("usage: asdfarm explain [-prov dir] [-line 0x..] [-cycle N] <spec-key>"))
-	}
-	st, _ := loadProvStream(*provDir, fs.Arg(0))
-
-	var line mem.Line
-	cycle := *cycleFlag
-	if *lineFlag != "" {
-		v, err := strconv.ParseUint(*lineFlag, 0, 64)
-		if err != nil {
-			fatal(fmt.Errorf("bad -line %q: %w", *lineFlag, err))
-		}
-		line = mem.Line(v)
-	} else {
-		var ok bool
-		if line, cycle, ok = prov.LastExplainable(st); !ok {
-			fatal(errors.New("stream records no explainable prefetch (did the run prefetch at all?)"))
-		}
-	}
-	lin, err := prov.Explain(st, line, cycle)
-	if err != nil {
-		fatal(err)
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(lin)
-		return
-	}
-	lin.WriteTree(os.Stdout)
-}
-
-// diffCmd attributes the outcome delta between two stored runs to
-// their recorded decision divergences — the CLI twin of the server's
-// GET /diff/{a}/{b}.
-func diffCmd(args []string) {
-	fs := flag.NewFlagSet("asdfarm diff", flag.ExitOnError)
-	provDir := fs.String("prov", "prov", "provenance sidecar directory (written by run/serve with -prov)")
-	storePath := fs.String("store", "", "results store directory; fills the report's cycles/IPC context")
-	jsonOut := fs.Bool("json", false, "emit the structured report as JSON instead of text")
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		fatal(errors.New("usage: asdfarm diff [-prov dir] [-store dir] <spec-key-A> <spec-key-B>"))
-	}
-	a, keyA := loadProvStream(*provDir, fs.Arg(0))
-	b, keyB := loadProvStream(*provDir, fs.Arg(1))
-	rep := prov.Diff(a, b)
-	if *storePath != "" {
-		store, err := farm.OpenStore(*storePath)
-		if err != nil {
-			fatal(err)
-		}
-		defer store.Close()
-		if o, ok := store.Lookup(keyA); ok && o.Result != nil {
-			rep.CyclesA, rep.IPCA = o.Result.Cycles, o.Result.IPC
-		}
-		if o, ok := store.Lookup(keyB); ok && o.Result != nil {
-			rep.CyclesB, rep.IPCB = o.Result.Cycles, o.Result.IPC
-		}
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(rep)
-		return
-	}
-	rep.WriteReport(os.Stdout)
 }
 
 // short abbreviates a 64-hex spec key for log lines.

@@ -47,8 +47,8 @@ func asdfarm(t *testing.T, args ...string) (int, string) {
 }
 
 // TestClusterRunRefusesLocalOnlyFlags: a -cluster run cannot honour
-// -out or -prov, so it refuses them before it contacts the
-// coordinator, and says where a cluster run's results are kept.
+// -out, so it refuses it before it contacts the coordinator, and says
+// where a cluster run's results are kept.
 func TestClusterRunRefusesLocalOnlyFlags(t *testing.T) {
 	var requests atomic.Int64
 	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -58,31 +58,27 @@ func TestClusterRunRefusesLocalOnlyFlags(t *testing.T) {
 	defer coord.Close()
 	dir := t.TempDir()
 	run := []string{"run", "-benchmarks", "mg", "-modes", "NP", "-budget", "10000", "-quiet", "-cluster", coord.URL}
-	out, prov := filepath.Join(dir, "store"), filepath.Join(dir, "prov")
+	out := filepath.Join(dir, "store")
 
-	for _, flags := range [][]string{{"-out", out}, {"-prov", prov}, {"-out", out, "-prov", prov}} {
-		code, stderr := asdfarm(t, append(run, flags...)...)
-		if code != 1 {
-			t.Errorf("%v: exit %d, want 1; stderr:\n%s", flags, code, stderr)
-		}
-		for _, want := range []string{"-out and -prov do not apply with -cluster", "'serve -out'", "-outcomes"} {
-			if !strings.Contains(stderr, want) {
-				t.Errorf("%v: stderr does not name %q:\n%s", flags, want, stderr)
-			}
+	code, stderr := asdfarm(t, append(run, "-out", out)...)
+	if code != 1 {
+		t.Errorf("-out: exit %d, want 1; stderr:\n%s", code, stderr)
+	}
+	for _, want := range []string{"-out does not apply with -cluster", "'serve -out'", "-outcomes"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("-out: stderr does not name %q:\n%s", want, stderr)
 		}
 	}
 	if n := requests.Load(); n != 0 {
-		t.Errorf("the refused runs sent the coordinator %d requests, want 0", n)
+		t.Errorf("the refused run sent the coordinator %d requests, want 0", n)
 	}
-	for _, path := range []string{out, prov} {
-		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("a refused run left %s behind (%v)", path, err)
-		}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused run left %s behind (%v)", out, err)
 	}
 
-	// Without them the same run goes to the coordinator, and the refusal
+	// Without it the same run goes to the coordinator, and the refusal
 	// names the URL, the status and the reply.
-	code, stderr := asdfarm(t, run...)
+	code, stderr = asdfarm(t, run...)
 	if code != 1 || requests.Load() == 0 {
 		t.Errorf("plain -cluster run: exit %d after %d requests, want a submit the stub refuses; stderr:\n%s",
 			code, requests.Load(), stderr)

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"asdsim/internal/obs"
-	"asdsim/internal/obs/prov"
 	"asdsim/internal/sim"
 	"asdsim/internal/workload"
 )
@@ -113,13 +112,6 @@ type Options struct {
 	// perturbation tests pin this), so instrumented farms stay
 	// bit-identical to bare ones.
 	Instrument func(spec Spec) (bus *obs.Bus, finish func(res *sim.Result, err error))
-	// Provenance, when set, is invoked before every attempt alongside
-	// Instrument. The returned recorder (which may be nil) is attached
-	// as the attempt's prefetch-provenance recorder, and finish — if
-	// non-nil — is called when the attempt ends. Like Instrument, the
-	// recorder never changes simulated outcomes (the provenance
-	// perturbation tests pin this).
-	Provenance func(spec Spec) (rec *prov.Recorder, finish func(res *sim.Result, err error))
 }
 
 // retryBackoff is the first retry's delay, doubled per subsequent
@@ -293,13 +285,6 @@ func (p *Pool) attempt(ctx context.Context, spec Spec, o *Outcome) (res sim.Resu
 		if fin != nil {
 			// Registered before the recover defer so it runs after the
 			// panic (if any) has been converted into err.
-			defer func() { fin(&res, err) }()
-		}
-	}
-	if p.opts.Provenance != nil {
-		rec, fin := p.opts.Provenance(spec)
-		spec.Config.Prov = rec
-		if fin != nil {
 			defer func() { fin(&res, err) }()
 		}
 	}

@@ -113,9 +113,6 @@ func (s *Server) buildRegistry() *prom.Registry {
 	if s.telemetry != nil {
 		s.telemetry.addTo(reg)
 	}
-	if s.provenance != nil {
-		s.provenance.addTo(reg)
-	}
 	if tc, ok := s.runner.(traceCacheSource); ok {
 		addTraceCacheTo(reg, tc.TraceCacheStats())
 	}

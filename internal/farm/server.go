@@ -3,7 +3,6 @@ package farm
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"expvar"
 	"fmt"
 	"net/http"
@@ -42,20 +41,27 @@ type Runner interface {
 //	DELETE /jobs/{id}  cancel a running job
 //	GET    /metrics    Prometheus text exposition of every counter
 //	GET    /events     SSE stream of what is not a counter: job progress,
-//	                   gains, sparklines, anomalies, timelines, and a
-//	                   coordinator's lease transitions
+//	                   gains, sparklines, anomalies, and a coordinator's
+//	                   lease transitions
 //	GET    /dashboard  live page over /events and /metrics
+//	GET    /flightrec  retained triage triggers; /flightrec/{id} replays
+//	                   one run into its bundle
+//	GET    /explain/{key}, /diff/{a}/{b}
+//	                   a held run's prefetch lineage, or two held runs'
+//	                   decision divergences, rebuilt by replay
 //
 // A non-nil store gives every submitted job resume-from-partial-results
 // against the same store the CLI writes. The job table keeps every
 // running job and the maxFinishedJobs newest finished ones; an older
 // finished job is dropped at the next submit and is then a 404.
 type Server struct {
-	runner     Runner
-	store      *Store
-	pprof      bool
-	telemetry  *Telemetry
-	provenance *Provenance
+	runner    Runner
+	store     *Store
+	pprof     bool
+	telemetry *Telemetry
+	// replaying admits one replay at a time: a triage bundle's, or the
+	// provenance replays of one /explain or /diff.
+	replaying replayGate
 	// sseInterval is the /events push period; tests shrink it.
 	sseInterval time.Duration
 
@@ -102,7 +108,7 @@ type serverJob struct {
 // Coordinator — and an optional store in the HTTP API.
 func NewServer(r Runner, store *Store) *Server {
 	return &Server{runner: r, store: store, jobs: make(map[string]*serverJob),
-		sseInterval: time.Second, shutdown: make(chan struct{})}
+		replaying: make(replayGate, 1), sseInterval: time.Second, shutdown: make(chan struct{})}
 }
 
 // AttachTelemetry registers the aggregator feeding the Prometheus
@@ -112,15 +118,6 @@ func (s *Server) AttachTelemetry(t *Telemetry) { s.telemetry = t }
 
 // Telemetry returns the attached aggregator (nil when none).
 func (s *Server) Telemetry() *Telemetry { return s.telemetry }
-
-// AttachProvenance registers the collector feeding /explain, /diff, the
-// dashboard's decision-timeline panel and the provenance Prometheus
-// counters. The caller wires p.Attach into the pool's
-// Options.Provenance.
-func (s *Server) AttachProvenance(p *Provenance) { s.provenance = p }
-
-// Provenance returns the attached collector (nil when none).
-func (s *Server) Provenance() *Provenance { return s.provenance }
 
 // Shutdown cancels every running job, wakes all /events streams so they
 // terminate, and waits — up to ctx's deadline — for the jobs to reach a
@@ -635,7 +632,7 @@ func (s *Server) handleFlightrecBundle(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no telemetry attached"))
 		return
 	}
-	b, err := s.telemetry.Bundle(r.Context(), id)
+	b, err := s.telemetry.bundle(r.Context(), id, s.replaying)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -653,38 +650,13 @@ func (s *Server) handleFlightrecBundle(w http.ResponseWriter, r *http.Request) {
 	b.WriteJSON(w)
 }
 
-// loadProvStream fetches one stored provenance stream by spec key or
-// unique key prefix: an ambiguous prefix is a 400, an unknown one a 404.
-func (s *Server) loadProvStream(key string) (*prov.Stream, int, error) {
-	if s.provenance == nil || s.provenance.Store() == nil {
-		return nil, http.StatusNotFound, fmt.Errorf("no provenance store attached")
-	}
-	ps := s.provenance.Store()
-	full, err := ps.Resolve(key)
-	switch {
-	case errors.Is(err, prov.ErrAmbiguousKey):
-		return nil, http.StatusBadRequest, err
-	case errors.Is(err, prov.ErrNoStream):
-		return nil, http.StatusNotFound, err
-	case err != nil:
-		return nil, http.StatusInternalServerError, err
-	}
-	st, ok, err := ps.Load(full)
-	if err != nil {
-		return nil, http.StatusInternalServerError, err
-	} else if !ok {
-		return nil, http.StatusNotFound, fmt.Errorf("no provenance stream for key %q", full)
-	}
-	return st, http.StatusOK, nil
-}
-
-// handleExplain serves the lineage tree of one prefetch from a stored
-// run's provenance sidecar: the last explainable prefetch by default,
-// or ?line=0x..(&cycle=N) to pick one. ?format=json returns the
-// structured lineage.
+// handleExplain serves the lineage tree of one prefetch of a held run,
+// rebuilt by replaying its spec: the last explainable prefetch by
+// default, or ?line=0x..(&cycle=N) to pick one. ?format=json returns
+// the structured lineage.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	st, status, err := s.loadProvStream(key)
+	run, status, err := s.held(key)
 	if err != nil {
 		writeErr(w, status, err)
 		return
@@ -692,7 +664,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var line mem.Line
 	cycle := ^uint64(0) // no ?cycle=: the line's newest generation
-	if ls := q.Get("line"); ls != "" {
+	ls := q.Get("line")
+	if ls != "" {
 		v, perr := strconv.ParseUint(ls, 0, 64)
 		if perr != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad line %q: %w", ls, perr))
@@ -705,11 +678,18 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-	} else {
+	}
+	reps, err := s.replayProv(r.Context(), run)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	st := reps[0].stream
+	if ls == "" {
 		var ok bool
 		if line, cycle, ok = prov.LastExplainable(st); !ok {
 			writeErr(w, http.StatusNotFound,
-				fmt.Errorf("stream for %q records no explainable prefetch", key))
+				fmt.Errorf("run %q records no explainable prefetch", key))
 			return
 		}
 	}
@@ -726,32 +706,30 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	lin.WriteTree(w)
 }
 
-// handleDiff attributes the outcome delta between two stored runs to
-// their decision divergences: first diverging SLH epoch plus
-// per-stream-length lifecycle deltas, with cycles/IPC context pulled
-// from the outcome store when available. ?format=json returns the
+// handleDiff attributes the outcome delta between two held runs to
+// their decision divergences, rebuilt by replaying both specs: the
+// first diverging SLH epoch plus per-stream-length lifecycle deltas,
+// with the replayed runs' cycles and IPC. ?format=json returns the
 // structured report.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	keyA, keyB := r.PathValue("a"), r.PathValue("b")
-	a, status, err := s.loadProvStream(keyA)
+	a, status, err := s.held(r.PathValue("a"))
 	if err != nil {
 		writeErr(w, status, err)
 		return
 	}
-	b, status, err := s.loadProvStream(keyB)
+	b, status, err := s.held(r.PathValue("b"))
 	if err != nil {
 		writeErr(w, status, err)
 		return
 	}
-	rep := prov.Diff(a, b)
-	if s.store != nil {
-		if o, ok := s.store.Lookup(keyA); ok && o.Result != nil {
-			rep.CyclesA, rep.IPCA = o.Result.Cycles, o.Result.IPC
-		}
-		if o, ok := s.store.Lookup(keyB); ok && o.Result != nil {
-			rep.CyclesB, rep.IPCB = o.Result.Cycles, o.Result.IPC
-		}
+	reps, err := s.replayProv(r.Context(), a, b)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
 	}
+	rep := prov.Diff(reps[0].stream, reps[1].stream)
+	rep.CyclesA, rep.IPCA = reps[0].result.Cycles, reps[0].result.IPC
+	rep.CyclesB, rep.IPCB = reps[1].result.Cycles, reps[1].result.IPC
 	if r.URL.Query().Get("format") == "json" {
 		writeJSON(w, http.StatusOK, rep)
 		return

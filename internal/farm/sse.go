@@ -8,15 +8,13 @@ import (
 )
 
 // eventsPayload is one SSE frame's body: what GET /metrics does not
-// carry. That is every job's live progress and gains, the sparklines,
-// the anomaly feed and the per-run decision timelines, plus a
-// coordinator's recent lease transitions. Counters are read from
-// GET /metrics alone.
+// carry. That is every job's live progress and gains, the sparklines
+// and the anomaly feed, plus a coordinator's recent lease transitions.
+// Counters are read from GET /metrics alone.
 type eventsPayload struct {
 	Jobs        []eventsJob  `json:"jobs"`
 	Sparks      []Spark      `json:"sparks"`
 	Anomalies   []Anomaly    `json:"anomalies"`
-	Timelines   []Timeline   `json:"timelines"`
 	LeaseEvents []LeaseEvent `json:"lease_events,omitempty"`
 }
 
@@ -36,9 +34,6 @@ func (s *Server) eventsFrame() eventsPayload {
 	if s.telemetry != nil {
 		p.Sparks = s.telemetry.Sparks()
 		p.Anomalies = s.telemetry.Anomalies()
-	}
-	if s.provenance != nil {
-		p.Timelines = s.provenance.Timelines()
 	}
 	if cs := s.clusterSnapshot(); cs != nil {
 		p.LeaseEvents = cs.LeaseEvents

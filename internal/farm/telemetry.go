@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	prom "asdsim/internal/metrics"
@@ -23,12 +24,12 @@ import (
 // their worker goroutine, so the simulation hot path takes no locks;
 // only the end-of-run merge does.
 //
-// No attempt captures a triage bundle. Telemetry retains the triggers a
-// capturing recorder would have bundled, with their specs, and builds a
-// bundle on its first request by running the spec again with a
-// capturing recorder (see Bundle): a run is a pure function of its
-// spec, and a detect-only recorder closes the windows a capturing one
-// does, so the trigger recurs.
+// No attempt captures a triage bundle. Telemetry retains the newest
+// triggers a capturing recorder would have bundled, with their specs,
+// and builds a bundle on its first request by running the spec again
+// with a capturing recorder (see bundle): a run is a pure function of
+// its spec, and a detect-only recorder closes the windows a capturing
+// one does, so the trigger recurs.
 type Telemetry struct {
 	mu        sync.Mutex
 	runs      uint64
@@ -36,11 +37,8 @@ type Telemetry struct {
 	sparks    map[string]Spark // keyed by "bench/mode"; last run wins
 	order     []string         // spark insertion order
 	anomalies []Anomaly
-	bundles   []*TriageBundle
+	bundles   []*TriageBundle // oldest first
 	bundleSeq int
-
-	// replaying admits one bundle replay at a time.
-	replaying chan struct{}
 }
 
 // Spark is one run's downsampled CAQ-occupancy time series.
@@ -79,7 +77,8 @@ type TriageBundle struct {
 const (
 	// sparkPoints bounds each run's CAQ sparkline (downsampled).
 	sparkPoints = 60
-	// maxBundles bounds retained triage bundles across all runs.
+	// maxBundles bounds retained triage bundles across all runs; the
+	// newest are kept.
 	maxBundles = 16
 	// runBundles bounds the bundles of one run: each attempt's recorder
 	// captures (or, detect-only, would capture) its first runBundles
@@ -91,7 +90,7 @@ const (
 
 // NewTelemetry returns an empty telemetry aggregator.
 func NewTelemetry() *Telemetry {
-	return &Telemetry{sparks: make(map[string]Spark), replaying: make(chan struct{}, 1)}
+	return &Telemetry{sparks: make(map[string]Spark)}
 }
 
 // newRecorder returns the flight recorder for one run of spec: the
@@ -142,10 +141,13 @@ func (t *Telemetry) absorb(spec Spec, label string, rec *flightrec.Recorder) {
 	for i, tr := range rec.Triggers() {
 		a := Anomaly{Benchmark: spec.Benchmark, Mode: spec.Mode.String(),
 			Engine: spec.Config.Engine.String(), Trigger: tr}
-		// Retain a trigger a capturing recorder would have bundled
-		// while there is room. Only a retained trigger pays for the
-		// run's identity: spec key and trace.
-		if i < runBundles && len(t.bundles) < maxBundles {
+		// Retain a trigger a capturing recorder would have bundled. Only
+		// a retained trigger pays for the run's identity: spec key and
+		// trace.
+		if i < runBundles {
+			if len(t.bundles) == maxBundles {
+				t.dropOldestBundle()
+			}
 			t.bundleSeq++
 			a.BundleID = fmt.Sprintf("b%d", t.bundleSeq)
 			key := spec.Key()
@@ -156,6 +158,18 @@ func (t *Telemetry) absorb(spec Spec, label string, rec *flightrec.Recorder) {
 	}
 	if len(t.anomalies) > maxAnomalies {
 		t.anomalies = append(t.anomalies[:0:0], t.anomalies[len(t.anomalies)-maxAnomalies:]...)
+	}
+}
+
+// dropOldestBundle forgets the oldest retained trigger and any bundle
+// built for it, and unlinks its anomaly: its ID is then unknown.
+func (t *Telemetry) dropOldestBundle() {
+	id := t.bundles[0].ID
+	t.bundles = slices.Delete(t.bundles, 0, 1)
+	for i := range t.anomalies {
+		if t.anomalies[i].BundleID == id {
+			t.anomalies[i].BundleID = ""
+		}
 	}
 }
 
@@ -221,23 +235,21 @@ func (t *Telemetry) Bundles() []TriageBundle {
 	return out
 }
 
-// Bundle returns the bundle with the given ID, or nil and no error when
+// bundle returns the bundle with the given ID, or nil and no error when
 // no retained trigger has that ID. The first request builds the bundle
-// by replaying the trigger's run, one replay at a time, and keeps it; a
-// request that waits on another's replay of the same bundle gets that
-// replay's bundle. ctx cancels the wait and the replay.
-func (t *Telemetry) Bundle(ctx context.Context, id string) (*flightrec.Bundle, error) {
+// by replaying the trigger's run inside gate, and keeps it; a request
+// that waits on another's replay of the same bundle gets that replay's
+// bundle. ctx cancels the wait and the replay.
+func (t *Telemetry) bundle(ctx context.Context, id string, gate replayGate) (*flightrec.Bundle, error) {
 	tb, b := t.retained(id)
 	if tb == nil || b != nil {
 		return b, nil
 	}
-	select {
-	case t.replaying <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if err := gate.enter(ctx); err != nil {
+		return nil, err
 	}
-	defer func() { <-t.replaying }()
-	if _, b = t.retained(id); b != nil {
+	defer gate.leave()
+	if tb, b = t.retained(id); tb == nil || b != nil {
 		return b, nil
 	}
 	b, err := replay(ctx, tb)
@@ -273,7 +285,7 @@ func replay(ctx context.Context, tb *TriageBundle) (*flightrec.Bundle, error) {
 	spec := tb.spec
 	rec := newRecorder(spec, tb.Label, false)
 	spec.Config.Obs = obs.NewBus(rec)
-	runErr := runOnce(ctx, spec)
+	_, runErr := runOnce(ctx, spec)
 	captured := len(rec.Bundles())
 	rec.Finish()
 	if runErr == nil {
@@ -295,22 +307,6 @@ func replay(ctx context.Context, tb *TriageBundle) (*flightrec.Bundle, error) {
 	}
 	return nil, fmt.Errorf("farm: replay of %s did not reproduce %s at window %d (%s)",
 		tb.Label, tr.Detector, tr.Window, tr.Detail)
-}
-
-// runOnce runs spec once, sampled when spec.Sample is set, converting a
-// panic into an error.
-func runOnce(ctx context.Context, spec Spec) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("farm: job %s/%v panicked: %v", spec.Benchmark, spec.Mode, rec)
-		}
-	}()
-	if spec.Sample != nil {
-		_, err = sim.SampledContext(ctx, spec.Benchmark, spec.Config, *spec.Sample)
-		return err
-	}
-	_, err = sim.RunContext(ctx, spec.Benchmark, spec.Config)
-	return err
 }
 
 // Depths returns a copy of the farm-wide per-depth prefetch table.

@@ -180,15 +180,15 @@ func frameKeys(t *testing.T, api *Server) []string {
 }
 
 // An /events frame carries what GET /metrics does not: job progress,
-// sparklines, anomalies and timelines, plus a coordinator's lease
-// transitions. No counter rides in it.
+// sparklines and anomalies, plus a coordinator's lease transitions. No
+// counter rides in it.
 func TestEventsFrameCarriesNoCounters(t *testing.T) {
 	run := func(ctx context.Context, s Spec) (sim.Result, error) { return fakeResult(1), nil }
 	m := Matrix{Benchmarks: []string{"GemsFDTD"}, Modes: []string{"NP"}, Budget: 1000}
 
 	srv, api, _ := startTelemetryServer(t, run)
 	submitAndFinish(t, srv, m)
-	if got, want := frameKeys(t, api), []string{"anomalies", "jobs", "sparks", "timelines"}; !reflect.DeepEqual(got, want) {
+	if got, want := frameKeys(t, api), []string{"anomalies", "jobs", "sparks"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("local frame keys = %v, want %v", got, want)
 	}
 
@@ -199,7 +199,7 @@ func TestEventsFrameCarriesNoCounters(t *testing.T) {
 	csrv := httptest.NewServer(capi.Handler())
 	defer csrv.Close()
 	submitAndFinish(t, csrv, m)
-	if got, want := frameKeys(t, capi), []string{"anomalies", "jobs", "lease_events", "sparks", "timelines"}; !reflect.DeepEqual(got, want) {
+	if got, want := frameKeys(t, capi), []string{"anomalies", "jobs", "lease_events", "sparks"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("coordinator frame keys = %v, want %v", got, want)
 	}
 }
@@ -634,7 +634,7 @@ func TestConcurrentBundleRequestsReplayOnce(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = tel.Bundle(context.Background(), id)
+			got[i], errs[i] = tel.bundle(context.Background(), id, api.replaying)
 		}()
 		go func() {
 			defer wg.Done()
@@ -727,9 +727,10 @@ type always string
 func (a always) Name() string                           { return string(a) }
 func (a always) Check(*flightrec.Window) (string, bool) { return "always", true }
 
-// Telemetry retains, while it holds fewer than maxBundles, each trigger
-// among the first runBundles of its run, and numbers them in order.
-func TestBundleRetentionStopsAt16(t *testing.T) {
+// Telemetry retains each trigger among the first runBundles of its run,
+// numbers them in order and keeps the newest maxBundles: a dropped
+// trigger's ID is unknown, and no anomaly links it.
+func TestBundleRetentionKeepsNewest16(t *testing.T) {
 	tel := NewTelemetry()
 	const runs, perRun = 5, runBundles + 1
 	for run := range runs {
@@ -747,10 +748,19 @@ func TestBundleRetentionStopsAt16(t *testing.T) {
 	if len(bundles) != maxBundles {
 		t.Fatalf("retained %d bundles, want %d", len(bundles), maxBundles)
 	}
+	// 5 runs x 4 triggers number b1...b20; the newest 16 are b5...b20.
+	first := runs*runBundles - maxBundles
 	for i, b := range bundles {
-		run, d := i/runBundles, i%runBundles
-		if b.ID != fmt.Sprint("b", i+1) || b.Label != fmt.Sprint("bench", run, "/MS") || b.Trigger.Detector != fmt.Sprint("d", d) {
-			t.Errorf("bundle %d = %s %s %s, want b%d bench%d/MS d%d", i, b.ID, b.Label, b.Trigger.Detector, i+1, run, d)
+		n := first + i
+		run, d := n/runBundles, n%runBundles
+		if b.ID != fmt.Sprint("b", n+1) || b.Label != fmt.Sprint("bench", run, "/MS") || b.Trigger.Detector != fmt.Sprint("d", d) {
+			t.Errorf("bundle %d = %s %s %s, want b%d bench%d/MS d%d", i, b.ID, b.Label, b.Trigger.Detector, n+1, run, d)
+		}
+	}
+	for n := range first {
+		id := fmt.Sprint("b", n+1)
+		if b, err := tel.bundle(context.Background(), id, make(replayGate, 1)); b != nil || err != nil {
+			t.Errorf("dropped trigger %s answers %v, %v; want unknown", id, b, err)
 		}
 	}
 	anomalies := tel.Anomalies()

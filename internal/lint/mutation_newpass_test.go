@@ -62,26 +62,27 @@ func lintLockBA(a *lintCycA, b *lintCycB) {
 	}
 }
 
-// TestRenamedWireFieldFailsVet renames prov.Stream's Dropped field on
-// the wire (via its json tag) without touching any Go call site; the
+// TestRenamedWireFieldFailsVet renames span.Span's Node field on the
+// wire (via its json tag) without touching any Go call site; the
 // wirecheck pass must flag the drift against the checked-in wire.lock.
 func TestRenamedWireFieldFailsVet(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks prov from source")
+		t.Skip("type-checks span from source")
 	}
 	l := newRealLoader(lint.WirecheckAnalyzer)
+	l.Dirs["asdsim/internal/obs/span"] = "../../internal/obs/span"
 	l.Transform = func(filename string, src []byte) []byte {
-		if filename != "prov.go" {
+		if filename != "span.go" {
 			return src
 		}
-		out := strings.Replace(string(src), "`json:\"dropped,omitempty\"`", "`json:\"lost,omitempty\"`", 1)
+		out := strings.Replace(string(src), "`json:\"node\"`", "`json:\"host\"`", 1)
 		if out == string(src) {
-			t.Fatal("mutation did not apply; prov.Stream's Dropped field changed shape")
+			t.Fatal("mutation did not apply; span.Span's Node field changed shape")
 		}
 		return []byte(out)
 	}
-	if _, err := l.Load("asdsim/internal/obs/prov"); err != nil {
-		t.Fatalf("loading mutated prov: %v", err)
+	if _, err := l.Load("asdsim/internal/obs/span"); err != nil {
+		t.Fatalf("loading mutated span: %v", err)
 	}
 	found := false
 	for _, d := range l.Diags() {
@@ -90,7 +91,7 @@ func TestRenamedWireFieldFailsVet(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("renaming Stream.Dropped on the wire produced no wirecheck drift finding; diags: %v", l.Diags())
+		t.Errorf("renaming Span.Node on the wire produced no wirecheck drift finding; diags: %v", l.Diags())
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 
 // The wirecheck pass guards the farm/cluster wire surface. Every struct
 // reachable from the wire roots (cluster.Message, farm.Spec/Outcome,
-// the provenance and trace codecs, span export) has its field names,
-// types, tags, and order recorded in the checked-in wire.lock file.
+// span export) has its field names, types, tags, and order recorded in
+// the checked-in wire.lock file.
 // Renaming, retyping, reordering, or deleting a locked field breaks
 // rolling coordinator/worker upgrades and stored-result compatibility,
 // so it fails `go vet` until the lock is deliberately regenerated with
@@ -40,7 +40,6 @@ var WirecheckAnalyzer = &Analyzer{
 		"asdsim/internal/dram",
 		"asdsim/internal/farm",
 		"asdsim/internal/mc",
-		"asdsim/internal/obs/prov",
 		"asdsim/internal/obs/span",
 		"asdsim/internal/prefetch",
 		"asdsim/internal/sim",
@@ -59,12 +58,11 @@ const WireLockName = "wire.lock"
 
 // WireRoots names the types whose reachable closure defines the wire
 // surface: the cluster envelope, the farm job spec and outcome, and
-// the provenance and span codec records. `asdlint -write-wire-lock`
-// regenerates wire.lock from these.
+// the span codec records. `asdlint -write-wire-lock` regenerates
+// wire.lock from these.
 var WireRoots = map[string][]string{
 	"asdsim/internal/cluster":  {"Message"},
 	"asdsim/internal/farm":     {"Spec", "Outcome"},
-	"asdsim/internal/obs/prov": {"Stream"},
 	"asdsim/internal/obs/span": {"Span", "Context"},
 }
 

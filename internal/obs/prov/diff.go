@@ -43,10 +43,13 @@ type LengthDelta struct {
 }
 
 // DiffReport is the result of diffing two provenance streams. The
-// cycles/IPC fields are zero unless the caller fills them from stored
-// outcomes before rendering.
+// cycles/IPC fields are zero unless the caller fills them from the
+// runs' results before rendering.
 type DiffReport struct {
 	TraceA, TraceB string
+	// DroppedA/DroppedB count the records each stream's ring lost; the
+	// tallies of a side that lost any undercount it.
+	DroppedA, DroppedB uint64
 
 	// FirstDiverge is the index (within the thread-0 snapshot sequence)
 	// of the first epoch whose LHT tables differ between the runs; -1
@@ -159,7 +162,8 @@ func snapsEqual(a, b *EpochSnap) bool {
 // Diff compares two provenance streams: the first diverging SLH epoch
 // and the per-stream-length lifecycle deltas.
 func Diff(a, b *Stream) *DiffReport {
-	rep := &DiffReport{TraceA: a.TraceID, TraceB: b.TraceID, FirstDiverge: -1}
+	rep := &DiffReport{TraceA: a.TraceID, TraceB: b.TraceID,
+		DroppedA: a.Dropped, DroppedB: b.Dropped, FirstDiverge: -1}
 
 	sa, sb := thread0Snaps(a), thread0Snaps(b)
 	rep.SnapsA, rep.SnapsB = len(sa), len(sb)
@@ -203,6 +207,10 @@ func (rep *DiffReport) WriteReport(w io.Writer) {
 	}
 	if rep.IPCA != 0 || rep.IPCB != 0 {
 		fmt.Fprintf(w, "ipc: A=%.4f B=%.4f (%+.4f)\n", rep.IPCA, rep.IPCB, rep.IPCB-rep.IPCA)
+	}
+	if rep.DroppedA != 0 || rep.DroppedB != 0 {
+		fmt.Fprintf(w, "dropped records: A=%d B=%d (the oldest; the tallies below undercount)\n",
+			rep.DroppedA, rep.DroppedB)
 	}
 	switch {
 	case rep.FirstDiverge >= 0:

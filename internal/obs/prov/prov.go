@@ -184,10 +184,10 @@ type EpochSnap struct {
 // firing order plus every epoch snapshot. Dropped counts ring records
 // lost to wrap-around (the oldest are discarded first).
 type Stream struct {
-	TraceID string      `json:"trace_id"`
-	Dropped uint64      `json:"dropped,omitempty"`
-	Records []Record    `json:"-"`
-	Epochs  []EpochSnap `json:"-"`
+	TraceID string
+	Dropped uint64
+	Records []Record
+	Epochs  []EpochSnap
 }
 
 // Options tunes a Recorder; the zero value means defaults.
@@ -196,9 +196,14 @@ type Options struct {
 	// span.TraceIDFromKey(spec key) under the farm, or any stable label.
 	TraceID string
 	// RingSize bounds retained records, rounded up to a power of two
-	// (default 1 << 15 records of 64 B, a 2 MiB ring).
+	// (default 1 << 15 records of 64 B, a 2 MiB ring). Only rings no
+	// larger than the default are recycled across recorders.
 	RingSize int
 }
+
+// defaultRing is the ring bound of a zero Options.RingSize, and the
+// largest bound whose rings Stream hands to the free list.
+const defaultRing = 1 << 15
 
 // maxEpochs bounds retained epoch snapshots; later rolls keep their
 // ring records but drop the table snapshot.
@@ -244,14 +249,15 @@ type Recorder struct {
 }
 
 // rings holds the record rings of streamed recorders, keyed by the
-// ringCap they serve.
+// ringCap they serve. It keeps an idle ring per bound for the life of
+// the process, so it takes no ring of a bound above defaultRing.
 var rings freelist.List[int, []Record]
 
 // New returns a Recorder with the given options.
 func New(opts Options) *Recorder {
 	size := opts.RingSize
 	if size <= 0 {
-		size = 1 << 15
+		size = defaultRing
 	}
 	// Round up to a power of two so the ring index is a mask.
 	n := 1
@@ -473,9 +479,9 @@ func (r *Recorder) OnEpochRoll(thread int32, cycle, epoch uint64, up, down *slh.
 	})
 }
 
-// Stream flushes the recorder into its transportable form: surviving
-// ring records oldest-first, copied out, plus the epoch snapshots. It
-// ends the recording: the ring goes back to the free list for a later
+// Stream flushes the recorder: surviving ring records oldest-first,
+// copied out, plus the epoch snapshots. It ends the recording: a ring
+// of a bound up to defaultRing goes back to the free list for a later
 // recorder, so nothing may be recorded afterwards, and later calls
 // return the same stream.
 func (r *Recorder) Stream() *Stream {
@@ -498,7 +504,9 @@ func (r *Recorder) Stream() *Stream {
 	start := int(r.head-n) & (len(r.ring) - 1)
 	m := copy(recs, r.ring[start:min(start+int(n), len(r.ring))])
 	copy(recs[m:], r.ring[:int(n)-m])
-	rings.Put(r.ringCap, r.ring)
+	if r.ringCap <= defaultRing {
+		rings.Put(r.ringCap, r.ring)
+	}
 	r.ring = nil
 	r.stream = &Stream{TraceID: r.traceID, Dropped: dropped, Records: recs, Epochs: r.epochs}
 	return r.stream

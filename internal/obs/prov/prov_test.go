@@ -1,10 +1,62 @@
 package prov
 
 import (
-	"errors"
 	"strings"
 	"testing"
 )
+
+// sampleStream builds a small but representative stream covering every
+// lifecycle stage, an epoch snapshot and a ring-drop count.
+func sampleStream() *Stream {
+	tbl := func(base uint32) []uint32 {
+		t := make([]uint32, 16)
+		for i := range t {
+			t[i] = base >> uint(i)
+		}
+		return t
+	}
+	return &Stream{
+		TraceID: "deadbeefcafebabe",
+		Dropped: 3,
+		Records: []Record{
+			{Op: OpEpochRoll, Epoch: 1, Cycle: 2000, ID: 11, V1: 1},
+			{Op: OpSlotBirth, Epoch: 1, Cycle: 2100, Line: 0x40, ID: 12},
+			{Op: OpSlotExtend, Aux: EncodeDir(1), Epoch: 1, Cycle: 2150, Line: 0x41, ID: 13, V1: 2},
+			{Op: OpDecision, Aux: DecisionAux(false, 1), Epoch: 1, Cycle: 2150, Line: 0x41, ID: 14, V1: 2, V2: 1, V3: PackWitness(9, 30)},
+			{Op: OpNominate, Epoch: 1, Cycle: 2150, Line: 0x42, ID: 15, V1: 1, V2: 14, V3: 2},
+			{Op: OpIssue, Epoch: 1, Cycle: 2160, Line: 0x42, ID: 16, V1: 1, V2: 2400},
+			{Op: OpInstall, Epoch: 1, Cycle: 2402, Line: 0x42, ID: 17, V1: 1},
+			{Op: OpPBHit, Epoch: 1, Cycle: 2500, Line: 0x42, ID: 18, V1: 1},
+			{Op: OpDrop, Aux: 2, Thread: 1, Epoch: 1, Cycle: 2600, Line: 0x99, ID: 19, V1: 4},
+			{Op: OpWasted, Aux: 1, Epoch: 1, Cycle: 2700, Line: 0x77, ID: 20, V1: 2},
+		},
+		Epochs: []EpochSnap{{
+			Epoch: 1, Cycle: 2000,
+			UpCurr: tbl(1600), UpNext: tbl(1800), DownCurr: tbl(400), DownNext: tbl(300),
+		}},
+	}
+}
+
+// equalStreams compares two streams treating nil and empty slices as
+// equal.
+func equalStreams(a, b *Stream) bool {
+	if a.TraceID != b.TraceID || a.Dropped != b.Dropped ||
+		len(a.Records) != len(b.Records) || len(a.Epochs) != len(b.Epochs) {
+		return false
+	}
+	for i := range a.Records {
+		if a.Records[i] != b.Records[i] {
+			return false
+		}
+	}
+	for i := range a.Epochs {
+		x, y := a.Epochs[i], b.Epochs[i]
+		if x.Thread != y.Thread || x.Epoch != y.Epoch || x.Cycle != y.Cycle || !snapsEqual(&x, &y) {
+			return false
+		}
+	}
+	return true
+}
 
 // TestRecorderRingDrop pins the wrap-around contract: the ring keeps
 // the newest records, counts the discarded oldest, and flushes in
@@ -186,82 +238,47 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-// TestStoreRoundTrip pins sidecar persistence: save/load/list plus the
-// key validation that keeps keys filesystem-safe.
-func TestStoreRoundTrip(t *testing.T) {
-	s, err := OpenStore(t.TempDir() + "/sidecars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := sampleStream()
-	if err := s.Save("cell-b", st); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save("cell-a", st); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := s.Load("cell-b")
-	if err != nil || !ok {
-		t.Fatalf("Load: ok=%v err=%v", ok, err)
-	}
-	if !equalStreams(st, got) {
-		t.Error("stream mutated through the sidecar round trip")
-	}
-	if _, ok, err := s.Load("missing"); ok || err != nil {
-		t.Errorf("missing key: ok=%v err=%v, want false nil", ok, err)
-	}
-	keys, err := s.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 || keys[0] != "cell-a" || keys[1] != "cell-b" {
-		t.Errorf("Keys = %v, want sorted [cell-a cell-b]", keys)
-	}
-	for _, bad := range []string{"", "a/b", ".hidden", strings.Repeat("k", 129), "sp ace"} {
-		if err := s.Save(bad, st); err == nil {
-			t.Errorf("Save accepted hostile key %q", bad)
+// TestDiffNamesDroppedRecords: a diff over a stream whose ring wrapped
+// carries each side's drop count and says so in one report line; a diff
+// of whole streams prints no such line.
+func TestDiffNamesDroppedRecords(t *testing.T) {
+	record := func(n int) *Stream {
+		r := New(Options{TraceID: "drop", RingSize: 8})
+		for i := 0; i < n; i++ {
+			r.OnDecision(0, uint64(100+i), 0x40, false, 2, 1, 9, 30)
 		}
+		return r.Stream()
+	}
+	whole, cut := record(8), record(20)
+	rep := Diff(whole, cut)
+	if rep.DroppedA != 0 || rep.DroppedB != 12 {
+		t.Fatalf("dropped = %d/%d, want 0/12", rep.DroppedA, rep.DroppedB)
+	}
+	var w strings.Builder
+	rep.WriteReport(&w)
+	if want := "dropped records: A=0 B=12 "; !strings.Contains(w.String(), want) {
+		t.Errorf("report does not name the drops (%q):\n%s", want, w.String())
+	}
+	w.Reset()
+	Diff(whole, whole).WriteReport(&w)
+	if strings.Contains(w.String(), "dropped") {
+		t.Errorf("a diff of whole streams mentions drops:\n%s", w.String())
 	}
 }
 
-// TestStoreResolve pins key resolution, shared by `asdfarm explain`/`diff`
-// and the server's /explain and /diff: an exact key wins even when it
-// prefixes another, a unique prefix names its key, and an ambiguous or
-// unknown prefix or an invalid key is an error.
-func TestStoreResolve(t *testing.T) {
-	s, err := OpenStore(t.TempDir() + "/sidecars")
-	if err != nil {
-		t.Fatal(err)
+// TestLargeRingIsNotRecycled: Stream keeps a ring whose bound exceeds
+// the default out of the process-wide free list, so one large recording
+// pins no memory once it is streamed.
+func TestLargeRingIsNotRecycled(t *testing.T) {
+	const size = 2 * defaultRing
+	r := New(Options{TraceID: "large", RingSize: size})
+	for i := 0; i < 3*initialRing; i++ {
+		r.OnSlot(0, OpSlotBirth, uint64(i), 0x40, 1, 1)
 	}
-	for _, k := range []string{"abc", "abcdef", "abd01"} {
-		if err := s.Save(k, sampleStream()); err != nil {
-			t.Fatal(err)
-		}
+	if st := r.Stream(); len(st.Records) != 3*initialRing || st.Dropped != 0 {
+		t.Fatalf("streamed %d records (%d dropped), want %d whole", len(st.Records), st.Dropped, 3*initialRing)
 	}
-	for _, tc := range []struct {
-		name, key, want string
-		err             error
-	}{
-		{"exact key", "abc", "abc", nil},
-		{"unique prefix", "abd", "abd01", nil},
-		{"ambiguous prefix", "ab", "", ErrAmbiguousKey},
-		{"unknown prefix", "zz", "", ErrNoStream},
-		{"invalid key", "a/b", "", nil},
-	} {
-		got, err := s.Resolve(tc.key)
-		switch {
-		case tc.want != "":
-			if err != nil || got != tc.want {
-				t.Errorf("%s: Resolve(%q) = %q, %v; want %q", tc.name, tc.key, got, err, tc.want)
-			}
-		case tc.err != nil:
-			if !errors.Is(err, tc.err) {
-				t.Errorf("%s: Resolve(%q) = %q, %v; want %v", tc.name, tc.key, got, err, tc.err)
-			}
-		default:
-			if err == nil || errors.Is(err, ErrNoStream) || errors.Is(err, ErrAmbiguousKey) {
-				t.Errorf("%s: Resolve(%q) = %q, %v; want a bad-key error", tc.name, tc.key, got, err)
-			}
-		}
+	if ring, ok := rings.Take(size); ok {
+		t.Fatalf("Stream left a %d-record ring of bound %d in the free list", len(ring), size)
 	}
 }
