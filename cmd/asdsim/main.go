@@ -20,8 +20,10 @@
 // https://ui.perfetto.dev) with one process group per simulated mode.
 // -flightrec arms the anomaly flight recorder: when a detector trips
 // (CAQ saturation, late-prefetch spike, bank-conflict storm, prefetch
-// waste), a triage bundle is written to <prefix>-<mode>-bN.json with a
-// human-readable report beside it as .txt.
+// waste), the mode is run again up to its last trigger with a capturing
+// recorder alone on its bus, and each trigger's triage bundle is written
+// to <prefix>-<mode>-bN.json with a human-readable report beside it as
+// .txt.
 // -explain records per-prefetch provenance and, after each mode's run,
 // prints the causal lineage tree (epoch roll → stream → decision →
 // nomination → issue → install → outcome) for the chosen prefetch:
@@ -47,34 +49,35 @@ import (
 	"asdsim/internal/workload"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:])) }
 
 // run holds the real main body so deferred profile/file teardown runs
 // before the process exits (os.Exit skips defers).
-func run() int {
-	bench := flag.String("bench", "GemsFDTD", "benchmark name (see -list)")
-	budget := flag.Uint64("budget", 1_000_000, "instructions per thread")
-	threads := flag.Int("threads", 1, "SMT threads (1 or 2)")
-	modes := flag.String("modes", "NP,PS,MS,PMS", "comma-separated configurations")
-	engine := flag.String("engine", "asd", "memory-side engine: asd, next-line, p5-style, ghb")
-	list := flag.Bool("list", false, "list benchmarks and exit")
-	verbose := flag.Bool("v", false, "print extended statistics")
-	obsOn := flag.Bool("obs", false, "attach the probe bus and print time-series/per-depth summaries")
-	obsInterval := flag.Uint64("obs-interval", obs.DefaultSampleInterval, "sampler window width in CPU cycles")
-	obsCSV := flag.String("obs-csv", "", "write windowed samples as CSV to `file` (implies -obs)")
-	obsJSONL := flag.String("obs-jsonl", "", "write windowed samples as JSON Lines to `file` (implies -obs)")
-	sample := flag.Bool("sample", false, "SMARTS-style sampled simulation: CPI estimate with confidence interval instead of an exact run")
-	samplePeriod := flag.Uint64("sample-period", 0, "sampling period in instructions (0 = default)")
-	sampleWarmup := flag.Uint64("sample-warmup", 0, "detailed warmup instructions per window (0 = default)")
-	sampleDetail := flag.Uint64("sample-detail", 0, "measured detailed instructions per window (0 = default)")
-	sampleFuncWarm := flag.Uint64("sample-funcwarm", 0, "bound functional warming to the last N instructions before each window (0 = warm the whole gap)")
-	sampleConf := flag.Float64("sample-confidence", 0, "confidence level for the CPI interval: 0.90, 0.95 or 0.99 (0 = default)")
-	flightPrefix := flag.String("flightrec", "", "arm the anomaly flight recorder; triage bundles go to `prefix`-<mode>-bN.json/.txt")
-	explainArg := flag.String("explain", "", "record prefetch provenance and print one lineage tree per mode: 'last' or a byte address with optional @cycle (e.g. 0x1a2b00@50000)")
-	tracePath := flag.String("trace", "", "write Chrome trace-event JSON to `file` (implies -obs)")
-	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to `file`")
-	memprofile := flag.String("memprofile", "", "write heap profile to `file`")
-	flag.Parse()
+func run(args []string) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	bench := fs.String("bench", "GemsFDTD", "benchmark name (see -list)")
+	budget := fs.Uint64("budget", 1_000_000, "instructions per thread")
+	threads := fs.Int("threads", 1, "SMT threads (1 or 2)")
+	modes := fs.String("modes", "NP,PS,MS,PMS", "comma-separated configurations")
+	engine := fs.String("engine", "asd", "memory-side engine: asd, next-line, p5-style, ghb")
+	list := fs.Bool("list", false, "list benchmarks and exit")
+	verbose := fs.Bool("v", false, "print extended statistics")
+	obsOn := fs.Bool("obs", false, "attach the probe bus and print time-series/per-depth summaries")
+	obsInterval := fs.Uint64("obs-interval", obs.DefaultSampleInterval, "sampler window width in CPU cycles")
+	obsCSV := fs.String("obs-csv", "", "write windowed samples as CSV to `file` (implies -obs)")
+	obsJSONL := fs.String("obs-jsonl", "", "write windowed samples as JSON Lines to `file` (implies -obs)")
+	sample := fs.Bool("sample", false, "SMARTS-style sampled simulation: CPI estimate with confidence interval instead of an exact run")
+	samplePeriod := fs.Uint64("sample-period", 0, "sampling period in instructions (0 = default)")
+	sampleWarmup := fs.Uint64("sample-warmup", 0, "detailed warmup instructions per window (0 = default)")
+	sampleDetail := fs.Uint64("sample-detail", 0, "measured detailed instructions per window (0 = default)")
+	sampleFuncWarm := fs.Uint64("sample-funcwarm", 0, "bound functional warming to the last N instructions before each window (0 = warm the whole gap)")
+	sampleConf := fs.Float64("sample-confidence", 0, "confidence level for the CPI interval: 0.90, 0.95 or 0.99 (0 = default)")
+	flightPrefix := fs.String("flightrec", "", "arm the anomaly flight recorder; triage bundles go to `prefix`-<mode>-bN.json/.txt")
+	explainArg := fs.String("explain", "", "record prefetch provenance and print one lineage tree per mode: 'last' or a byte address with optional @cycle (e.g. 0x1a2b00@50000)")
+	tracePath := fs.String("trace", "", "write Chrome trace-event JSON to `file` (implies -obs)")
+	cpuprofile := fs.String("cpuprofile", "", "write CPU profile to `file`")
+	memprofile := fs.String("memprofile", "", "write heap profile to `file`")
+	fs.Parse(args)
 
 	if *list {
 		for _, n := range workload.Names() {
@@ -161,9 +164,29 @@ func run() int {
 			return 2
 		}
 
+		sc := sim.SampleConfig{
+			Period: *samplePeriod, Warmup: *sampleWarmup, Detail: *sampleDetail,
+			FuncWarmup: *sampleFuncWarm, Confidence: *sampleConf,
+		}
+		// rerun runs the mode again with sink alone on its bus, so a
+		// replay feeds none of the live run's recorders.
+		rerun := func(ctx context.Context, sink obs.Sink) error {
+			c := cfg
+			c.Obs = obs.NewBus(sink)
+			var err error
+			if *sample {
+				_, err = batch.RunSampled(ctx, *bench, c, sc)
+			} else {
+				_, err = batch.RunContext(ctx, *bench, c)
+			}
+			return err
+		}
+
 		var sampler *obs.Sampler
 		var depths *obs.DepthStats
 		var recorder *flightrec.Recorder
+		var flightOpts flightrec.Options
+		live := cfg
 		if observing || *flightPrefix != "" {
 			bus := obs.NewBus()
 			if observing {
@@ -177,26 +200,24 @@ func run() int {
 				bus.Attach(tracer)
 			}
 			if *flightPrefix != "" {
-				recorder = flightrec.New(flightrec.Options{
+				flightOpts = flightrec.Options{
 					Label:     fmt.Sprintf("%s/%s", *bench, mode),
 					Detectors: flightrec.DefaultDetectors(cfg.MC.CAQCap),
-				})
+				}
+				recorder = flightrec.New(flightOpts)
 				bus.Attach(recorder)
 			}
-			cfg.Obs = bus
+			live.Obs = bus
 		}
 		var provRec *prov.Recorder
 		if *explainArg != "" {
 			provRec = prov.New(prov.Options{TraceID: fmt.Sprintf("%s/%s", *bench, mode)})
-			cfg.Prov = provRec
+			live.Prov = provRec
 		}
 
 		var res sim.Result
 		if *sample {
-			sres, err := batch.RunSampled(context.Background(), *bench, cfg, sim.SampleConfig{
-				Period: *samplePeriod, Warmup: *sampleWarmup, Detail: *sampleDetail,
-				FuncWarmup: *sampleFuncWarm, Confidence: *sampleConf,
-			})
+			sres, err := batch.RunSampled(context.Background(), *bench, live, sc)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
@@ -210,7 +231,7 @@ func run() int {
 				sres.CILo, sres.CIHi, sres.Windows, sres.EstIPC, sres.EstCycles, gain, sres.WallSeconds)
 		} else {
 			var err error
-			res, err = batch.Run(*bench, cfg)
+			res, err = batch.Run(*bench, live)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
@@ -263,7 +284,7 @@ func run() int {
 		}
 		if recorder != nil {
 			recorder.Finish()
-			if err := dumpBundles(recorder, *flightPrefix, mode.String()); err != nil {
+			if err := dumpBundles(recorder, flightOpts, rerun, *flightPrefix, mode.String()); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				exit = 1
 			}
@@ -307,19 +328,24 @@ func run() int {
 	return exit
 }
 
-// dumpBundles writes every captured triage bundle as JSON plus a
-// human-readable report, and prints one line per trigger (or a healthy
-// note when none fired).
-func dumpBundles(rec *flightrec.Recorder, prefix, mode string) error {
+// dumpBundles prints one line per trigger the live recorder rec
+// reported (or a healthy note when none fired), builds their triage
+// bundles by replaying the mode with rerun, and writes each as JSON plus
+// a human-readable report.
+func dumpBundles(rec *flightrec.Recorder, opts flightrec.Options, rerun func(context.Context, obs.Sink) error, prefix, mode string) error {
 	if len(rec.Triggers()) == 0 {
-		fmt.Printf("     flightrec: no anomalies (%d events recorded)\n", rec.EventsSeen())
+		fmt.Printf("     flightrec: no anomalies\n")
 		return nil
 	}
 	for _, tr := range rec.Triggers() {
 		fmt.Printf("     flightrec: %s at window %d (cycle %d): %s\n",
 			tr.Detector, tr.Window, tr.Cycle, tr.Detail)
 	}
-	for i, b := range rec.Bundles() {
+	bundles, err := flightrec.Replay(context.Background(), opts, rec.Triggers(), rerun)
+	if err != nil {
+		return err
+	}
+	for i, b := range bundles {
 		base := fmt.Sprintf("%s-%s-b%d", prefix, mode, i+1)
 		jf, err := os.Create(base + ".json")
 		if err != nil {

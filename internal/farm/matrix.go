@@ -121,15 +121,14 @@ func (m Matrix) Specs() ([]Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.Sample != nil {
-		if err := m.Sample.WithDefaults().Validate(); err != nil {
-			return nil, err
-		}
-	}
-
 	budget := m.Budget
 	if budget == 0 {
 		budget = 1_000_000
+	}
+	if m.Sample != nil {
+		if err := m.Sample.WithDefaults().ValidateFor(budget); err != nil {
+			return nil, err
+		}
 	}
 	seed := m.Seed
 	if seed == 0 {

@@ -290,6 +290,16 @@ func TestServerErrors(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// A sampled schedule with one measurement window in the budget
+	// cannot give a confidence interval; it is refused before any run.
+	one := Matrix{Benchmarks: []string{"GemsFDTD"}, Modes: []string{"MS"}, Budget: 400_000,
+		Sample: &sim.SampleConfig{Period: 400_000, Warmup: 300_000, Detail: 100_000}}
+	resp = postJSON(t, srv.URL+"/jobs", one)
+	if body, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "yields 1 measurement windows") {
+		t.Errorf("one-window sampled schedule: status %d %s, want a 400 naming its 1 window", resp.StatusCode, body)
+	}
+	resp.Body.Close()
+
 	resp, err = http.Get(srv.URL + "/jobs/job-999")
 	if err != nil {
 		t.Fatal(err)

@@ -16,20 +16,18 @@ import (
 
 // Telemetry is the farm's per-run observability aggregator. Its
 // Instrument method plugs into Options.Instrument: every attempt gets a
-// private probe bus carrying one detect-only flight recorder, the run's
-// only windowed sink, and when the attempt ends the run's depth table,
-// the CAQ means of the recorder's windows (the sparkline) and anomaly
+// private probe bus carrying one live flight recorder, the run's only
+// windowed sink, and when the attempt ends the run's depth table, the
+// CAQ means of the recorder's windows (the sparkline) and anomaly
 // triggers are folded into the shared state served by /metrics,
 // /events, /dashboard and /flightrec. Per-attempt sinks are private to
 // their worker goroutine, so the simulation hot path takes no locks;
 // only the end-of-run merge does.
 //
-// No attempt captures a triage bundle. Telemetry retains the newest
-// triggers a capturing recorder would have bundled, with their specs,
-// and builds a bundle on its first request by running the spec again
-// with a capturing recorder (see bundle): a run is a pure function of
-// its spec, and a detect-only recorder closes the windows a capturing
-// one does, so the trigger recurs.
+// A live recorder only detects. Telemetry retains the newest triggers
+// with their specs, and builds a trigger's bundle on its first request
+// with flightrec.Replay, which runs the spec again up to the trigger
+// (see bundle).
 type Telemetry struct {
 	mu        sync.Mutex
 	runs      uint64
@@ -80,10 +78,6 @@ const (
 	// maxBundles bounds retained triage bundles across all runs; the
 	// newest are kept.
 	maxBundles = 16
-	// runBundles bounds the bundles of one run: each attempt's recorder
-	// captures (or, detect-only, would capture) its first runBundles
-	// triggers.
-	runBundles = 4
 	// maxAnomalies bounds the retained trigger list.
 	maxAnomalies = 256
 )
@@ -93,23 +87,20 @@ func NewTelemetry() *Telemetry {
 	return &Telemetry{sparks: make(map[string]Spark)}
 }
 
-// newRecorder returns the flight recorder for one run of spec: the
-// attempt's detect-only one, or a replay's capturing one.
-func newRecorder(spec Spec, label string, detectOnly bool) *flightrec.Recorder {
-	return flightrec.New(flightrec.Options{
-		Label:      label,
-		MaxBundles: runBundles,
-		Detectors:  flightrec.DefaultDetectors(spec.Config.MC.CAQCap),
-		DetectOnly: detectOnly,
-	})
+// recorderOptions are the flight recorder's options for a run of spec:
+// an attempt's live recorder and a replay's are armed alike.
+func recorderOptions(spec Spec, label string) flightrec.Options {
+	return flightrec.Options{
+		Label:     label,
+		Detectors: flightrec.DefaultDetectors(spec.Config.MC.CAQCap),
+	}
 }
 
-// Instrument implements the farm Options.Instrument contract. The
-// attempt's recorder is detect-only; absorb reads its CAQ series,
-// triggers and depth table.
+// Instrument implements the farm Options.Instrument contract. absorb
+// reads the attempt's recorder's CAQ series, triggers and depth table.
 func (t *Telemetry) Instrument(spec Spec) (*obs.Bus, func(res *sim.Result, err error)) {
 	label := spec.Benchmark + "/" + spec.Mode.String()
-	rec := newRecorder(spec, label, true)
+	rec := flightrec.New(recorderOptions(spec, label))
 	fin := func(res *sim.Result, err error) {
 		rec.Finish()
 		t.absorb(spec, label, rec)
@@ -138,22 +129,16 @@ func (t *Telemetry) absorb(spec Spec, label string, rec *flightrec.Recorder) {
 	}
 	t.sparks[label] = spark
 
-	for i, tr := range rec.Triggers() {
-		a := Anomaly{Benchmark: spec.Benchmark, Mode: spec.Mode.String(),
-			Engine: spec.Config.Engine.String(), Trigger: tr}
-		// Retain a trigger a capturing recorder would have bundled. Only
-		// a retained trigger pays for the run's identity: spec key and
-		// trace.
-		if i < runBundles {
-			if len(t.bundles) == maxBundles {
-				t.dropOldestBundle()
-			}
-			t.bundleSeq++
-			a.BundleID = fmt.Sprintf("b%d", t.bundleSeq)
-			key := spec.Key()
-			t.bundles = append(t.bundles, &TriageBundle{ID: a.BundleID, Label: label,
-				Key: key, TraceID: span.TraceIDFromKey(key), Trigger: tr, spec: spec})
+	for _, tr := range rec.Triggers() {
+		if len(t.bundles) == maxBundles {
+			t.dropOldestBundle()
 		}
+		t.bundleSeq++
+		a := Anomaly{Benchmark: spec.Benchmark, Mode: spec.Mode.String(),
+			Engine: spec.Config.Engine.String(), Trigger: tr, BundleID: fmt.Sprintf("b%d", t.bundleSeq)}
+		key := spec.Key()
+		t.bundles = append(t.bundles, &TriageBundle{ID: a.BundleID, Label: label,
+			Key: key, TraceID: span.TraceIDFromKey(key), Trigger: tr, spec: spec})
 		t.anomalies = append(t.anomalies, a)
 	}
 	if len(t.anomalies) > maxAnomalies {
@@ -275,38 +260,31 @@ func (t *Telemetry) retained(id string) (*TriageBundle, *flightrec.Bundle) {
 	return nil, nil
 }
 
-// replay runs tb's spec again as Pool.attempt runs it, with a capturing
-// recorder, and returns the bundle of tb's trigger, stamped with the
-// run's key, trace and config. ctx, not Spec.Timeout, bounds the
-// replay. A run that fails or is cancelled after the trigger has still
-// captured it. A replay in which the trigger does not recur is an error
-// naming it, never another bundle.
+// replay builds the bundle of tb's trigger with flightrec.Replay, which
+// runs tb's spec again up to the trigger, and stamps it with the run's
+// key, trace and config. ctx, not Spec.Timeout, bounds the replay. A
+// trigger that does not recur is an error naming it, never another
+// bundle.
 func replay(ctx context.Context, tb *TriageBundle) (*flightrec.Bundle, error) {
-	spec := tb.spec
-	rec := newRecorder(spec, tb.Label, false)
-	spec.Config.Obs = obs.NewBus(rec)
-	_, runErr := runOnce(ctx, spec)
-	captured := len(rec.Bundles())
-	rec.Finish()
-	if runErr == nil {
-		// Finish closed the run's last window; a failed run's last
-		// window is cut short and is not the run's.
-		captured = len(rec.Bundles())
+	bundles, err := flightrec.Replay(ctx, recorderOptions(tb.spec, tb.Label),
+		[]flightrec.Trigger{tb.Trigger}, rerun(tb.spec))
+	if err != nil {
+		return nil, err
 	}
-	for _, b := range rec.Bundles()[:captured] {
-		if b.Trigger == tb.Trigger {
-			b.Key, b.TraceID = tb.Key, tb.TraceID
-			b.Config, _ = json.Marshal(tb.spec.Config)
-			return b, nil
-		}
+	b := bundles[0]
+	b.Key, b.TraceID = tb.Key, tb.TraceID
+	b.Config, _ = json.Marshal(tb.spec.Config)
+	return b, nil
+}
+
+// rerun is a replay's run of spec: as Pool.attempt runs it, with the
+// replay's sink alone on its probe bus.
+func rerun(spec Spec) func(context.Context, obs.Sink) error {
+	return func(ctx context.Context, sink obs.Sink) error {
+		spec.Config.Obs = obs.NewBus(sink)
+		_, err := runOnce(ctx, spec)
+		return err
 	}
-	tr := tb.Trigger
-	if runErr != nil {
-		return nil, fmt.Errorf("farm: replay of %s stopped before %s at window %d: %w",
-			tb.Label, tr.Detector, tr.Window, runErr)
-	}
-	return nil, fmt.Errorf("farm: replay of %s did not reproduce %s at window %d (%s)",
-		tb.Label, tr.Detector, tr.Window, tr.Detail)
 }
 
 // Depths returns a copy of the farm-wide per-depth prefetch table.

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -553,10 +555,11 @@ func getBody(url string) (int, []byte, error) {
 	return r.StatusCode, body, err
 }
 
-// A farm bundle is the bundle an inline capturing recorder takes on the
-// same spec, stamped with the run's key, trace and config, byte for
-// byte, as JSON and as the report. Listing the bundles does not build
-// them.
+// A farm bundle is the bundle an inline capturing recorder took on the
+// same spec before bundles were built by replay (pinned in flightrec's
+// testdata as its report and the sha256 of its JSON), stamped with the
+// run's key, trace and config, byte for byte, as JSON and as the report.
+// Listing the bundles does not build them.
 func TestFlightrecBundleIsTheInlineCapture(t *testing.T) {
 	srv, api, _ := startTelemetryServer(t, nil)
 	id := submitAndFinish(t, srv, gemsMS)
@@ -578,43 +581,77 @@ func TestFlightrecBundleIsTheInlineCapture(t *testing.T) {
 		t.Fatalf("GET /flightrec = %v, want %s listed", rows, tb.ID)
 	}
 
-	rec := flightrec.New(flightrec.Options{Label: "GemsFDTD/MS",
-		Detectors: flightrec.DefaultDetectors(spec.Config.MC.CAQCap)})
-	cfg := spec.Config
-	cfg.Obs = obs.NewBus(rec)
-	if _, err := sim.Run(spec.Benchmark, cfg); err != nil {
+	status, body, err := getBody(srv.URL + "/flightrec/" + tb.ID)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("GET /flightrec/%s: %d %v", tb.ID, status, err)
+	}
+	var b flightrec.Bundle
+	if err := json.Unmarshal(body, &b); err != nil {
 		t.Fatal(err)
 	}
-	rec.Finish()
-	var want *flightrec.Bundle
-	for _, b := range rec.Bundles() {
-		if b.Trigger == tb.Trigger {
-			want = b
-		}
+	wantConfig, _ := json.Marshal(spec.Config)
+	var config bytes.Buffer
+	if err := json.Compact(&config, b.Config); err != nil || b.Key != spec.Key() ||
+		b.TraceID != span.TraceIDFromKey(spec.Key()) || !bytes.Equal(config.Bytes(), wantConfig) {
+		t.Fatalf("bundle stamps key=%s trace=%s config=%.200s, want %s %s %.200s",
+			b.Key, b.TraceID, config.Bytes(), spec.Key(), span.TraceIDFromKey(spec.Key()), wantConfig)
 	}
-	if want == nil {
-		t.Fatalf("the inline capture has no bundle for %+v", tb.Trigger)
+	// The farm stamps the config as json.Marshal writes it, compact.
+	b.Config = config.Bytes()
+	var stamped, report bytes.Buffer
+	b.WriteJSON(&stamped)
+	b.WriteReport(&report)
+	status, served, err := getBody(srv.URL + "/flightrec/" + tb.ID + "?format=report")
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("GET /flightrec/%s?format=report: %d %v", tb.ID, status, err)
 	}
-	want.Key = spec.Key()
-	want.TraceID = span.TraceIDFromKey(want.Key)
-	want.Config, _ = json.Marshal(spec.Config)
-	var wantJSON, wantReport bytes.Buffer
-	want.WriteJSON(&wantJSON)
-	want.WriteReport(&wantReport)
+	if !bytes.Equal(body, stamped.Bytes()) || !bytes.Equal(served, report.Bytes()) {
+		t.Fatalf("the served JSON and report are not one bundle's:\n%.600s", served)
+	}
 
-	for _, q := range []struct {
-		query string
-		want  []byte
-	}{{"", wantJSON.Bytes()}, {"?format=report", wantReport.Bytes()}} {
-		status, body, err := getBody(srv.URL + "/flightrec/" + tb.ID + q.query)
-		if err != nil || status != http.StatusOK {
-			t.Fatalf("GET /flightrec/%s%s: %d %v", tb.ID, q.query, status, err)
-		}
-		if !bytes.Equal(body, q.want) {
-			t.Errorf("GET /flightrec/%s%s differs from the inline capture:\n got %.600s\nwant %.600s",
-				tb.ID, q.query, body, q.want)
-		}
+	// Without the farm's stamps the bundle is the pinned capture.
+	b.Key, b.TraceID, b.Config = "", "", nil
+	var bare bytes.Buffer
+	b.WriteJSON(&bare)
+	report.Reset()
+	b.WriteReport(&report)
+	golden := filepath.Join("..", "obs", "flightrec", "testdata", "GemsFDTD_MS_b1")
+	if sum := fmt.Sprintf("%x", sha256.Sum256(bare.Bytes())); sum != strings.TrimSpace(string(readGolden(t, golden+".json.sha256"))) {
+		t.Errorf("unstamped bundle JSON (%d bytes) has sha256 %s, not the pinned capture's", bare.Len(), sum)
 	}
+	if want := readGolden(t, golden+".txt"); !bytes.Equal(report.Bytes(), want) {
+		t.Errorf("unstamped bundle report differs from the pinned capture:\n got %.600s\nwant %.600s", report.Bytes(), want)
+	}
+}
+
+// A bundle's replay stops at its trigger: GemsFDTD/MS 400k trips at
+// window 5, which closes at cycle 300,000, and the replay's run is
+// cancelled there instead of simulating all 657,886 cycles.
+func TestFlightrecReplayStopsAtTrigger(t *testing.T) {
+	srv, api, _ := startTelemetryServer(t, nil)
+	id := submitAndFinish(t, srv, gemsMS)
+	spec := api.job(id).specs[0]
+	cycles := api.job(id).outcomes[0].Result.Cycles
+	tb := api.Telemetry().Bundles()[0]
+
+	var last uint64
+	var runErr error
+	bundles, err := flightrec.Replay(context.Background(), recorderOptions(spec, tb.Label),
+		[]flightrec.Trigger{tb.Trigger}, func(ctx context.Context, sink obs.Sink) error {
+			runErr = rerun(spec)(ctx, obs.Funcs(func(e obs.Event) {
+				last = max(last, e.Cycle)
+				sink.Emit(e)
+			}))
+			return runErr
+		})
+	if err != nil || len(bundles) != 1 {
+		t.Fatalf("replay: %d bundles, %v", len(bundles), err)
+	}
+	if !errors.Is(runErr, context.Canceled) || last >= cycles*2/3 {
+		t.Fatalf("the replay ran to cycle %d of %d and returned %v; want it cancelled soon after window %d",
+			last, cycles, runErr, tb.Trigger.Window)
+	}
+	t.Logf("replay stopped at cycle %d of %d (%.0f%%)", last, cycles, 100*float64(last)/float64(cycles))
 }
 
 // Concurrent requests for one bundle, in process and over HTTP, replay
@@ -692,53 +729,24 @@ func TestUnreproducedTriggerIsAnError(t *testing.T) {
 	}
 }
 
-// A run that fails after its trigger still yields the bundle captured
-// before the failure: a sampled run with a single measurement window
-// simulates the whole budget in detail, trips the detector, and then
-// fails for want of a second window.
-func TestBundleOfRunFailingAfterTrigger(t *testing.T) {
-	srv, api, _ := startTelemetryServer(t, nil)
-	m := gemsMS
-	m.Sample = &sim.SampleConfig{Period: 400_000, Warmup: 300_000, Detail: 100_000}
-	id := submitAndFinish(t, srv, m)
-	if outs := api.job(id).outcomes; len(outs) != 1 || outs[0].OK() || !strings.Contains(outs[0].Err, "measurement windows") {
-		t.Fatalf("outcomes = %+v, want one sampled run failing for want of windows", outs)
-	}
-	bundles := api.Telemetry().Bundles()
-	if len(bundles) != 1 {
-		t.Fatalf("retained %d bundles, want 1", len(bundles))
-	}
-	status, body, err := getBody(srv.URL + "/flightrec/" + bundles[0].ID)
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("GET = %d %v: %s", status, err, body)
-	}
-	var b flightrec.Bundle
-	if err := json.Unmarshal(body, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Trigger != bundles[0].Trigger || len(b.Events) == 0 {
-		t.Fatalf("bundle trigger %+v with %d events, want %+v", b.Trigger, len(b.Events), bundles[0].Trigger)
-	}
-}
-
 // always is a detector that trips on the first window it checks.
 type always string
 
 func (a always) Name() string                           { return string(a) }
 func (a always) Check(*flightrec.Window) (string, bool) { return "always", true }
 
-// Telemetry retains each trigger among the first runBundles of its run,
-// numbers them in order and keeps the newest maxBundles: a dropped
-// trigger's ID is unknown, and no anomaly links it.
+// Telemetry retains every trigger, numbers them in order and keeps the
+// newest maxBundles: a dropped trigger's ID is unknown, and no anomaly
+// links it.
 func TestBundleRetentionKeepsNewest16(t *testing.T) {
 	tel := NewTelemetry()
-	const runs, perRun = 5, runBundles + 1
+	const runs, perRun = 5, 4
 	for run := range runs {
 		var dets []flightrec.Detector
 		for d := range perRun {
 			dets = append(dets, always(fmt.Sprint("d", d)))
 		}
-		rec := flightrec.New(flightrec.Options{DetectOnly: true, MaxBundles: runBundles, Detectors: dets})
+		rec := flightrec.New(flightrec.Options{Detectors: dets})
 		rec.Emit(obs.Event{Kind: obs.KindMCIssue})
 		rec.Finish()
 		spec := Spec{Benchmark: fmt.Sprint("bench", run), Mode: sim.MS, Config: sim.Default(sim.MS, 1000)}
@@ -749,10 +757,10 @@ func TestBundleRetentionKeepsNewest16(t *testing.T) {
 		t.Fatalf("retained %d bundles, want %d", len(bundles), maxBundles)
 	}
 	// 5 runs x 4 triggers number b1...b20; the newest 16 are b5...b20.
-	first := runs*runBundles - maxBundles
+	first := runs*perRun - maxBundles
 	for i, b := range bundles {
 		n := first + i
-		run, d := n/runBundles, n%runBundles
+		run, d := n/perRun, n%perRun
 		if b.ID != fmt.Sprint("b", n+1) || b.Label != fmt.Sprint("bench", run, "/MS") || b.Trigger.Detector != fmt.Sprint("d", d) {
 			t.Errorf("bundle %d = %s %s %s, want b%d bench%d/MS d%d", i, b.ID, b.Label, b.Trigger.Detector, n+1, run, d)
 		}

@@ -51,9 +51,11 @@ func BenchmarkObsEnabledSampler(b *testing.B) {
 }
 
 // BenchmarkObsEnabledRecorded prices the recorded stack that
-// asdsim -obs -flightrec -explain attaches: sampler, per-depth stats and
-// flight recorder on the bus plus the provenance recorder, finished as
-// after a run (Finish, then Stream).
+// asdsim -obs -flightrec -explain attaches to its live run: sampler,
+// per-depth stats and the detect-only flight recorder on the bus plus
+// the provenance recorder, finished as after a run (Finish, then
+// Stream). A run that trips a detector also pays for the replay that
+// builds its bundles; this benchmark does not time it.
 func BenchmarkObsEnabledRecorded(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchConfig()

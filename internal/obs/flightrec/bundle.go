@@ -32,9 +32,9 @@ type DepthRow struct {
 	Dropped   uint64 `json:"dropped"`
 }
 
-// Bundle is a self-contained triage artifact captured at trigger time:
-// everything needed to reason about the anomaly without re-running the
-// simulation.
+// Bundle is a self-contained triage artifact, the state of a run at its
+// trigger as a replay captures it (see Replay): everything needed to
+// reason about the anomaly without tracing the run.
 type Bundle struct {
 	Label string `json:"label"`
 	// Key and TraceID carry the farm job identity and the distributed
@@ -65,14 +65,16 @@ type Bundle struct {
 	Config json.RawMessage `json:"config,omitempty"`
 }
 
-// capture snapshots the recorder's state into a bundle for trigger t.
-func (r *Recorder) capture(t Trigger) *Bundle {
+// snapshot copies a capturing recorder's state into a bundle for
+// trigger t.
+func (r *Recorder) snapshot(t Trigger) *Bundle {
+	c := r.replay
 	// The retained events are the newest min(head, len) ring slots,
 	// read oldest first.
-	n := min(r.head, uint64(len(r.ring)))
+	n := min(c.head, uint64(len(c.ring)))
 	recs := make([]EventRecord, 0, n)
-	for i := r.head - n; i < r.head; i++ {
-		e := &r.ring[i&r.mask]
+	for i := c.head - n; i < c.head; i++ {
+		e := &c.ring[int(i)&(len(c.ring)-1)]
 		recs = append(recs, EventRecord{
 			Kind: e.Kind.String(), Cycle: e.Cycle, Thread: e.Thread,
 			ID: e.ID, Line: uint64(e.Line), V1: e.V1, V2: e.V2, V3: e.V3,
@@ -80,17 +82,17 @@ func (r *Recorder) capture(t Trigger) *Bundle {
 	}
 	slh := make([]uint64, slhBuckets)
 	for v := 1; v <= slhBuckets; v++ {
-		slh[v-1] = r.slh.Count(v)
+		slh[v-1] = c.slh.Count(v)
 	}
 	return &Bundle{
 		Label:      r.opts.Label,
-		Epoch:      r.lastEpoch,
+		Epoch:      c.lastEpoch,
 		Trigger:    t,
-		Windows:    append([]Window(nil), r.recent...),
+		Windows:    append([]Window(nil), c.recent...),
 		SLH:        slh,
 		Depths:     depthRows(&r.depths),
 		Events:     recs,
-		EventsSeen: r.head,
+		EventsSeen: c.head,
 	}
 }
 

@@ -3,8 +3,9 @@ package flightrec
 import "fmt"
 
 // Detector inspects each closed window and reports whether it trips.
-// Detectors may keep state across windows (consecutive-window arming);
-// after the first trip a detector is disarmed for the rest of the run.
+// After the first trip a detector is disarmed for the rest of the run.
+// A detector that keeps state across windows (consecutive-window
+// arming) also has a Reset method, which New calls to arm it.
 type Detector interface {
 	// Name is the detector's stable identifier, used in triggers,
 	// bundle filenames and job status.
@@ -43,6 +44,9 @@ type CAQSaturation struct {
 
 // Name implements Detector.
 func (d *CAQSaturation) Name() string { return "caq-saturation" }
+
+// Reset clears the run of saturated windows counted so far.
+func (d *CAQSaturation) Reset() { d.run = 0 }
 
 // Check implements Detector.
 func (d *CAQSaturation) Check(w *Window) (string, bool) {

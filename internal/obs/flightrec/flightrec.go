@@ -1,21 +1,19 @@
 // Package flightrec is the simulator's flight recorder: a set of
-// pluggable anomaly detectors evaluated over fixed-width cycle windows,
-// plus a fixed-size ring of probe-bus events. While a run is healthy
-// the recorder costs a handful of counter updates per event and one
-// ring write per retained event; when a detector trips it captures a
-// self-contained triage bundle — the last-N events, the recent window
-// series, a decision-time stream-length histogram and the per-depth
-// prefetch table (the farm adds the run's configuration and job
-// identity to the bundles it keeps) — so a pathological run can be
-// diagnosed without re-running it under a full trace.
+// pluggable anomaly detectors evaluated over fixed-width cycle windows.
+// A live recorder (New) only detects: it reads the nine probe kinds its
+// detectors, CAQ series and depth table count, costs a handful of
+// counter updates per event, and records each trigger. A triage bundle
+// — the last-N probe events, the recent window series, a decision-time
+// stream-length histogram and the per-depth prefetch table (the farm
+// adds the run's configuration and job identity to the bundles it
+// serves) — is built afterwards by Replay, which runs the deterministic
+// run again with a capturing recorder and stops it at the last wanted
+// trigger, so a pathological run is diagnosed without ever keeping a
+// full trace.
 //
-// A detect-only recorder (Options.DetectOnly) keeps the detectors, the
-// CAQ series and the depth table and drops the capture: it reads only
-// the nine kinds those count, takes no ring and captures no bundle.
-// Since only those kinds open and roll windows, it closes the same
-// windows and records the same triggers as a capturing recorder on the
-// same run, so a deterministic run's bundle can be rebuilt by running
-// it again with a capturing recorder.
+// Only the detect kinds open and roll windows, so a capturing recorder,
+// which reads every kind, closes the windows and records the triggers
+// that a live one does on the same run.
 //
 // The recorder is an obs.Sink; it reuses the bus's nil fast path, so a
 // run without a recorder attached pays only the usual one-branch probe
@@ -24,7 +22,6 @@
 package flightrec
 
 import (
-	"asdsim/internal/freelist"
 	"asdsim/internal/obs"
 	"asdsim/internal/stats"
 )
@@ -39,31 +36,26 @@ const recentWindows = 64
 // Options configures a Recorder. The zero value is usable: every field
 // defaults sensibly.
 type Options struct {
-	// RingSize is the number of probe events retained, rounded up to a
-	// power of two; default 4096.
+	// RingSize is the number of probe events a replay's capture keeps,
+	// rounded up to a power of two; default 4096.
 	RingSize int
 	// WindowCycles is the detector evaluation window width in CPU
 	// cycles; default obs.DefaultSampleInterval.
 	WindowCycles uint64
-	// MaxBundles bounds captured triage bundles; default 4.
-	MaxBundles int
 	// Detectors are the anomaly detectors to arm; nil means
 	// DefaultDetectors(0). Each detector fires at most once per run.
+	// A live recorder leaves the bundle-only window counters
+	// (completions, installs, epoch rolls) at zero, so a detector must
+	// not read them.
 	Detectors []Detector
 	// Label names the run in bundles and reports ("GemsFDTD/MS").
 	Label string
-	// DetectOnly records triggers without capturing bundles: the
-	// recorder reads only the kinds its windows count, takes no ring,
-	// and leaves the bundle-only window counters (completions,
-	// installs, epoch rolls) at zero, so its detectors must not read
-	// them. The zero value captures bundles inline.
-	DetectOnly bool
 }
 
 // detectKinds are the kinds the detectors, the CAQ series and the depth
-// table read: all a detect-only recorder takes. Only they open and roll
+// table read: all a live recorder takes. Only they open and roll
 // windows; any other kind counts in the window open when it arrives, so
-// a capturing recorder's windows are a detect-only one's.
+// a capturing recorder's windows are a live one's.
 const detectKinds = obs.KindSet(1)<<obs.KindMCQueues | 1<<obs.KindMCIssue |
 	1<<obs.KindMCBankConflict | 1<<obs.KindMCPBHit | 1<<obs.KindMCPFNominate |
 	1<<obs.KindMCPFDrop | 1<<obs.KindMCPFIssue | 1<<obs.KindMCPFLate |
@@ -107,78 +99,77 @@ type Trigger struct {
 }
 
 // Recorder implements obs.Sink. Attach it to a run's bus, then read
-// Triggers/Bundles/CAQSeries after calling Finish. A capturing
-// recorder's event ring comes from a process-wide free list and goes
-// back there at Finish.
+// Triggers/CAQSeries/Depths after calling Finish.
 type Recorder struct {
 	opts Options
-
-	ring []obs.Event
-	mask uint64
-	head uint64 // total ring writes; ring[(head-1)&mask] is newest
 
 	cur     Window
 	winEnd  uint64 // cur.Start + WindowCycles, cached for the hot path
 	started bool
-	recent  []Window
 	queues  obs.QueueGauge
 	// caq holds the closed windows' CAQ means, oldest first: at least
 	// the newest obs.DefaultMaxWindows, which CAQSeries returns.
-	caq []float64
-
-	slh    *stats.Histogram
+	caq    []float64
 	depths obs.DepthStats
 
+	armed    []Detector // fired detectors are nilled out
+	triggers []Trigger
+
+	// replay is a replay's capture state; nil on a live recorder.
+	replay *capture
+}
+
+// capture is what a replay's recorder keeps beside the detectors so it
+// can bundle the triggers it wants (see Replay).
+type capture struct {
+	ring []obs.Event
+	head uint64 // total ring writes; ring[(head-1)&(len(ring)-1)] is newest
+
+	recent []Window
+	slh    *stats.Histogram
 	// lastEpoch is the most recent completed SLH epoch index seen on the
 	// bus (KindASDEpochRoll), stamped into bundles so a triage artifact
 	// aligns with the provenance stream's epoch timeline.
 	lastEpoch uint64
 
-	armed    []Detector // fired detectors are nilled out
-	triggers []Trigger
-	bundles  []*Bundle
+	want    []Trigger
+	bundles []*Bundle // bundles[i] is want[i]'s, nil until captured
+	left    int       // wanted triggers not yet bundled
+	stop    func()    // ends the replayed run; called once, at the last capture
 }
 
-// New returns a recorder with the given options, detectors armed.
+// New returns a live recorder with the given options, detectors armed:
+// each detector that keeps state across windows is Reset, so a replay
+// armed with a live run's detectors starts as that run did.
 func New(opts Options) *Recorder {
-	if opts.RingSize <= 0 {
-		opts.RingSize = 4096
-	}
-	size := 1
-	for size < opts.RingSize {
-		size <<= 1
-	}
 	if opts.WindowCycles == 0 {
 		opts.WindowCycles = obs.DefaultSampleInterval
-	}
-	if opts.MaxBundles <= 0 {
-		opts.MaxBundles = 4
 	}
 	if opts.Detectors == nil {
 		opts.Detectors = DefaultDetectors(0)
 	}
-	r := &Recorder{opts: opts, armed: append([]Detector(nil), opts.Detectors...)}
-	if !opts.DetectOnly {
-		r.ring, r.mask = takeRing(size), uint64(size-1)
-		r.slh = stats.NewHistogram(slhBuckets)
+	for _, d := range opts.Detectors {
+		if s, ok := d.(interface{ Reset() }); ok {
+			s.Reset()
+		}
 	}
-	return r
+	return &Recorder{opts: opts, armed: append([]Detector(nil), opts.Detectors...)}
 }
 
-// Kinds implements the bus's routing: a capturing recorder reads every
-// kind, since its ring keeps everything but L1 hits; a detect-only one
-// reads only detectKinds.
+// Kinds implements the bus's routing: a live recorder reads only
+// detectKinds; a capturing one reads every kind, since its ring keeps
+// everything but L1 hits.
 func (r *Recorder) Kinds() obs.KindSet {
-	if r.opts.DetectOnly {
+	if r.replay == nil {
 		return detectKinds
 	}
 	return obs.AllKinds
 }
 
-// Emit implements obs.Sink. The per-event cost is one switch, a few
-// counter updates, and, when capturing, one ring write for each
+// Emit implements obs.Sink. The per-event cost is one switch and a few
+// counter updates, plus, when capturing, one ring write for each
 // forensically interesting kind; the highest-frequency gauge probes are
-// aggregated but not retained, keeping a recorded run's overhead small.
+// aggregated but not retained.
 //
 //asd:hotpath
 func (r *Recorder) Emit(e obs.Event) {
@@ -187,8 +178,8 @@ func (r *Recorder) Emit(e obs.Event) {
 	case !detectKinds.Has(e.Kind):
 		// Counted in the window open when it arrives (in none before
 		// the first detect kind), however far its cycle runs ahead. A
-		// detect-only recorder handed one anyway ignores it.
-		if r.opts.DetectOnly {
+		// live recorder handed one anyway ignores it.
+		if r.replay == nil {
 			return
 		}
 	case !r.started:
@@ -237,10 +228,10 @@ func (r *Recorder) Emit(e obs.Event) {
 	case obs.KindMCPFNominate, obs.KindMCPFDrop:
 		r.depths.Emit(e)
 	case obs.KindASDPrefetchDecision:
-		r.slh.Observe(int(e.V1))
+		r.replay.slh.Observe(int(e.V1))
 	case obs.KindASDEpochRoll:
 		r.cur.EpochRolls++
-		r.lastEpoch = uint64(e.V1)
+		r.replay.lastEpoch = uint64(e.V1)
 	case obs.KindMCQueues, obs.KindMCEnqueue, obs.KindMCSchedule,
 		obs.KindDRAMAccess, obs.KindDRAMRefresh, obs.KindCPUStall,
 		obs.KindSchedPolicy:
@@ -248,13 +239,14 @@ func (r *Recorder) Emit(e obs.Event) {
 		// above (unreachable here); the rest carry no window counters
 		// and flow straight to the forensic ring below.
 	}
-	if r.opts.DetectOnly {
+	c := r.replay
+	if c == nil {
 		return
 	}
 	// Masking with len-1 (a power of two) lets the compiler drop the
 	// bounds check on this store.
-	r.ring[int(r.head)&(len(r.ring)-1)] = e
-	r.head++
+	c.ring[int(c.head)&(len(c.ring)-1)] = e
+	c.head++
 }
 
 // roll closes the current window, evaluates the armed detectors on it,
@@ -275,11 +267,11 @@ func (r *Recorder) roll(cycle uint64) {
 func (r *Recorder) close() {
 	w := r.cur
 	w.CAQMean, w.CAQMax = w.queues.Mean(1), w.queues.Max[1]
-	if !r.opts.DetectOnly {
-		r.recent = append(r.recent, w)
-		if len(r.recent) > recentWindows {
-			copy(r.recent, r.recent[len(r.recent)-recentWindows:])
-			r.recent = r.recent[:recentWindows]
+	if c := r.replay; c != nil {
+		c.recent = append(c.recent, w)
+		if len(c.recent) > recentWindows {
+			copy(c.recent, c.recent[len(c.recent)-recentWindows:])
+			c.recent = c.recent[:recentWindows]
 		}
 	}
 	// Dropping the oldest windows in bulk, once the series holds twice
@@ -299,53 +291,24 @@ func (r *Recorder) close() {
 		r.armed[i] = nil
 		t := Trigger{Detector: d.Name(), Detail: detail, Window: w.Index, Cycle: w.Start}
 		r.triggers = append(r.triggers, t)
-		if !r.opts.DetectOnly && len(r.bundles) < r.opts.MaxBundles {
-			r.bundles = append(r.bundles, r.capture(t))
+		if r.replay != nil {
+			r.take(t)
 		}
 	}
 }
 
 // Finish closes the final (partial) window so detectors see it, and
-// ends the recording: the event ring goes back to the free list for a
-// later recorder, so the recorder must receive no further events.
-// Triggers, Bundles (copies of the ring taken at capture), CAQSeries
-// and Depths stay valid. Later calls do nothing.
+// ends the recording: the recorder must receive no further events.
+// Triggers, CAQSeries and Depths stay valid. Later calls do nothing.
 func (r *Recorder) Finish() {
 	if r.started {
 		r.close()
 		r.started = false
 	}
-	if r.ring != nil {
-		rings.Put(len(r.ring), r.ring)
-		r.ring = nil
-	}
-}
-
-// rings holds the event rings of finished recorders by size (4096
-// events, ~229 KB, at the default).
-var rings freelist.List[int, []obs.Event]
-
-// takeRing returns an idle ring of size events, or a new one. An idle
-// ring keeps its previous recorder's events; a bundle's capture reads
-// only the newest min(head, len) slots, which the new recorder has
-// written.
-func takeRing(size int) []obs.Event {
-	if ring, ok := rings.Take(size); ok {
-		return ring
-	}
-	return make([]obs.Event, size)
 }
 
 // Triggers returns every detector firing, in order.
 func (r *Recorder) Triggers() []Trigger { return r.triggers }
-
-// Bundles returns the captured triage bundles (at most MaxBundles; none
-// when DetectOnly).
-func (r *Recorder) Bundles() []*Bundle { return r.bundles }
-
-// EventsSeen returns the number of events retained in (or aged out of)
-// the ring over the run.
-func (r *Recorder) EventsSeen() uint64 { return r.head }
 
 // Depths returns the run's per-depth prefetch table so far.
 func (r *Recorder) Depths() *obs.DepthStats { return &r.depths }

@@ -2,7 +2,9 @@ package flightrec_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -16,38 +18,64 @@ import (
 
 // emitWindow pushes one window's worth of synthetic prefetch traffic:
 // timely PB hits, late merges, plus a queue gauge sample.
-func emitWindow(r *flightrec.Recorder, start uint64, timely, late int, caq int64) {
-	r.Emit(obs.Event{Kind: obs.KindMCQueues, Cycle: start, V1: 0, V2: caq, V3: 0})
+func emitWindow(s obs.Sink, start uint64, timely, late int, caq int64) {
+	s.Emit(obs.Event{Kind: obs.KindMCQueues, Cycle: start, V1: 0, V2: caq, V3: 0})
 	for i := 0; i < timely; i++ {
-		r.Emit(obs.Event{Kind: obs.KindMCPBHit, Cycle: start + uint64(i), V2: 1})
+		s.Emit(obs.Event{Kind: obs.KindMCPBHit, Cycle: start + uint64(i), V2: 1})
 	}
 	for i := 0; i < late; i++ {
-		r.Emit(obs.Event{Kind: obs.KindMCPFLate, Cycle: start + uint64(i), V1: 1})
+		s.Emit(obs.Event{Kind: obs.KindMCPFLate, Cycle: start + uint64(i), V1: 1})
 	}
 }
 
+// record runs a synthetic stream through a live recorder with opts and
+// returns its triggers.
+func record(opts flightrec.Options, stream func(obs.Sink)) []flightrec.Trigger {
+	rec := flightrec.New(opts)
+	stream(rec)
+	rec.Finish()
+	return rec.Triggers()
+}
+
+// replayStream records stream live, then builds the bundles of every
+// trigger the live recorder reported by replaying the same stream.
+func replayStream(t *testing.T, opts flightrec.Options, stream func(obs.Sink)) []*flightrec.Bundle {
+	t.Helper()
+	want := record(opts, stream)
+	bundles, err := flightrec.Replay(context.Background(), opts, want,
+		func(_ context.Context, sink obs.Sink) error {
+			stream(sink)
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bundles
+}
+
 func TestLateSpikeTriggersOnce(t *testing.T) {
-	rec := flightrec.New(flightrec.Options{
+	opts := flightrec.Options{
 		Label:        "synthetic",
 		WindowCycles: 1000,
 		Detectors:    []flightrec.Detector{&flightrec.LatePrefetchSpike{Ratio: 0.5, MinUseful: 10}},
-	})
-	emitWindow(rec, 0, 20, 2, 1)    // healthy: ratio 0.09
-	emitWindow(rec, 1000, 5, 15, 1) // spike: ratio 0.75
-	emitWindow(rec, 2000, 5, 15, 1) // would spike again, but disarmed
-	rec.Finish()
-
-	trs := rec.Triggers()
+	}
+	stream := func(s obs.Sink) {
+		emitWindow(s, 0, 20, 2, 1)    // healthy: ratio 0.09
+		emitWindow(s, 1000, 5, 15, 1) // spike: ratio 0.75
+		emitWindow(s, 2000, 5, 15, 1) // would spike again, but disarmed
+	}
+	trs := record(opts, stream)
 	if len(trs) != 1 {
 		t.Fatalf("got %d triggers, want 1: %+v", len(trs), trs)
 	}
 	if trs[0].Detector != "late-prefetch-spike" || trs[0].Window != 1 {
 		t.Errorf("trigger = %+v, want late-prefetch-spike at window 1", trs[0])
 	}
-	if len(rec.Bundles()) != 1 {
-		t.Fatalf("got %d bundles, want 1", len(rec.Bundles()))
+	bundles := replayStream(t, opts, stream)
+	if len(bundles) != 1 {
+		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
-	b := rec.Bundles()[0]
+	b := bundles[0]
 	if got := b.Windows[len(b.Windows)-1]; got.Index != 1 || got.PFLate != 15 || got.PFTimely != 5 {
 		t.Errorf("trigger window = %+v, want index 1 with 15 late / 5 timely", got)
 	}
@@ -117,20 +145,21 @@ func TestBankConflictAndWasteDetectors(t *testing.T) {
 }
 
 func TestRingWrapKeepsNewest(t *testing.T) {
-	rec := flightrec.New(flightrec.Options{
+	opts := flightrec.Options{
 		RingSize: 8, WindowCycles: 1_000_000,
 		Detectors: []flightrec.Detector{&flightrec.LatePrefetchSpike{Ratio: 0.01, MinUseful: 1}},
+	}
+	bundles := replayStream(t, opts, func(s obs.Sink) {
+		for i := uint64(0); i < 100; i++ {
+			s.Emit(obs.Event{Kind: obs.KindMCEnqueue, Cycle: i, ID: i})
+		}
+		s.Emit(obs.Event{Kind: obs.KindMCPFLate, Cycle: 100, V1: 1})
+		s.Emit(obs.Event{Kind: obs.KindMCPBHit, Cycle: 101, V2: 1})
 	})
-	for i := uint64(0); i < 100; i++ {
-		rec.Emit(obs.Event{Kind: obs.KindMCEnqueue, Cycle: i, ID: i})
+	if len(bundles) != 1 {
+		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
-	rec.Emit(obs.Event{Kind: obs.KindMCPFLate, Cycle: 100, V1: 1})
-	rec.Emit(obs.Event{Kind: obs.KindMCPBHit, Cycle: 101, V2: 1})
-	rec.Finish()
-	if len(rec.Bundles()) != 1 {
-		t.Fatalf("got %d bundles, want 1", len(rec.Bundles()))
-	}
-	b := rec.Bundles()[0]
+	b := bundles[0]
 	if len(b.Events) != 8 {
 		t.Fatalf("ring snapshot has %d events, want 8", len(b.Events))
 	}
@@ -147,18 +176,19 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 }
 
 func TestBundleJSONAndReportRoundTrip(t *testing.T) {
-	rec := flightrec.New(flightrec.Options{
+	opts := flightrec.Options{
 		Label: "bench/MS", WindowCycles: 1000,
 		Detectors: []flightrec.Detector{&flightrec.LatePrefetchSpike{Ratio: 0.5, MinUseful: 4}},
-	})
-	rec.Emit(obs.Event{Kind: obs.KindASDPrefetchDecision, Cycle: 10, V1: 3, V2: 1})
-	rec.Emit(obs.Event{Kind: obs.KindMCPFNominate, Cycle: 11, V1: 1})
-	emitWindow(rec, 20, 1, 9, 2)
-	rec.Finish()
-	if len(rec.Bundles()) != 1 {
-		t.Fatalf("want 1 bundle, got %d", len(rec.Bundles()))
 	}
-	b := rec.Bundles()[0]
+	bundles := replayStream(t, opts, func(s obs.Sink) {
+		s.Emit(obs.Event{Kind: obs.KindASDPrefetchDecision, Cycle: 10, V1: 3, V2: 1})
+		s.Emit(obs.Event{Kind: obs.KindMCPFNominate, Cycle: 11, V1: 1})
+		emitWindow(s, 20, 1, 9, 2)
+	})
+	if len(bundles) != 1 {
+		t.Fatalf("want 1 bundle, got %d", len(bundles))
+	}
+	b := bundles[0]
 	b.Config = json.RawMessage(`{"mode":2}`) // as the farm stamps a bundle it retains
 
 	var buf bytes.Buffer
@@ -229,8 +259,8 @@ func TestRealRunLateSpikeAtEpochRoll(t *testing.T) {
 	if late == nil {
 		t.Fatalf("no late-prefetch-spike on GemsFDTD/MS; triggers = %+v", rec.Triggers())
 	}
-	if rec.EventsSeen() == 0 {
-		t.Errorf("recorder saw no events")
+	if len(rec.CAQSeries()) == 0 {
+		t.Errorf("recorder closed no windows")
 	}
 	if rec.Depths().MaxDepthSeen() == 0 {
 		t.Errorf("recorder accumulated no depth stats")
@@ -305,13 +335,13 @@ func TestCAQSeriesKeepsNewestWindows(t *testing.T) {
 	}
 }
 
-// TestDetectOnlyMatchesCapture: on real runs, triggering ones among
-// them, exact and sampled, a detect-only recorder and a capturing one
-// close the same windows, so their CAQ series, triggers and depth
-// tables are equal, while only the capturing one holds bundles. The
-// farm rebuilds a bundle by replaying a detect-only run with a
-// capturing recorder and relies on this.
-func TestDetectOnlyMatchesCapture(t *testing.T) {
+// TestReplayMatchesLiveRun: on real runs, triggering ones among them,
+// exact and sampled, a replay's capturing recorder closes the windows
+// the live recorder closed, so over the whole run it reports the live
+// run's triggers, CAQ series and depth table; and a replay that stops
+// at its last wanted trigger returns one bundle per trigger, in order.
+// The farm and asdsim -flightrec build bundles this way.
+func TestReplayMatchesLiveRun(t *testing.T) {
 	type cell struct {
 		bench string
 		cfg   sim.Config
@@ -329,47 +359,77 @@ func TestDetectOnlyMatchesCapture(t *testing.T) {
 		cell{"tpcc", sim.Default(sim.MS, 5_000_000), &sc},
 		cell{"sap", sim.Default(sim.PMS, 5_000_000), &sc})
 
-	record := func(c cell, detectOnly bool) *flightrec.Recorder {
-		rec := flightrec.New(flightrec.Options{Label: c.bench,
-			Detectors: flightrec.DefaultDetectors(c.cfg.MC.CAQCap), DetectOnly: detectOnly})
-		cfg := c.cfg
-		cfg.Obs = obs.NewBus(rec)
-		var err error
-		if c.sc != nil {
-			_, err = sim.Sampled(c.bench, cfg, *c.sc)
-		} else {
-			_, err = sim.Run(c.bench, cfg)
-		}
-		if err != nil {
-			t.Fatalf("%s/%v: %v", c.bench, c.cfg.Mode, err)
-		}
-		rec.Finish()
-		return rec
-	}
+	// never names a trigger no run reproduces: a replay that wants it
+	// runs the whole run.
+	never := flightrec.Trigger{Detector: "never", Window: 1 << 40}
 	triggering, sampledTriggering := 0, 0
 	for _, c := range cells {
 		name := fmt.Sprintf("%s/%v/%d sampled=%v", c.bench, c.cfg.Mode, c.cfg.InstrBudget, c.sc != nil)
-		det, capt := record(c, true), record(c, false)
-		if !slices.Equal(det.CAQSeries(), capt.CAQSeries()) {
-			t.Errorf("%s: CAQ series differ:\n detect  %v\n capture %v", name, det.CAQSeries(), capt.CAQSeries())
+		opts := flightrec.Options{Label: c.bench, Detectors: flightrec.DefaultDetectors(c.cfg.MC.CAQCap)}
+		b := sim.NewBatch()
+		run := func(ctx context.Context, sink obs.Sink) error {
+			cfg := c.cfg
+			cfg.Obs = obs.NewBus(sink)
+			var err error
+			if c.sc != nil {
+				_, err = b.RunSampled(ctx, c.bench, cfg, *c.sc)
+			} else {
+				_, err = b.RunContext(ctx, c.bench, cfg)
+			}
+			return err
 		}
-		if !slices.Equal(det.Triggers(), capt.Triggers()) {
-			t.Errorf("%s: triggers differ:\n detect  %+v\n capture %+v", name, det.Triggers(), capt.Triggers())
+		live := flightrec.New(opts)
+		if err := run(context.Background(), live); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if *det.Depths() != *capt.Depths() {
+		live.Finish()
+
+		var whole *flightrec.Recorder
+		_, err := flightrec.Replay(context.Background(), opts, append(slices.Clone(live.Triggers()), never),
+			func(ctx context.Context, sink obs.Sink) error {
+				whole = sink.(*flightrec.Recorder)
+				return run(ctx, sink)
+			})
+		if err == nil || !strings.Contains(err.Error(), "did not reproduce never") {
+			t.Fatalf("%s: a replay wanting a trigger no run reproduces returned %v", name, err)
+		}
+		if !slices.Equal(whole.CAQSeries(), live.CAQSeries()) {
+			t.Errorf("%s: CAQ series differ:\n live    %v\n capture %v", name, live.CAQSeries(), whole.CAQSeries())
+		}
+		if !slices.Equal(whole.Triggers(), live.Triggers()) {
+			t.Errorf("%s: triggers differ:\n live    %+v\n capture %+v", name, live.Triggers(), whole.Triggers())
+		}
+		if *whole.Depths() != *live.Depths() {
 			t.Errorf("%s: depth tables differ", name)
 		}
-		if len(det.Bundles()) != 0 || det.EventsSeen() != 0 {
-			t.Errorf("%s: the detect-only recorder captured %d bundles over %d events", name, len(det.Bundles()), det.EventsSeen())
+
+		want := live.Triggers()
+		if len(want) == 0 {
+			continue
 		}
-		if len(capt.Triggers()) > 0 {
-			triggering++
-			if c.sc != nil {
-				sampledTriggering++
+		triggering++
+		if c.sc != nil {
+			sampledTriggering++
+		}
+		var runErr error
+		bundles, err := flightrec.Replay(context.Background(), opts, want,
+			func(ctx context.Context, sink obs.Sink) error {
+				runErr = run(ctx, sink)
+				return runErr
+			})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(bundles) != len(want) {
+			t.Fatalf("%s: %d bundles for %d triggers", name, len(bundles), len(want))
+		}
+		for i, bu := range bundles {
+			if bu.Trigger != want[i] || bu.Label != c.bench || len(bu.Events) == 0 {
+				t.Errorf("%s: bundle %d is %+v with %d events, want %+v", name, i, bu.Trigger, len(bu.Events), want[i])
 			}
-			if len(capt.Bundles()) != len(capt.Triggers()) {
-				t.Errorf("%s: %d bundles for %d triggers", name, len(capt.Bundles()), len(capt.Triggers()))
-			}
+		}
+		if !errors.Is(runErr, context.Canceled) {
+			t.Errorf("%s: the replay ran to %v, want it stopped after its last trigger", name, runErr)
 		}
 	}
 	if triggering < 8 || sampledTriggering == 0 {

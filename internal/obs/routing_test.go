@@ -2,9 +2,9 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"asdsim/internal/mem"
@@ -19,14 +19,13 @@ type consumers struct {
 	depths  *obs.DepthStats
 	trace   *obs.TraceBuilder
 	flight  *flightrec.Recorder
-	detect  *flightrec.Recorder // detect-only, armed like flight
 	prov    *prov.Recorder
 }
 
 // recorderOptions arms a flight recorder's detectors low and sizes its
-// windows and ring small.
-func recorderOptions(detectOnly bool) flightrec.Options {
-	return flightrec.Options{RingSize: 256, WindowCycles: 3000, MaxBundles: 8, DetectOnly: detectOnly,
+// windows and a replay's ring small.
+func recorderOptions() flightrec.Options {
+	return flightrec.Options{RingSize: 256, WindowCycles: 3000,
 		Detectors: []flightrec.Detector{
 			&flightrec.CAQSaturation{Capacity: 3, MeanFrac: 0.4, Consecutive: 2},
 			&flightrec.LatePrefetchSpike{Ratio: 0.3, MinUseful: 3},
@@ -37,7 +36,7 @@ func recorderOptions(detectOnly bool) flightrec.Options {
 
 // newConsumers sizes windows and rings small, and arms the flight
 // recorder's detectors low, so a few thousand events roll windows,
-// evict samples, wrap rings and capture bundles.
+// evict samples, wrap rings and trip detectors.
 func newConsumers() *consumers {
 	sampler := obs.NewSampler(2000)
 	sampler.MaxWindows = 16
@@ -45,8 +44,7 @@ func newConsumers() *consumers {
 		sampler: sampler,
 		depths:  &obs.DepthStats{},
 		trace:   obs.NewTraceBuilder(),
-		flight:  flightrec.New(recorderOptions(false)),
-		detect:  flightrec.New(recorderOptions(true)),
+		flight:  flightrec.New(recorderOptions()),
 		prov:    prov.New(prov.Options{TraceID: "routing", RingSize: 512}),
 	}
 	c.trace.StartProcess("routing")
@@ -54,14 +52,13 @@ func newConsumers() *consumers {
 }
 
 func (c *consumers) sinks() []obs.Sink {
-	return []obs.Sink{c.sampler, c.depths, c.trace, c.flight, c.detect, c.prov}
+	return []obs.Sink{c.sampler, c.depths, c.trace, c.flight, c.prov}
 }
 
 // output finishes the recorders and renders every consumer's output.
 func (c *consumers) output(t *testing.T) []byte {
 	t.Helper()
 	c.flight.Finish()
-	c.detect.Finish()
 	st := c.prov.Stream()
 	var counts [prov.NumOps]uint64
 	for op := range counts {
@@ -71,8 +68,7 @@ func (c *consumers) output(t *testing.T) []byte {
 	enc := json.NewEncoder(&b)
 	for _, v := range []any{
 		c.sampler.Samples(), c.sampler.Dropped, c.depths,
-		c.flight.Triggers(), c.flight.Bundles(), c.flight.EventsSeen(), c.flight.Depths(),
-		c.flight.CAQSeries(), c.detect.Triggers(), c.detect.Depths(), c.detect.CAQSeries(),
+		c.flight.Triggers(), c.flight.Depths(), c.flight.CAQSeries(),
 		st.Records, st.Dropped, counts,
 	} {
 		if err := enc.Encode(v); err != nil {
@@ -158,7 +154,9 @@ func randomEvent(rng *rand.Rand, cycle *uint64, ids *[]uint64, epoch *int64) obs
 // the kinds it declares, and through a bus that hands every kind to
 // every consumer (each wrapped in obs.Funcs, which declares none). Every
 // consumer's output must be identical: a consumer reads nothing outside
-// its declared kinds, and declares every kind it reads.
+// its declared kinds, and declares every kind it reads. A flight
+// recorder replay's capturing recorder, handed the same stream on either
+// bus, must build the same bundles of the live recorder's triggers.
 func TestRoutedBusMatchesEveryKindBus(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		routed, every := newConsumers(), newConsumers()
@@ -174,8 +172,10 @@ func TestRoutedBusMatchesEveryKindBus(t *testing.T) {
 		var ids []uint64
 		var epoch int64
 		seen := map[obs.Kind]int{}
+		var stream []obs.Event
 		for i := 0; i < 4000; i++ {
 			e := randomEvent(rng, &cycle, &ids, &epoch)
+			stream = append(stream, e)
 			seen[e.Kind]++
 			if e.Kind == obs.KindASDPrefetchDecision && e.V2 > 0 {
 				// The engine's direct hook fires beside the probe, so
@@ -192,21 +192,41 @@ func TestRoutedBusMatchesEveryKindBus(t *testing.T) {
 		}
 		got, want := routed.output(t), every.output(t)
 		// Every seed reaches the rare paths: evicted sample windows,
-		// captured ring snapshots and a wrapped provenance ring.
-		if routed.sampler.Dropped == 0 || len(routed.flight.Bundles()) == 0 || routed.prov.Stream().Dropped == 0 {
-			t.Fatalf("seed %d: sampler dropped %d, %d bundles, provenance dropped %d; want all non-zero",
-				seed, routed.sampler.Dropped, len(routed.flight.Bundles()), routed.prov.Stream().Dropped)
+		// flight-recorder triggers and a wrapped provenance ring.
+		triggers := routed.flight.Triggers()
+		if routed.sampler.Dropped == 0 || len(triggers) == 0 || routed.prov.Stream().Dropped == 0 {
+			t.Fatalf("seed %d: sampler dropped %d, %d triggers, provenance dropped %d; want all non-zero",
+				seed, routed.sampler.Dropped, len(triggers), routed.prov.Stream().Dropped)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: routed outputs differ from every-kind outputs\nrouted: %.2000s\nevery:  %.2000s", seed, got, want)
 		}
-		// Trailing and non-detect events included, a detect-only
-		// recorder closes the windows a capturing one does.
-		f, d := routed.flight, routed.detect
-		if len(f.Triggers()) == 0 || !slices.Equal(d.Triggers(), f.Triggers()) ||
-			!slices.Equal(d.CAQSeries(), f.CAQSeries()) || *d.Depths() != *f.Depths() {
-			t.Fatalf("seed %d: detect-only recorder differs from the capturing one\ncapture triggers %+v\ndetect  triggers %+v",
-				seed, f.Triggers(), d.Triggers())
+		// Trailing and non-detect events included, the capturing
+		// recorder closes the windows the live one did, so every
+		// trigger recurs; its wrapped rings match on either bus.
+		capture := func(bus func(obs.Sink) *obs.Bus) []byte {
+			bundles, err := flightrec.Replay(context.Background(), recorderOptions(), triggers,
+				func(_ context.Context, sink obs.Sink) error {
+					b := bus(sink)
+					for _, e := range stream {
+						b.Emit(e)
+					}
+					return nil
+				})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			out, err := json.Marshal(bundles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		routedBundles := capture(func(s obs.Sink) *obs.Bus { return obs.NewBus(s) })
+		everyBundles := capture(func(s obs.Sink) *obs.Bus { return obs.NewBus(obs.Funcs(s.Emit)) })
+		if !bytes.Equal(routedBundles, everyBundles) {
+			t.Fatalf("seed %d: a capture on the routed bus differs from one handed every kind\nrouted: %.2000s\nevery:  %.2000s",
+				seed, routedBundles, everyBundles)
 		}
 	}
 }

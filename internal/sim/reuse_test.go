@@ -164,17 +164,16 @@ func TestBatchCellAllocation(t *testing.T) {
 
 // TestInstrumentedCellAllocation is the allocation gate for a warm
 // instrumented cell: with the recorders asdsim -obs -flightrec -explain
-// attaches (Sampler, DepthStats and flight recorder on the bus, plus
-// provenance), a warm Batch cell must take the flight recorder's event
-// ring and the provenance record ring from their free lists, not
-// allocate and zero them, and Finish must hand the event ring back.
-// What remains is the cell's own state, the sample windows, the epoch
-// snapshots and the triage bundles' ring captures. Stream's copy of the
-// retained records is checked on its own: it allocates only the records
-// it returns.
+// attaches to its live run (Sampler, DepthStats and the detect-only
+// flight recorder on the bus, plus provenance), a warm Batch cell must
+// take the provenance record ring from its free list, not allocate and
+// zero it, and the flight recorder holds no event ring. What remains is
+// the cell's own state, the sample windows and the epoch snapshots.
+// Stream's copy of the retained records is checked on its own: it
+// allocates only the records it returns.
 func TestInstrumentedCellAllocation(t *testing.T) {
 	const budget = 200_000
-	const meanLimit, maxLimit = 320 << 10, 512 << 10
+	const meanLimit, maxLimit = 64 << 10, 64 << 10
 	type cell struct {
 		bench string
 		cfg   Config

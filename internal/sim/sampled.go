@@ -97,6 +97,34 @@ func (sc SampleConfig) Validate() error {
 	return nil
 }
 
+// ValidateFor is Validate for a run of budget instructions per thread:
+// it also refuses a schedule that places fewer than two measurement
+// windows in the budget, which cannot give a confidence interval, so
+// the refusal costs no simulation. Windows start at 0, Period,
+// 2*Period, ... and one counts when Warmup+Detail fits before the
+// budget ends. Call it on the defaulted config.
+func (sc SampleConfig) ValidateFor(budget uint64) error {
+	if err := sc.Validate(); err != nil {
+		return err
+	}
+	var windows uint64
+	if sc.Warmup+sc.Detail <= budget {
+		windows = (budget-sc.Warmup-sc.Detail)/sc.Period + 1
+	}
+	if windows < 2 {
+		return tooFewWindows(budget, windows, sc.Period)
+	}
+	return nil
+}
+
+// tooFewWindows is the error for a sampled run of budget instructions
+// that measures fewer than two windows.
+func tooFewWindows(budget, windows, period uint64) error {
+	return fmt.Errorf(
+		"sim: budget %d yields %d measurement windows at period %d; need >= 2 for a confidence interval (shrink the period or raise the budget)",
+		budget, windows, period)
+}
+
 // SampledResult is the outcome of one sampled simulation: a CPI point
 // estimate with a Student-t confidence interval over the measurement
 // windows, and cycle/IPC estimates extrapolated from it.
@@ -172,7 +200,7 @@ func (b *Batch) RunSampled(ctx context.Context, bench string, cfg Config, sc Sam
 		return SampledResult{}, err
 	}
 	sc = sc.WithDefaults()
-	if err := sc.Validate(); err != nil {
+	if err := sc.ValidateFor(cfg.InstrBudget); err != nil {
 		return SampledResult{}, err
 	}
 	start := time.Now() //asd:allow determinism wall-clock throughput stamp; excluded from serialized results
@@ -231,9 +259,9 @@ func runSampled(ctx context.Context, r *runner, bench string, sc SampleConfig, s
 		r.fastForward(end, warmFrom)
 	}
 	if len(cpis) < 2 {
-		return SampledResult{}, fmt.Errorf(
-			"sim: budget %d yields %d measurement windows at period %d; need >= 2 for a confidence interval (shrink the period or raise the budget)",
-			budget, len(cpis), sc.Period)
+		// The schedule had two windows, but a trace that ends early
+		// measures fewer.
+		return SampledResult{}, tooFewWindows(budget, uint64(len(cpis)), sc.Period)
 	}
 
 	mean, sd := meanStdDev(cpis)

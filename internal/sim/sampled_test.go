@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -125,6 +126,22 @@ func TestSampledValidation(t *testing.T) {
 	// confidence interval.
 	if _, err := Sampled("milc", Default(PMS, 110_000), DefaultSampleConfig()); err == nil {
 		t.Error("accepted a budget yielding < 2 measurement windows")
+	}
+	// Such a schedule is refused before its trace materializes: windows
+	// start every Period and need Warmup+Detail to fit in the budget.
+	one := SampleConfig{Period: 400_000, Warmup: 300_000, Detail: 100_000, Confidence: 0.95}
+	b := NewBatch()
+	if _, err := b.RunSampled(context.Background(), "GemsFDTD", Default(MS, 400_000), one); err == nil ||
+		!strings.Contains(err.Error(), "yields 1 measurement windows") {
+		t.Errorf("one-window schedule: err = %v, want a refusal naming its 1 window", err)
+	}
+	if st := b.CacheStats(); st.Misses != 0 || st.Hits != 0 {
+		t.Errorf("the refused schedule fetched traces: %+v", st)
+	}
+	for budget, ok := range map[uint64]bool{399_999: false, 400_000: false, 799_999: false, 800_000: true} {
+		if err := one.ValidateFor(budget); (err == nil) != ok {
+			t.Errorf("ValidateFor(%d) = %v, want accepted=%v", budget, err, ok)
+		}
 	}
 	// An invalid base config is rejected before any simulation.
 	bad := cfg
