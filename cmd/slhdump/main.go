@@ -52,7 +52,7 @@ func main() {
 
 	recs := trace.Collect(trace.Limit(src, *records), 0)
 	fmt.Println("--- trace statistics ---")
-	fmt.Print(trace.Analyze(trace.NewSliceSource(recs), 0))
+	fmt.Print(trace.Analyze(recs))
 
 	// Replay through the cache hierarchy and feed the MC-level miss
 	// stream to an ASD engine, as the memory controller would see it.

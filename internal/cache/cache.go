@@ -148,18 +148,25 @@ func (c *Cache) touchMRU(set, way int) {
 	if int(ord&0xF) == way {
 		return
 	}
-	p := c.posOf(ord, way)
+	p := posOf(ord, way)
 	low := ord & (1<<(4*p) - 1)
 	c.order[set] = ord&^(1<<(4*(p+1))-1) | low<<4 | uint64(way)
 }
 
-// posOf returns the nibble position of way within ord.
-func (c *Cache) posOf(ord uint64, way int) uint {
-	for p := uint(0); ; p++ {
-		if int(ord>>(4*p)&0xF) == way {
-			return p
-		}
-	}
+// nibbleOnes holds 1 in every nibble, so way*nibbleOnes repeats way in
+// each.
+const nibbleOnes = 0x1111111111111111
+
+// posOf returns the nibble position of way within the recency order
+// ord, in one SWAR step: the lowest zero nibble of x = ord ^
+// way*nibbleOnes. (x-nibbleOnes)&^x flags a nibble's top bit only at a
+// zero nibble or above one, where a borrow ran, so its lowest flag is
+// exactly the lowest zero. The way always sits below assoc, so it is
+// found before the zero nibbles past assoc, which XOR leaves zero when
+// way is 0.
+func posOf(ord uint64, way int) uint {
+	x := ord ^ uint64(way)*nibbleOnes
+	return uint(bits.TrailingZeros64((x-nibbleOnes)&^x&(nibbleOnes<<3))) / 4
 }
 
 // Lookup probes for line; on a hit it refreshes LRU state and, if store,

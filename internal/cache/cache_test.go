@@ -379,6 +379,26 @@ func TestSetOfPathsAgree(t *testing.T) {
 	}
 }
 
+// posOf finds every way at every position of a recency order, for every
+// associativity from 1 to 16: each rotation of the ways puts each way
+// at each position once. Way 0 is the case where the nibbles past
+// assoc, zero in the order, XOR to zero too.
+func TestPosOfEveryPosition(t *testing.T) {
+	for assoc := 1; assoc <= maxAssoc; assoc++ {
+		for rot := 0; rot < assoc; rot++ {
+			var ord uint64
+			for p := 0; p < assoc; p++ {
+				ord |= uint64((p+rot)%assoc) << (4 * p)
+			}
+			for p := 0; p < assoc; p++ {
+				if way := (p + rot) % assoc; posOf(ord, way) != uint(p) {
+					t.Errorf("assoc %d, order %#x: way %d at position %d, posOf says %d", assoc, ord, way, p, posOf(ord, way))
+				}
+			}
+		}
+	}
+}
+
 // cacheOp is one step of a random cache workout.
 type cacheOp struct {
 	kind  int // 0 Lookup, 1 Insert, 2 Lookup then InsertAbsent on a miss, 3 Invalidate

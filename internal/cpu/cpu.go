@@ -46,7 +46,7 @@ type Thread struct {
 	// ID is the hardware thread index.
 	ID  int
 	cfg Config
-	src trace.Source
+	src *trace.Cursor
 
 	// Now is the thread-local CPU cycle.
 	Now uint64
@@ -61,8 +61,8 @@ type Thread struct {
 	bus      *obs.Bus // nil when no observer is attached
 }
 
-// NewThread returns a thread executing src under cfg.
-func NewThread(id int, src trace.Source, cfg Config) *Thread {
+// NewThread returns a thread executing the trace src reads under cfg.
+func NewThread(id int, src *trace.Cursor, cfg Config) *Thread {
 	if cfg.Window == 0 || cfg.MaxOutstanding <= 0 || cfg.BudgetInstructions == 0 {
 		panic(fmt.Sprintf("cpu: invalid config %+v", cfg))
 	}
@@ -100,7 +100,7 @@ func (t *Thread) NextRecord() (trace.Record, bool) {
 }
 
 // SkipRetired bulk-retires delta instructions whose trace records the
-// caller consumed directly from the thread's source (the sampled
+// caller consumed directly from the thread's cursor (the sampled
 // fast-forward's reuse-bounded skip): the clock and retirement count
 // advance exactly as per-record NextRecord calls would have. The
 // caller must keep delta within the thread's remaining budget.

@@ -6,12 +6,14 @@ import (
 	"asdsim/internal/trace"
 )
 
-func recs(n int) []trace.Record {
-	out := make([]trace.Record, n)
+// cursor returns a cursor over n loads of address 0, each after a
+// 4-instruction gap.
+func cursor(n int) *trace.Cursor {
+	out := make([]trace.Packed, n)
 	for i := range out {
-		out[i] = trace.Record{Gap: 4, Op: trace.Load, Addr: 0}
+		out[i] = trace.Pack(trace.Record{Gap: 4, Op: trace.Load, Addr: 0})
 	}
-	return out
+	return trace.NewCursor(out)
 }
 
 func TestNewThreadPanics(t *testing.T) {
@@ -26,13 +28,13 @@ func TestNewThreadPanics(t *testing.T) {
 					t.Errorf("%s: expected panic", name)
 				}
 			}()
-			NewThread(0, trace.NewSliceSource(nil), cfg)
+			NewThread(0, cursor(0), cfg)
 		}()
 	}
 }
 
 func TestNextRecordAccounting(t *testing.T) {
-	th := NewThread(0, trace.NewSliceSource(recs(3)), DefaultConfig(1000))
+	th := NewThread(0, cursor(3), DefaultConfig(1000))
 	r, ok := th.NextRecord()
 	if !ok || r.Gap != 4 {
 		t.Fatalf("rec = %v ok=%v", r, ok)
@@ -43,7 +45,7 @@ func TestNextRecordAccounting(t *testing.T) {
 }
 
 func TestBudgetEndsThread(t *testing.T) {
-	th := NewThread(0, trace.NewSliceSource(recs(100)), Config{Window: 8, MaxOutstanding: 2, BudgetInstructions: 12})
+	th := NewThread(0, cursor(100), Config{Window: 8, MaxOutstanding: 2, BudgetInstructions: 12})
 	n := 0
 	for {
 		if _, ok := th.NextRecord(); !ok {
@@ -61,7 +63,7 @@ func TestBudgetEndsThread(t *testing.T) {
 }
 
 func TestTraceExhaustionEndsThread(t *testing.T) {
-	th := NewThread(0, trace.NewSliceSource(recs(2)), DefaultConfig(1000))
+	th := NewThread(0, cursor(2), DefaultConfig(1000))
 	th.NextRecord()
 	th.NextRecord()
 	if _, ok := th.NextRecord(); ok {
@@ -73,7 +75,7 @@ func TestTraceExhaustionEndsThread(t *testing.T) {
 }
 
 func TestBlockedOnOutstandingLimit(t *testing.T) {
-	th := NewThread(0, trace.NewSliceSource(recs(100)), Config{Window: 1000, MaxOutstanding: 2, BudgetInstructions: 1 << 30})
+	th := NewThread(0, cursor(100), Config{Window: 1000, MaxOutstanding: 2, BudgetInstructions: 1 << 30})
 	th.NextRecord()
 	id1 := th.AddPending(1, true)
 	if th.BlockedOn() != nil {
@@ -91,7 +93,7 @@ func TestBlockedOnOutstandingLimit(t *testing.T) {
 }
 
 func TestBlockedOnWindow(t *testing.T) {
-	th := NewThread(0, trace.NewSliceSource(recs(100)), Config{Window: 10, MaxOutstanding: 8, BudgetInstructions: 1 << 30})
+	th := NewThread(0, cursor(100), Config{Window: 10, MaxOutstanding: 8, BudgetInstructions: 1 << 30})
 	th.NextRecord() // instr 5
 	id := th.AddPending(1, true)
 	th.NextRecord() // instr 10
@@ -106,7 +108,7 @@ func TestBlockedOnWindow(t *testing.T) {
 }
 
 func TestStoreMissesDoNotBlockViaWindow(t *testing.T) {
-	th := NewThread(0, trace.NewSliceSource(recs(100)), Config{Window: 10, MaxOutstanding: 8, BudgetInstructions: 1 << 30})
+	th := NewThread(0, cursor(100), Config{Window: 10, MaxOutstanding: 8, BudgetInstructions: 1 << 30})
 	th.NextRecord()
 	th.AddPending(1, false) // store miss
 	for i := 0; i < 10; i++ {
@@ -118,7 +120,7 @@ func TestStoreMissesDoNotBlockViaWindow(t *testing.T) {
 }
 
 func TestResumeAccountsStall(t *testing.T) {
-	th := NewThread(0, trace.NewSliceSource(recs(10)), DefaultConfig(1000))
+	th := NewThread(0, cursor(10), DefaultConfig(1000))
 	th.NextRecord() // Now = 5
 	th.Resume(50)
 	if th.Now != 50 || th.StallCycles != 45 {
@@ -131,7 +133,7 @@ func TestResumeAccountsStall(t *testing.T) {
 }
 
 func TestChargeHitAndDrain(t *testing.T) {
-	th := NewThread(0, trace.NewSliceSource(recs(10)), DefaultConfig(1000))
+	th := NewThread(0, cursor(10), DefaultConfig(1000))
 	th.NextRecord()
 	th.ChargeHit(13)
 	if th.Now != 18 {
@@ -148,7 +150,7 @@ func TestChargeHitAndDrain(t *testing.T) {
 }
 
 func TestCompleteUnknownIDIsNoop(t *testing.T) {
-	th := NewThread(0, trace.NewSliceSource(recs(10)), DefaultConfig(1000))
+	th := NewThread(0, cursor(10), DefaultConfig(1000))
 	th.AddPending(1, true)
 	th.Complete(999)
 	if len(th.pend) != 1 {

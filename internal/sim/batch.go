@@ -90,7 +90,7 @@ func (b *Batch) buildRunner(ctx context.Context, bench string, cfg Config, newHi
 	}
 	r := newRunnerShell(cfg, newHier(cfg.Cache))
 	for t, mt := range mts {
-		src := trace.NewSliceSource(mt.Records)
+		src := trace.NewCursor(mt.Records)
 		th := cpu.NewThread(t, src, cpu.Config{
 			Window:             cfg.Window,
 			MaxOutstanding:     cfg.MaxOutstanding,

@@ -182,9 +182,9 @@ func ParseEngine(s string) (EngineKind, error) {
 }
 
 // MaxInstrBudget bounds Config.InstrBudget. Every run materializes each
-// thread's trace before simulating it, at 16 B per memory record, and
+// thread's trace before simulating it, at 8 B per memory record, and
 // the built-in profiles average one record per 23-81 instructions, so
-// the bound caps one thread's trace at about 0.75 GB.
+// the bound caps one thread's trace at about 0.4 GB.
 const MaxInstrBudget = 1 << 30
 
 // Validate reports the first problem with the configuration.

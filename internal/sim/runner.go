@@ -146,8 +146,8 @@ type runner struct {
 	// cursor so reuse-bounded fast-forward can skip runs of records in
 	// one bulk step instead of fetching them one at a time. A test
 	// clears them to run the per-record reference loop instead.
-	ffRecs [][]trace.Record
-	ffSrcs []*trace.SliceSource
+	ffRecs [][]trace.Packed
+	ffSrcs []*trace.Cursor
 }
 
 // flightTable maps each line being fetched to its flight. It is a
@@ -229,7 +229,12 @@ var ErrDeadlock = errors.New("sim: memory-system deadlock")
 
 // ctxCheckInterval is how many loop iterations pass between context
 // cancellation checks; a power of two so the check compiles to a mask.
-const ctxCheckInterval = 1024
+// A check costs a few nanoseconds against the tens of cycles an
+// iteration simulates, and checking this often stops a cancelled run
+// within a few thousand cycles, as a bundle replay that cancels at its
+// trigger needs: the GemsFDTD/MS 400k replay, cancelled at cycle
+// 300,038, stops by 301,063.
+const ctxCheckInterval = 64
 
 // Run simulates benchmark bench under cfg and returns the results. It
 // is a one-cell Batch.

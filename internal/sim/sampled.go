@@ -220,24 +220,28 @@ func runSampled(ctx context.Context, r *runner, bench string, sc SampleConfig, s
 	done := ctx.Done()
 	var cpis []float64
 	var measured uint64
+	aborted := func(err error) (SampledResult, error) {
+		return SampledResult{}, fmt.Errorf("sim: sampled run aborted: %w", err)
+	}
 	for ws := uint64(0); ws < budget; ws += sc.Period {
-		// The bounded detailed segments below are usually too short for
-		// loopUntil's own stride-1024 context check to fire, so poll once
-		// per period here (a period is milliseconds of host time).
+		// The functional fast-forward never polls ctx, so poll once per
+		// period here (a period is milliseconds of host time); the
+		// detailed segments poll in their own loops, and their errors
+		// are wrapped alike.
 		if done != nil {
 			select {
 			case <-done:
-				return SampledResult{}, fmt.Errorf("sim: sampled run aborted: %w", ctx.Err())
+				return aborted(ctx.Err())
 			default:
 			}
 		}
 		if ws+sc.Warmup+sc.Detail <= budget {
 			if err := r.loopUntil(ctx, ws+sc.Warmup); err != nil {
-				return SampledResult{}, err
+				return aborted(err)
 			}
 			c0, i0 := r.progress()
 			if err := r.loopUntil(ctx, ws+sc.Warmup+sc.Detail); err != nil {
-				return SampledResult{}, err
+				return aborted(err)
 			}
 			c1, i1 := r.progress()
 			if i1 > i0 && c1 > c0 {
@@ -245,7 +249,7 @@ func runSampled(ctx context.Context, r *runner, bench string, sc SampleConfig, s
 				measured += i1 - i0
 			}
 			if err := r.flushForSample(ctx); err != nil {
-				return SampledResult{}, err
+				return aborted(err)
 			}
 		}
 		end := ws + sc.Period
@@ -384,9 +388,8 @@ func (r *runner) bumpFFWindow() {
 // — the part whose state the next detailed window can actually observe
 // — is functionally warmed. Pass 0 to warm the whole gap.
 //
-// Like loopUntil, this driver stays outside the //asd:hotpath closure
-// (record fetch dispatches through the trace.Source interface); the
-// per-record leaves it calls — functionalAccess, psWarm — are the
+// Like loopUntil, this loop stays outside the //asd:hotpath closure;
+// the per-record leaves it calls — functionalAccess, psWarm — are the
 // certified hot path.
 func (r *runner) fastForward(target, warmFrom uint64) {
 	r.bumpFFWindow()
@@ -399,7 +402,7 @@ func (r *runner) fastForward(target, warmFrom uint64) {
 			recs, src := r.ffRecs[ti], r.ffSrcs[ti]
 			pos, instr := src.Pos(), th.Instructions
 			for pos < len(recs) {
-				next := instr + uint64(recs[pos].Gap) + 1
+				next := instr + uint64(recs[pos].Gap()) + 1
 				if next >= warmFrom {
 					break
 				}

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"testing"
+
+	"asdsim/internal/workload"
 )
 
 const testBudget = 300_000
@@ -62,6 +64,29 @@ func TestConfigValidate(t *testing.T) {
 func TestRunUnknownBenchmark(t *testing.T) {
 	if _, err := Run("nosuch", Default(NP, 1000)); err == nil {
 		t.Error("expected error for unknown benchmark")
+	}
+}
+
+// A profile whose records a packed trace could not hold never reaches a
+// run: Register refuses it, so Run reports an error instead of
+// simulating truncated gaps or addresses that run into thread 1's.
+func TestRunRefusesUnpackableProfile(t *testing.T) {
+	for name, edit := range map[string]func(*workload.Profile){
+		"gap":       func(p *workload.Profile) { p.MeanGap = 1 << 20 },
+		"footprint": func(p *workload.Profile) { p.FootprintLines = 1 << 40 },
+	} {
+		p, err := workload.ByName("milc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Name = "unpackable-" + name
+		edit(&p)
+		if err := workload.Register(p); err == nil {
+			t.Fatalf("%s: Register accepted the profile", name)
+		}
+		if _, err := Run(p.Name, Default(PMS, 10_000)); err == nil {
+			t.Errorf("%s: Run accepted the profile", name)
+		}
 	}
 }
 

@@ -31,19 +31,14 @@ type Analysis struct {
 	DownStrides uint64
 }
 
-// Analyze drains src (up to max records; all if max <= 0) and summarises
-// it.
-func Analyze(src Source, max int) Analysis {
+// Analyze summarises recs.
+func Analyze(recs []Record) Analysis {
 	a := Analysis{LineStrides: stats.NewHistogram(16)}
 	seen := make(map[mem.Line]struct{})
 	var prev mem.Line
 	var havePrev bool
 	var gapSum uint64
-	for max <= 0 || a.Records < uint64(max) {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
+	for _, rec := range recs {
 		a.Records++
 		a.Instructions += uint64(rec.Gap) + 1
 		gapSum += uint64(rec.Gap)

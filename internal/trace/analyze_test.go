@@ -19,7 +19,7 @@ func TestAnalyzeBasics(t *testing.T) {
 		lineRec(10, Load, 4),  // -1
 		lineRec(50, Load, 4),  // far jump
 	}
-	a := Analyze(NewSliceSource(recs), 0)
+	a := Analyze(recs)
 	if a.Records != 5 || a.Loads != 4 || a.Stores != 1 {
 		t.Fatalf("mix: %+v", a)
 	}
@@ -41,19 +41,8 @@ func TestAnalyzeBasics(t *testing.T) {
 	}
 }
 
-func TestAnalyzeMaxRecords(t *testing.T) {
-	recs := make([]Record, 10)
-	for i := range recs {
-		recs[i] = lineRec(i, Load, 0)
-	}
-	a := Analyze(NewSliceSource(recs), 4)
-	if a.Records != 4 {
-		t.Errorf("Records = %d, want 4", a.Records)
-	}
-}
-
 func TestAnalyzeEmpty(t *testing.T) {
-	a := Analyze(NewSliceSource(nil), 0)
+	a := Analyze(nil)
 	if a.Records != 0 || a.MeanGap != 0 {
 		t.Errorf("empty analysis: %+v", a)
 	}
@@ -64,7 +53,7 @@ func TestAnalyzeEmpty(t *testing.T) {
 
 func TestAnalyzeString(t *testing.T) {
 	recs := []Record{lineRec(1, Load, 0), lineRec(2, Load, 0)}
-	s := Analyze(NewSliceSource(recs), 0).String()
+	s := Analyze(recs).String()
 	for _, want := range []string{"records:", "instructions:", "footprint:", "transitions:"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("missing %q in %q", want, s)

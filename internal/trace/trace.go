@@ -38,49 +38,75 @@ type Record struct {
 	Addr mem.Addr
 }
 
-// Source produces trace records. Workload generators and SliceSource
+// Packed is a Record in one 64-bit word, the form a materialized trace
+// keeps: bit 0 holds Op, bits 1-18 Gap and bits 19-63 Addr. Packing is
+// lossless for a Load or Store whose Gap is at most MaxGap and whose
+// Addr is at most MaxAddr; workload.Profile.Validate refuses any profile
+// whose records could exceed them.
+type Packed uint64
+
+const (
+	gapBits   = 18
+	addrShift = 1 + gapBits
+
+	// MaxGap is the largest Gap a Packed record holds.
+	MaxGap = 1<<gapBits - 1
+	// MaxAddr is the largest Addr a Packed record holds: 45 bits, room
+	// for two SMT threads' 2^44-byte address ranges.
+	MaxAddr = mem.Addr(1)<<(64-addrShift) - 1
+)
+
+// Pack packs r, which must fit (see Packed).
+func Pack(r Record) Packed {
+	return Packed(r.Addr)<<addrShift | Packed(r.Gap)<<1 | Packed(r.Op&1)
+}
+
+// Record unpacks p.
+func (p Packed) Record() Record {
+	return Record{Gap: p.Gap(), Op: Op(p & 1), Addr: mem.Addr(p >> addrShift)}
+}
+
+// Gap returns p's compute gap without unpacking the rest.
+func (p Packed) Gap() uint32 { return uint32(p>>1) & MaxGap }
+
+// Source produces trace records. Workload generators and Cursor
 // implement it. Next returns ok=false when the trace is exhausted.
 type Source interface {
 	Next() (rec Record, ok bool)
 }
 
-// SliceSource adapts a []Record to a Source.
-type SliceSource struct {
-	recs []Record
+// Cursor reads a packed trace in order: the one source a simulated
+// thread fetches its records from.
+type Cursor struct {
+	recs []Packed
 	pos  int
 }
 
-// NewSliceSource returns a Source reading from recs.
-func NewSliceSource(recs []Record) *SliceSource { return &SliceSource{recs: recs} }
+// NewCursor returns a cursor at the first of recs.
+func NewCursor(recs []Packed) *Cursor { return &Cursor{recs: recs} }
 
 // Next implements Source.
-func (s *SliceSource) Next() (Record, bool) {
-	if s.pos >= len(s.recs) {
+func (c *Cursor) Next() (Record, bool) {
+	if c.pos >= len(c.recs) {
 		return Record{}, false
 	}
-	r := s.recs[s.pos]
-	s.pos++
-	return r, true
+	p := c.recs[c.pos]
+	c.pos++
+	return p.Record(), true
 }
-
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }
 
 // Pos returns the index of the record the next Next call will return.
-func (s *SliceSource) Pos() int { return s.pos }
+func (c *Cursor) Pos() int { return c.pos }
 
 // Skip advances the cursor n records without reading them, clamped to
-// the end of the slice. Callers skipping records are responsible for
+// the end of the trace. Callers skipping records are responsible for
 // accounting their retirement (see cpu.Thread.SkipRetired).
-func (s *SliceSource) Skip(n int) {
-	s.pos += n
-	if s.pos > len(s.recs) {
-		s.pos = len(s.recs)
+func (c *Cursor) Skip(n int) {
+	c.pos += n
+	if c.pos > len(c.recs) {
+		c.pos = len(c.recs)
 	}
 }
-
-// Len returns the total number of records.
-func (s *SliceSource) Len() int { return len(s.recs) }
 
 // Collect drains up to max records from src (all records if max <= 0).
 func Collect(src Source, max int) []Record {

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -295,6 +297,97 @@ func TestProfileValidateErrors(t *testing.T) {
 			t.Errorf("%s: expected validation error", name)
 		}
 	}
+}
+
+// A profile whose records a packed trace could not hold is refused,
+// with an error naming the bound, by Validate, Register and
+// NewGenerator alike; a profile at the bounds is accepted and its
+// records, thread 1's included, pack losslessly.
+func TestPackBoundsRefused(t *testing.T) {
+	base := Profile{
+		Name: "packbound", MeanGap: 1, ReadFrac: 0.5, FootprintLines: 10,
+		ActiveStreams: 1, AccessesPerLine: 1,
+		Phases: singlePhase([]float64{1}, 0), PhaseLenRefs: 10,
+	}
+	gapBound := fmt.Sprint(trace.MaxGap)
+	rangeBound := fmt.Sprint(threadAddrStride)
+	for name, tc := range map[string]struct {
+		edit func(*Profile)
+		want string
+	}{
+		"gap":           {func(p *Profile) { p.MeanGap = (trace.MaxGap + 1) / 2.0 }, gapBound},
+		"gap-nan":       {func(p *Profile) { p.MeanGap = math.NaN() }, gapBound},
+		"gap-inf":       {func(p *Profile) { p.MeanGap = math.Inf(1) }, gapBound},
+		"footprint":     {func(p *Profile) { p.FootprintLines = int(maxThreadLines + 1) }, rangeBound},
+		"footprint+hot": {func(p *Profile) { p.FootprintLines, p.HotLines, p.HotFrac = int(maxThreadLines-100), 101, 0.5 }, rangeBound},
+		"unused-hot":    {func(p *Profile) { p.HotLines = int(maxThreadLines) }, rangeBound},
+		"overflow":      {func(p *Profile) { p.FootprintLines, p.HotLines = math.MaxInt, math.MaxInt }, rangeBound},
+	} {
+		p := base
+		p.Phases = singlePhase([]float64{1}, 0)
+		tc.edit(&p)
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %s", name, err, tc.want)
+		}
+		if err := Register(p); err == nil {
+			delete(profiles, p.Name)
+			t.Errorf("%s: Register accepted the profile", name)
+		}
+		if _, err := NewGenerator(p, 1, 0); err == nil {
+			t.Errorf("%s: NewGenerator accepted the profile", name)
+		}
+	}
+
+	edge := base
+	edge.MeanGap = trace.MaxGap / 2.0
+	edge.FootprintLines, edge.HotLines, edge.HotFrac = int(maxThreadLines-6144), 6144, 0.5
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("the profile at the bounds is refused: %v", err)
+	}
+	mt, err := Materialize(edge, 1, 1, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsLive(t, mt, testGenerator(t, edge, 1, 1))
+	for _, thread := range []int{-1, 2} {
+		if _, err := Materialize(edge, 1, thread, 1000); err == nil {
+			t.Errorf("Materialize packed thread %d, whose addresses exceed trace.MaxAddr", thread)
+		}
+	}
+}
+
+// FuzzPackedRecord: every record a valid profile generates, on either
+// thread, lies in its thread's address range and round-trips through
+// trace.Packed exactly.
+func FuzzPackedRecord(f *testing.F) {
+	f.Add(uint64(1), 30.0, int64(512*linesMB), int64(0), 0.0, uint8(0), uint8(2))
+	f.Add(uint64(2), 32.0, int64(900*linesMB), int64(6144), 0.39, uint8(1), uint8(1))
+	f.Add(uint64(3), float64(trace.MaxGap)/2, maxThreadLines-6144, int64(6144), 0.5, uint8(1), uint8(4))
+	f.Add(uint64(4), 0.0, int64(1), int64(1), 1.0, uint8(1), uint8(200))
+	f.Fuzz(func(t *testing.T, seed uint64, meanGap float64, footprint, hot int64, hotFrac float64, thread, perLine uint8) {
+		p := Profile{
+			Name: "fuzz", MeanGap: meanGap, ReadFrac: 0.5,
+			FootprintLines: int(footprint), HotLines: int(hot), HotFrac: hotFrac,
+			ActiveStreams: 3, DownFrac: 0.3, AccessesPerLine: int(perLine),
+			Phases:       singlePhase(w16(1, 1, 2, 1, 16, 1), 0.5),
+			PhaseLenRefs: 50,
+		}
+		if p.Validate() != nil {
+			return
+		}
+		th := int(thread % 2)
+		g := testGenerator(t, p, seed, th)
+		lo := threadAddrStride * mem.Addr(th)
+		for i := 0; i < 256; i++ {
+			r, _ := g.Next()
+			if r.Addr < lo || r.Addr-lo >= threadAddrStride {
+				t.Fatalf("record %d: address %#x outside thread %d's range", i, r.Addr, th)
+			}
+			if got := trace.Pack(r).Record(); got != r {
+				t.Fatalf("record %d: %+v packs and unpacks to %+v", i, r, got)
+			}
+		}
+	})
 }
 
 func BenchmarkGenerator(b *testing.B) {

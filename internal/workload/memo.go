@@ -19,10 +19,11 @@ import (
 // ground-truth stream-length histogram at that point. The records slice
 // and histogram are immutable after Materialize returns, so any number
 // of concurrent simulations may replay the same MaterializedTrace
-// through private trace.SliceSource cursors.
+// through private trace.Cursors.
 type MaterializedTrace struct {
-	// Records is the trace in consumption order.
-	Records []trace.Record
+	// Records is the trace in consumption order, each record packed
+	// into 8 bytes; Record() unpacks exactly what the generator made.
+	Records []trace.Packed
 	// TrueLengths is the generator's TrueLengths histogram snapshot
 	// after producing Records — identical to what a live generator
 	// driven by the same thread would hold at the end of the run.
@@ -40,10 +41,10 @@ const entryBytes = int64(unsafe.Sizeof(cacheEntry{})+unsafe.Sizeof(MaterializedT
 	unsafe.Sizeof(stats.Histogram{})) + 192
 
 // sizeBytes is the memory the cache entry e keeps reachable: the
-// records' backing array at its capacity, the ground-truth histogram,
-// the key and the structs around them.
+// records' backing array at its capacity, 8 bytes a record, the
+// ground-truth histogram, the key and the structs around them.
 func (e *cacheEntry) sizeBytes() int64 {
-	return int64(cap(e.mt.Records))*int64(unsafe.Sizeof(trace.Record{})) +
+	return int64(cap(e.mt.Records))*int64(unsafe.Sizeof(trace.Packed(0))) +
 		int64(e.mt.TrueLengths.Buckets())*8 + int64(len(e.key.profile)) + entryBytes
 }
 
@@ -62,10 +63,15 @@ const materializeCheckInterval = 4096
 
 // materialize is Materialize with cancellation: generation polls ctx
 // every materializeCheckInterval records and returns ctx's error,
-// dropping the partial trace, once it is cancelled.
+// dropping the partial trace, once it is cancelled. It packs each
+// record as it is generated; Profile.Validate and the thread bound
+// here keep every record within what trace.Packed holds.
 func materialize(ctx context.Context, prof Profile, seed uint64, thread int, budget uint64) (*MaterializedTrace, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if last := int(trace.MaxAddr / threadAddrStride); thread < 0 || thread > last {
+		return nil, fmt.Errorf("workload: thread %d outside the threads 0-%d a packed trace addresses", thread, last)
 	}
 	g, err := NewGenerator(prof, seed, thread)
 	if err != nil {
@@ -74,7 +80,7 @@ func materialize(ctx context.Context, prof Profile, seed uint64, thread int, bud
 	// Pre-size from the profile's mean gap; the estimate only tunes
 	// append growth.
 	est := int(budget/(uint64(prof.MeanGap)+1)) + 16
-	mt := &MaterializedTrace{Records: make([]trace.Record, 0, est)}
+	mt := &MaterializedTrace{Records: make([]trace.Packed, 0, est)}
 	done := ctx.Done()
 	for mt.Instructions < budget {
 		if done != nil && len(mt.Records)%materializeCheckInterval == 0 {
@@ -85,7 +91,7 @@ func materialize(ctx context.Context, prof Profile, seed uint64, thread int, bud
 			}
 		}
 		rec, _ := g.Next() // generators never end
-		mt.Records = append(mt.Records, rec)
+		mt.Records = append(mt.Records, trace.Pack(rec))
 		mt.Instructions += uint64(rec.Gap) + 1
 	}
 	mt.TrueLengths = g.TrueLengths.Clone()

@@ -14,8 +14,9 @@ import (
 
 // Materialize must be a pure function of (profile, seed, thread,
 // budget): repeated materializations yield byte-identical records and
-// the same ground-truth histogram, and the record stream covers the
-// budget exactly the way cpu.Thread's fetch condition does.
+// the same ground-truth histogram, each record unpacks to exactly the
+// one a live generator makes, and the record stream covers the budget
+// exactly the way cpu.Thread's fetch condition does.
 func TestMaterializeDeterministic(t *testing.T) {
 	prof, err := ByName("milc")
 	if err != nil {
@@ -35,8 +36,13 @@ func TestMaterializeDeterministic(t *testing.T) {
 	}
 	for i := range a.Records {
 		if a.Records[i] != b.Records[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, a.Records[i], b.Records[i])
+			t.Fatalf("record %d differs: %+v vs %+v", i, a.Records[i].Record(), b.Records[i].Record())
 		}
+	}
+	live := testGenerator(t, prof, 1, 0)
+	sameAsLive(t, a, live)
+	if a.TrueLengths.Total() != live.TrueLengths.Total() {
+		t.Fatalf("TrueLengths total %d, a live generator's %d", a.TrueLengths.Total(), live.TrueLengths.Total())
 	}
 	if a.Instructions != b.Instructions {
 		t.Fatalf("instruction totals differ: %d vs %d", a.Instructions, b.Instructions)
@@ -46,14 +52,14 @@ func TestMaterializeDeterministic(t *testing.T) {
 	}
 	var sum uint64
 	for _, rec := range a.Records {
-		sum += uint64(rec.Gap) + 1
+		sum += uint64(rec.Gap()) + 1
 	}
 	if sum != a.Instructions {
 		t.Fatalf("Instructions = %d, but records sum to %d", a.Instructions, sum)
 	}
 	// The last record must be the one that crossed the budget: without
 	// it the trace would be short.
-	last := uint64(a.Records[len(a.Records)-1].Gap) + 1
+	last := uint64(a.Records[len(a.Records)-1].Gap()) + 1
 	if a.Instructions-last >= budget {
 		t.Fatalf("trace overshoots: %d instructions without final record already >= %d", a.Instructions-last, budget)
 	}
@@ -128,6 +134,32 @@ func TestTraceCacheHitMiss(t *testing.T) {
 	}
 }
 
+// The cache charges each resident trace its records at their capacity,
+// 8 bytes a record, plus its histogram, its key's profile hash and the
+// fixed entry overhead; two resident streams charge the sum.
+func TestTraceCacheBytes(t *testing.T) {
+	if n := unsafe.Sizeof(trace.Packed(0)); n != 8 {
+		t.Fatalf("a packed record takes %d bytes, want 8", n)
+	}
+	c := NewTraceCache(0)
+	var want, records int64
+	for thread := 0; thread < 2; thread++ {
+		mt, err := c.Get(context.Background(), "milc", 1, thread, 200_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records += int64(cap(mt.Records))
+		want += 8*int64(cap(mt.Records)) + 8*int64(mt.TrueLengths.Buckets()) +
+			int64(len(profiles["milc"].hash)) + entryBytes
+	}
+	if st := c.Stats(); st.Bytes != want || st.Entries != 2 {
+		t.Fatalf("stats = %+v, want %d bytes for 2 entries holding %d records", st, want, records)
+	}
+	if fixed := want - 8*records; fixed > 2*1024 {
+		t.Fatalf("%d bytes beside the records, want the records to dominate", fixed)
+	}
+}
+
 // A byte budget smaller than two traces forces eviction of the older
 // entry, although the two are different streams (two threads) that the
 // one-seed rule would both keep; the evicted trace stays valid for
@@ -170,7 +202,19 @@ func sameRecords(t *testing.T, got, want *MaterializedTrace) {
 	}
 	for i := range want.Records {
 		if got.Records[i] != want.Records[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, got.Records[i], want.Records[i])
+			t.Fatalf("record %d = %+v, want %+v", i, got.Records[i].Record(), want.Records[i].Record())
+		}
+	}
+}
+
+// sameAsLive fails t unless every record of mt unpacks to the record
+// the live generator g makes next: byte offset, gap and op included.
+func sameAsLive(t *testing.T, mt *MaterializedTrace, g *Generator) {
+	t.Helper()
+	for i, p := range mt.Records {
+		want, _ := g.Next()
+		if got := p.Record(); got != want {
+			t.Fatalf("record %d unpacks to %+v, the generator made %+v", i, got, want)
 		}
 	}
 }
@@ -198,14 +242,10 @@ func TestTraceCacheOneSeedPerStream(t *testing.T) {
 	if st.Entries != 1 || st.Evictions != 1 || st.Misses != 2 {
 		t.Fatalf("stats = %+v after a second seed, want 1 entry, 1 eviction, 2 misses", st)
 	}
-	if min := int64(cap(b.Records)) * int64(unsafe.Sizeof(trace.Record{})); st.Bytes < min {
+	if min := int64(cap(b.Records)) * int64(unsafe.Sizeof(trace.Packed(0))); st.Bytes < min {
 		t.Fatalf("bytes = %d, below the resident records' capacity %d", st.Bytes, min)
 	}
-	want, err := Materialize(prof, 1, 0, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRecords(t, a, want)
+	sameAsLive(t, a, testGenerator(t, prof, 1, 0))
 	if again, err := c.Get(ctx, prof.Name, 2, 0, 50_000); err != nil || again != b {
 		t.Fatalf("the kept seed did not hit: %v", err)
 	}

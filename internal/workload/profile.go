@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"asdsim/internal/mem"
+	"asdsim/internal/trace"
 )
 
 // Suite identifies a benchmark suite from the paper's evaluation.
@@ -66,13 +69,24 @@ type Profile struct {
 	PhaseLenRefs int
 }
 
-// Validate reports the first structural problem with the profile.
+// maxThreadLines is how many lines fit in one thread's address range;
+// the footprint and the hot region above it must fit, or thread 0's
+// addresses would run into thread 1's.
+const maxThreadLines = int64(threadAddrStride / mem.LineSize)
+
+// Validate reports the first structural problem with the profile,
+// including a record the trace it generates could not pack: a gap
+// above trace.MaxGap, or a footprint and hot region beyond one
+// thread's address range.
 func (p *Profile) Validate() error {
 	switch {
 	case p.Name == "":
 		return fmt.Errorf("workload: profile has no name")
 	case p.MeanGap < 0:
 		return fmt.Errorf("workload %s: negative MeanGap", p.Name)
+	case !(2*p.MeanGap < trace.MaxGap+1):
+		return fmt.Errorf("workload %s: MeanGap %v draws gaps up to int(2*MeanGap), above the %d a packed trace record holds",
+			p.Name, p.MeanGap, trace.MaxGap)
 	case p.ReadFrac < 0 || p.ReadFrac > 1:
 		return fmt.Errorf("workload %s: ReadFrac %v outside [0,1]", p.Name, p.ReadFrac)
 	case p.FootprintLines <= 0:
@@ -81,6 +95,9 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("workload %s: HotFrac %v outside [0,1]", p.Name, p.HotFrac)
 	case p.HotFrac > 0 && p.HotLines <= 0:
 		return fmt.Errorf("workload %s: HotFrac > 0 needs HotLines > 0", p.Name)
+	case int64(p.FootprintLines) > maxThreadLines || int64(p.HotLines) > maxThreadLines-int64(p.FootprintLines):
+		return fmt.Errorf("workload %s: footprint plus hot region (%d+%d lines of %d B) exceeds one thread's %d-byte address range",
+			p.Name, p.FootprintLines, p.HotLines, mem.LineSize, threadAddrStride)
 	case p.ActiveStreams <= 0:
 		return fmt.Errorf("workload %s: ActiveStreams must be positive", p.Name)
 	case p.DownFrac < 0 || p.DownFrac > 1:
