@@ -1,6 +1,6 @@
 // Command asdlint runs asdsim's custom static-analysis suite (see
 // internal/lint): determinism, hotpath-noalloc, noperturb,
-// exhaustive-events, metriclint, lockorder, wirecheck and simtime.
+// exhaustive-events, lockorder and wirecheck.
 //
 // It speaks cmd/go's vet-tool protocol, so the canonical invocation
 // routes through the build system and benefits from its caching and

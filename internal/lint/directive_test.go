@@ -127,3 +127,135 @@ func Cold() {}
 		t.Errorf("cold function must not be certified: %v", res.Facts.Hotpath)
 	}
 }
+
+func TestNewPassesAreKnownToDirectiveHygiene(t *testing.T) {
+	res := checkSource(t, `package p
+
+//asd:allow lockorder coordinated through the caller's lock
+func a() {}
+
+//asd:allow wirecheck input size capped upstream
+func b() {}
+`)
+	if got := messages(res, "directive"); len(got) != 0 {
+		t.Fatalf("new pass names must be known to //asd:allow hygiene, got %q", got)
+	}
+}
+
+// The determinism pass carries the tests below because its map-range
+// check fires on import-free source.
+
+func TestCrossPassAllowDoesNotInterfere(t *testing.T) {
+	res := checkSource(t, `package p
+
+func f(m map[int]int) (s int) {
+	for _, v := range m { //asd:allow wirecheck not the pass that fired
+		s += v
+	}
+	return s
+}
+`, lint.DeterminismAnalyzer)
+	if got := messages(res, "directive"); len(got) != 0 {
+		t.Fatalf("well-formed allow for another pass is not a hygiene finding, got %q", got)
+	}
+	if got := messages(res, "determinism"); len(got) != 1 {
+		t.Fatalf("an allow naming wirecheck must not silence determinism, got %q", got)
+	}
+}
+
+// TestSimtimeReasonlessAllowDoesNotSuppress and TestSimtimeLineAllow
+// keep the names they had when the simtime pass carried them. The line
+// shapes they check now sit on the determinism pass, and each also
+// checks that an allow still naming the deleted simtime pass is a
+// directive finding that silences nothing.
+
+func TestSimtimeReasonlessAllowDoesNotSuppress(t *testing.T) {
+	for _, pass := range []string{"determinism", "simtime"} {
+		res := checkSource(t, `package p
+
+func f(m map[int]int) (s int) {
+	for _, v := range m { //asd:allow `+pass+`
+		s += v
+	}
+	return s
+}
+`, lint.DeterminismAnalyzer)
+		got := messages(res, "directive")
+		if len(got) != 1 || !strings.Contains(got[0], "malformed //asd:allow") {
+			t.Fatalf("%s: want one malformed-allow diagnostic, got %q", pass, got)
+		}
+		if got := messages(res, "determinism"); len(got) != 1 {
+			t.Fatalf("%s: reasonless allow must not suppress the finding, got %q", pass, got)
+		}
+	}
+}
+
+func TestSimtimeLineAllow(t *testing.T) {
+	res := checkSource(t, `package p
+
+func f(m map[int]int) (s int) {
+	for _, v := range m { //asd:allow determinism the sum is the same in any order
+		s += v
+	}
+	return s
+}
+`, lint.DeterminismAnalyzer)
+	if len(res.Diags) != 0 {
+		t.Fatalf("reasoned line allow must suppress, got %v", res.Diags)
+	}
+
+	res = checkSource(t, `package p
+
+func f(m map[int]int) (s int) {
+	for _, v := range m { //asd:allow simtime the sum is the same in any order
+		s += v
+	}
+	return s
+}
+`, lint.DeterminismAnalyzer)
+	got := messages(res, "directive")
+	if len(got) != 1 || !strings.Contains(got[0], `unknown pass "simtime"`) {
+		t.Fatalf("an allow naming the deleted simtime pass must be flagged, got %q", got)
+	}
+	if got := messages(res, "determinism"); len(got) != 1 {
+		t.Fatalf("an allow naming simtime must not silence determinism, got %q", got)
+	}
+}
+
+func TestFunctionBoundaryAllow(t *testing.T) {
+	res := checkSource(t, `package p
+
+//asd:allow determinism the sum is the same in any order
+func f(m map[int]int) (s int) {
+	for _, v := range m {
+		s += v
+	}
+	return s
+}
+`, lint.DeterminismAnalyzer)
+	if got := messages(res, "determinism"); len(got) != 0 {
+		t.Fatalf("function-boundary allow must suppress, got %q", got)
+	}
+}
+
+func TestSuppressedFindingsAreRecorded(t *testing.T) {
+	res := checkSource(t, `package p
+
+func f(m map[int]int) (s int) {
+	for _, v := range m { //asd:allow determinism the sum is the same in any order
+		s += v
+	}
+	return s
+}
+`, lint.DeterminismAnalyzer)
+	if len(res.Diags) != 0 {
+		t.Fatalf("unexpected live diagnostics: %v", res.Diags)
+	}
+	if len(res.Suppressed) != 1 {
+		t.Fatalf("want the silenced finding recorded once, got %d", len(res.Suppressed))
+	}
+	s := res.Suppressed[0]
+	if s.Diag.Pass != "determinism" || !s.SuppressedBy.IsValid() {
+		t.Fatalf("suppressed record incomplete: pass=%q by=%v", s.Diag.Pass, s.SuppressedBy)
+	}
+}

@@ -28,20 +28,12 @@ func TestExhaustiveFixture(t *testing.T) {
 	linttest.Run(t, "testdata/exhaustive", lint.ExhaustiveAnalyzer)
 }
 
-func TestMetricLintFixture(t *testing.T) {
-	linttest.Run(t, "testdata/metriclint", lint.MetricLintAnalyzer)
-}
-
 func TestLockorderFixture(t *testing.T) {
 	linttest.Run(t, "testdata/lockorder", lint.LockorderAnalyzer)
 }
 
 func TestWirecheckFixture(t *testing.T) {
 	linttest.Run(t, "testdata/wirecheck", lint.WirecheckAnalyzer)
-}
-
-func TestSimtimeFixture(t *testing.T) {
-	linttest.Run(t, "testdata/simtime", lint.SimtimeAnalyzer)
 }
 
 // A helper reachable from two //asd:hotpath roots is attributed to the

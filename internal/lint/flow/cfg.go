@@ -1,5 +1,5 @@
 // Package flow is the control-flow and dataflow engine under asdsim's
-// interprocedural lint passes (lockorder, wirecheck, simtime). Like the
+// interprocedural lint passes (lockorder, wirecheck). Like the
 // rest of internal/lint it is stdlib-only — go/ast and go/types, no
 // golang.org/x/tools — so the analyzers build anywhere the simulator
 // does.

@@ -17,7 +17,8 @@ import (
 // inside Graph.Blocks), and every block is either reachable from Entry
 // or reported here as dead. The seed corpus is the lint fixture trees
 // under internal/lint/testdata plus handwritten control-flow knots
-// (goto cycles, trailing fallthrough, labeled break, empty select).
+// (goto cycles, trailing fallthrough, labeled break and continue,
+// empty and defaulted selects, a type switch).
 func FuzzCFGBuilder(f *testing.F) {
 	seedFromTestdata(f)
 	for _, src := range []string{
@@ -30,6 +31,9 @@ func FuzzCFGBuilder(f *testing.F) {
 		"package p\nfunc f() { defer func() { recover() }(); panic(1) }",
 		"package p\nfunc f(x int) { if x > 0 { return }; x++ }",
 		"package p\nfunc f() { break; continue; fallthrough }",
+		"package p\nfunc f(v any) int { switch v.(type) { case int: return 1; default: }; return 0 }",
+		"package p\nfunc f(n int) { O: for i := 0; i < n; i++ { for { if i > 1 { continue O }; break } } }",
+		"package p\nfunc f(ch chan int) { select { case ch <- 1: default: goto done }; done: }",
 	} {
 		f.Add(src)
 	}

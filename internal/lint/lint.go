@@ -3,12 +3,12 @@
 // statically enforces the invariants the simulator's correctness story
 // rests on — bit-for-bit determinism, an allocation-free steady-state
 // kernel, telemetry that cannot perturb outcomes, exhaustive handling
-// of every probe-event kind, and metric names that satisfy the
-// exposition grammar.
+// of every probe-event kind, an acyclic lock order, and a wire surface
+// that changes only on purpose.
 //
 // The package defines the framework (Analyzer, Pass, Diagnostic, the
 // //asd:* directive language and the hot-path call-graph machinery)
-// and five concrete analyzers. cmd/asdlint is the driver: it speaks
+// and six concrete analyzers. cmd/asdlint runs them: it speaks
 // the `go vet -vettool` unit-checker protocol so the suite runs under
 // the standard build machinery, with per-package facts flowing through
 // vet's .vetx files.
@@ -77,6 +77,7 @@ type Package struct {
 	Info  *types.Info
 
 	directives map[string]map[int][]directive // filename -> line -> directives
+	cg         *flow.CallGraph
 	hot        *hotState
 }
 
@@ -153,17 +154,15 @@ type SuppressedDiag struct {
 	SuppressedBy token.Pos
 }
 
-// All returns the eight analyzers in the suite, in stable order.
+// All returns the six analyzers in the suite, in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
 		NoallocAnalyzer,
 		NoperturbAnalyzer,
 		ExhaustiveAnalyzer,
-		MetricLintAnalyzer,
 		LockorderAnalyzer,
 		WirecheckAnalyzer,
-		SimtimeAnalyzer,
 	}
 }
 
@@ -432,7 +431,7 @@ func (pkg *Package) hotpath(cfg *Config) *hotState {
 	// Roots seed the walk in source order, so a function reachable
 	// from several roots is always attributed to the one declared
 	// first.
-	cg := flow.BuildCallGraph(pkg.Fset, pkg.Files, pkg.Types, pkg.Info.Defs, pkg.StaticCallee)
+	cg := pkg.callGraph()
 	var queue []*types.Func
 	for _, obj := range cg.Funcs() {
 		fn := cg.Decls[obj]
@@ -464,6 +463,15 @@ func (pkg *Package) hotpath(cfg *Config) *hotState {
 		}
 	}
 	return h
+}
+
+// callGraph builds (once) the package's static call graph, which the
+// hot-path closure and the lockorder pass share.
+func (pkg *Package) callGraph() *flow.CallGraph {
+	if pkg.cg == nil {
+		pkg.cg = flow.BuildCallGraph(pkg.Fset, pkg.Files, pkg.Types, pkg.Info.Defs, pkg.StaticCallee)
+	}
+	return pkg.cg
 }
 
 // StaticCallee resolves the target of a call when it is a statically
@@ -556,13 +564,6 @@ func typeName(t types.Type) string {
 		return typeName(t.Elem())
 	}
 	return t.String()
-}
-
-// pathHasSuffix reports whether pkg path equals full or ends with
-// "/"+suffix — used so fixture packages (single-segment paths) match
-// scopes written against real module paths.
-func pathHasSuffix(path, suffix string) bool {
-	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
 // PathScope builds a Scope func matching any of the given import

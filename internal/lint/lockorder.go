@@ -214,7 +214,7 @@ func runLockorder(pass *Pass) {
 		nonblockingComms: map[ast.Node]bool{},
 		rangeChans:       map[ast.Node]bool{},
 	}
-	a.cg = flow.BuildCallGraph(pkg.Fset, pkg.Files, pkg.Types, pkg.Info.Defs, pkg.StaticCallee)
+	a.cg = pkg.callGraph()
 	a.indexCommContexts()
 
 	// Phase 1: fixpoint the per-function transitive summaries.

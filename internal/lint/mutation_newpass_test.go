@@ -94,37 +94,3 @@ func TestRenamedWireFieldFailsVet(t *testing.T) {
 		t.Errorf("renaming Span.Node on the wire produced no wirecheck drift finding; diags: %v", l.Diags())
 	}
 }
-
-// TestCyclesVsWallclockComparisonFailsVet rewrites the runner's
-// wall-clock stamp to compare simulated cycles against wall seconds;
-// the simtime pass must flag the cross-domain comparison.
-func TestCyclesVsWallclockComparisonFailsVet(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the sim closure from source")
-	}
-	l := newRealLoader(lint.SimtimeAnalyzer)
-	l.Transform = func(filename string, src []byte) []byte {
-		if filename != "runner.go" {
-			return src
-		}
-		out := strings.Replace(string(src),
-			"if res.WallSeconds > 0 {",
-			"if res.WallSeconds > float64(res.Cycles) {", 1)
-		if out == string(src) {
-			t.Fatal("mutation did not apply; runner.go's stamp guard changed shape")
-		}
-		return []byte(out)
-	}
-	if _, err := l.Load("asdsim/internal/sim"); err != nil {
-		t.Fatalf("loading mutated sim: %v", err)
-	}
-	found := false
-	for _, d := range l.Diags() {
-		if d.Pass == "simtime" && strings.Contains(d.Message, "cross-domain time arithmetic") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("comparing cycles against wall seconds produced no simtime finding; diags: %v", l.Diags())
-	}
-}

@@ -37,12 +37,12 @@ func FuzzLint(f *testing.F) {
 // bugs worth a failing test.
 func FuzzRegistryRender(f *testing.F) {
 	f.Add("farm_runs_total", "Completed runs.", "mode", "ms", 2.5)
-	f.Add("x", "", "l", "", -1.0)
+	f.Add("x", "h", "l", "", -1.0)
 	f.Add("a:b", "multi\nline \\ \"help\"", "_l", "va\\l\"ue\nx", 0.0)
 
 	f.Fuzz(func(t *testing.T, name, help, label, value string, v float64) {
-		if !ValidMetricName(name) || !ValidLabelName(label) {
-			t.Skip("ungrammatical names are rejected at declaration; nothing to render")
+		if !validName(name) || !validLabel(label) || label == "le" || help == "" {
+			t.Skip("ungrammatical names, a reserved label and empty help are rejected at declaration; nothing to render")
 		}
 		r := NewRegistry()
 		r.Gauge(name, help, label).With(value).Set(v)

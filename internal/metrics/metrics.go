@@ -90,9 +90,15 @@ func (r *Registry) family(name, help string, k kind, bounds []float64, labels []
 	if !validName(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
+	if help == "" {
+		panic(fmt.Sprintf("metrics: %s declared with an empty help string", name))
+	}
 	for _, l := range labels {
 		if !validLabel(l) {
 			panic(fmt.Sprintf("metrics: invalid label name %q on %s", l, name))
+		}
+		if l == "le" {
+			panic(fmt.Sprintf("metrics: label name \"le\" on %s is reserved for histogram buckets", name))
 		}
 	}
 	if f, ok := r.families[name]; ok {
@@ -330,17 +336,6 @@ func validName(s string) bool { return validIdent(s, true) }
 // validLabel reports whether s is a legal label name
 // ([a-zA-Z_][a-zA-Z0-9_]*).
 func validLabel(s string) bool { return validIdent(s, false) }
-
-// ValidMetricName reports whether s is a legal exposition metric name
-// ([a-zA-Z_:][a-zA-Z0-9_:]*). It is the same grammar Lint enforces on
-// rendered payloads, exported so tooling (asdlint's metriclint pass)
-// can validate literal names at analysis time.
-func ValidMetricName(s string) bool { return validName(s) }
-
-// ValidLabelName reports whether s is a legal exposition label name
-// ([a-zA-Z_][a-zA-Z0-9_]*). Counterpart of ValidMetricName for label
-// keys; "le" is reserved for histogram buckets and rejected here.
-func ValidLabelName(s string) bool { return validLabel(s) && s != "le" }
 
 func validIdent(s string, colons bool) bool {
 	if s == "" {

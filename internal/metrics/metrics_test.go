@@ -118,14 +118,24 @@ func TestFamilyIdempotentDeclaration(t *testing.T) {
 }
 
 func TestInvalidNamesPanic(t *testing.T) {
+	declare := map[string]func(r *Registry){
+		"empty help":      func(r *Registry) { r.Counter("c_total", "") },
+		"reserved label":  func(r *Registry) { r.Gauge("g", "h", "le") },
+		"bad label":       func(r *Registry) { r.Gauge("g", "h", "a-b") },
+		"histogram le":    func(r *Registry) { r.Histogram("h", "h", []float64{1}, "le") },
+		"histogram empty": func(r *Registry) { r.Histogram("h", "", []float64{1}) },
+	}
 	for _, bad := range []string{"", "9x", "a-b", "a b"} {
+		declare["name "+bad] = func(r *Registry) { r.Counter(bad, "h") }
+	}
+	for what, decl := range declare {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("name %q accepted", bad)
+					t.Errorf("%s accepted", what)
 				}
 			}()
-			NewRegistry().Counter(bad, "h")
+			decl(NewRegistry())
 		}()
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"asdsim/internal/workload"
@@ -218,5 +220,48 @@ func TestBaselineEnginesRun(t *testing.T) {
 		if res.MC.PrefetchesToDRAM == 0 {
 			t.Errorf("%v issued no prefetches", ek)
 		}
+	}
+}
+
+// TestResultStamp pins the one place the run's two time domains meet:
+// the wall-clock stamp. Every path stamps a positive duration, the rate
+// is cycles over that duration, and neither field reaches the JSON that
+// the determinism tests compare bit for bit.
+func TestResultStamp(t *testing.T) {
+	cfg := Default(PMS, 20_000)
+	one, err := Run("milc", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched, err := NewBatch().Run("milc", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]Result{"Run": one, "Batch.Run": batched} {
+		if !(res.WallSeconds > 0) {
+			t.Errorf("%s: WallSeconds = %v, want > 0", name, res.WallSeconds)
+		}
+		if want := float64(res.Cycles) / res.WallSeconds; res.CyclesPerSec != want {
+			t.Errorf("%s: CyclesPerSec = %v, want Cycles/WallSeconds = %v", name, res.CyclesPerSec, want)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, field := range []string{"WallSeconds", "CyclesPerSec"} {
+			if strings.Contains(string(b), field) {
+				t.Errorf("%s: %s is in the Result JSON", name, field)
+			}
+		}
+	}
+	sampled, err := Sampled("milc", Default(PMS, 500_000), DefaultSampleConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(sampled.WallSeconds > 0) {
+		t.Errorf("sampled: WallSeconds = %v, want > 0", sampled.WallSeconds)
+	}
+	if b, err := json.Marshal(sampled); err != nil || strings.Contains(string(b), "WallSeconds") {
+		t.Errorf("sampled: WallSeconds is in the JSON (err %v)", err)
 	}
 }

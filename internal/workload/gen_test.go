@@ -420,3 +420,56 @@ func TestRegisterCustomProfile(t *testing.T) {
 		t.Error("invalid profile should fail")
 	}
 }
+
+// A custom profile with a NaN, infinite or out-of-range field comes back
+// from Register and NewGenerator as an error, never as a panic: the
+// fraction checks fail on NaN, and each phase's weight, stream-length
+// weights and tail pass the checks NewDist would otherwise panic on.
+func TestBadProfileIsAnErrorNotAPanic(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string]func(*Profile){
+		"ReadFrac NaN":         func(p *Profile) { p.ReadFrac = nan },
+		"HotFrac NaN":          func(p *Profile) { p.HotFrac = nan },
+		"DownFrac NaN":         func(p *Profile) { p.DownFrac = nan },
+		"MeanGap NaN":          func(p *Profile) { p.MeanGap = nan },
+		"phase Weight NaN":     func(p *Profile) { p.Phases[0].Weight = nan },
+		"phase Weight Inf":     func(p *Profile) { p.Phases[0].Weight = inf },
+		"phase Weights sum":    func(p *Profile) { p.Phases[0].Weight, p.Phases[1].Weight = math.MaxFloat64, math.MaxFloat64 },
+		"TailContinue 1":       func(p *Profile) { p.Phases[0].TailContinue = 1 },
+		"TailContinue NaN":     func(p *Profile) { p.Phases[0].TailContinue = nan },
+		"TailContinue < 0":     func(p *Profile) { p.Phases[0].TailContinue = -0.1 },
+		"StreamLen all zero":   func(p *Profile) { p.Phases[0].StreamLen = []float64{0, 0, 0} },
+		"StreamLen negative":   func(p *Profile) { p.Phases[0].StreamLen = []float64{1, -1} },
+		"StreamLen NaN":        func(p *Profile) { p.Phases[0].StreamLen = []float64{1, nan} },
+		"StreamLen Inf":        func(p *Profile) { p.Phases[0].StreamLen = []float64{1, inf} },
+		"StreamLen empty":      func(p *Profile) { p.Phases[0].StreamLen = nil },
+		"StreamLen sum to Inf": func(p *Profile) { p.Phases[0].StreamLen = []float64{math.MaxFloat64, math.MaxFloat64} },
+	}
+	noPanic := func(t *testing.T, what string, f func() error) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("%s panicked: %v", what, r)
+			}
+		}()
+		if err := f(); err == nil {
+			t.Errorf("%s accepted the profile", what)
+		}
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			p, err := ByName("milc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(p.Phases) < 2 {
+				t.Fatalf("milc has %d phases; the phase-sum case needs two", len(p.Phases))
+			}
+			p.Name = "bad-profile-" + name
+			mutate(&p)
+			t.Cleanup(func() { delete(profiles, p.Name) })
+			noPanic(t, "Register", func() error { return Register(p) })
+			noPanic(t, "NewGenerator", func() error { _, err := NewGenerator(p, 1, 0); return err })
+		})
+	}
+}

@@ -492,3 +492,33 @@ func TestByNamePhasesAreTheCallers(t *testing.T) {
 		t.Fatal("the edited profile hashes as the registered one")
 	}
 }
+
+// No built-in benchmark's trace outgrows recordsCap, so no record array
+// is copied and regrown while it is materialized, at the budgets and
+// seeds the figures and the benchmark use, on either thread.
+func TestMaterializeDoesNotRegrow(t *testing.T) {
+	var records, slots int
+	for _, bench := range Names() {
+		prof, err := ByName(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []uint64{20_000, 200_000, 1_000_000, 2_000_000} {
+			for _, seed := range []uint64{1, 20061209} {
+				for thread := 0; thread < 2; thread++ {
+					mt, err := Materialize(prof, seed, thread, budget)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := recordsCap(prof, budget); cap(mt.Records) != want {
+						t.Errorf("%s at %d, seed %d, thread %d: %d records regrew the array to %d slots, want the %d pre-sized",
+							bench, budget, seed, thread, len(mt.Records), cap(mt.Records), want)
+					}
+					records += len(mt.Records)
+					slots += cap(mt.Records)
+				}
+			}
+		}
+	}
+	t.Logf("%d records in %d slots (%.1f%% unused)", records, slots, 100*float64(slots-records)/float64(slots))
+}

@@ -87,11 +87,11 @@ func (p *Profile) Validate() error {
 	case !(2*p.MeanGap < trace.MaxGap+1):
 		return fmt.Errorf("workload %s: MeanGap %v draws gaps up to int(2*MeanGap), above the %d a packed trace record holds",
 			p.Name, p.MeanGap, trace.MaxGap)
-	case p.ReadFrac < 0 || p.ReadFrac > 1:
+	case !(p.ReadFrac >= 0 && p.ReadFrac <= 1):
 		return fmt.Errorf("workload %s: ReadFrac %v outside [0,1]", p.Name, p.ReadFrac)
 	case p.FootprintLines <= 0:
 		return fmt.Errorf("workload %s: FootprintLines must be positive", p.Name)
-	case p.HotFrac < 0 || p.HotFrac > 1:
+	case !(p.HotFrac >= 0 && p.HotFrac <= 1):
 		return fmt.Errorf("workload %s: HotFrac %v outside [0,1]", p.Name, p.HotFrac)
 	case p.HotFrac > 0 && p.HotLines <= 0:
 		return fmt.Errorf("workload %s: HotFrac > 0 needs HotLines > 0", p.Name)
@@ -100,7 +100,7 @@ func (p *Profile) Validate() error {
 			p.Name, p.FootprintLines, p.HotLines, mem.LineSize, threadAddrStride)
 	case p.ActiveStreams <= 0:
 		return fmt.Errorf("workload %s: ActiveStreams must be positive", p.Name)
-	case p.DownFrac < 0 || p.DownFrac > 1:
+	case !(p.DownFrac >= 0 && p.DownFrac <= 1):
 		return fmt.Errorf("workload %s: DownFrac %v outside [0,1]", p.Name, p.DownFrac)
 	case p.AccessesPerLine <= 0:
 		return fmt.Errorf("workload %s: AccessesPerLine must be positive", p.Name)
@@ -109,13 +109,18 @@ func (p *Profile) Validate() error {
 	case p.PhaseLenRefs <= 0:
 		return fmt.Errorf("workload %s: PhaseLenRefs must be positive", p.Name)
 	}
+	weights := make([]float64, len(p.Phases))
 	for i, ph := range p.Phases {
-		if ph.Weight <= 0 {
-			return fmt.Errorf("workload %s: phase %d weight must be positive", p.Name, i)
+		if !(ph.Weight > 0) {
+			return fmt.Errorf("workload %s: phase %d weight %v must be positive", p.Name, i, ph.Weight)
 		}
-		if len(ph.StreamLen) == 0 {
-			return fmt.Errorf("workload %s: phase %d has no stream-length weights", p.Name, i)
+		if _, err := checkDist(ph.StreamLen, ph.TailContinue); err != nil {
+			return fmt.Errorf("workload %s: phase %d stream lengths: %w", p.Name, i, err)
 		}
+		weights[i] = ph.Weight
+	}
+	if _, err := checkDist(weights, 0); err != nil {
+		return fmt.Errorf("workload %s: phase weights: %w", p.Name, err)
 	}
 	return nil
 }

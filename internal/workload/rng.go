@@ -1,5 +1,11 @@
 package workload
 
+import (
+	"errors"
+	"fmt"
+	"math"
+)
+
 // RNG is a small, fast, deterministic pseudo-random generator
 // (splitmix64). The simulator must be reproducible bit-for-bit across
 // runs and configurations, so all stochastic choices in workload
@@ -52,21 +58,9 @@ type Dist struct {
 // geometrically: a sample that lands in bucket N keeps incrementing with
 // probability tailContinue per step.
 func NewDist(weights []float64, tailContinue float64) *Dist {
-	if len(weights) == 0 {
-		panic("workload: empty distribution")
-	}
-	if tailContinue < 0 || tailContinue >= 1 {
-		panic("workload: tailContinue must be in [0,1)")
-	}
-	var sum float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("workload: negative weight")
-		}
-		sum += w
-	}
-	if sum == 0 {
-		panic("workload: all-zero weights")
+	sum, err := checkDist(weights, tailContinue)
+	if err != nil {
+		panic("workload: " + err.Error())
 	}
 	cum := make([]float64, len(weights))
 	var acc float64
@@ -76,6 +70,31 @@ func NewDist(weights []float64, tailContinue float64) *Dist {
 	}
 	cum[len(cum)-1] = 1 // guard against rounding
 	return &Dist{cum: cum, tailContinue: tailContinue}
+}
+
+// checkDist returns the weights' sum, or why weights and tailContinue
+// make no distribution: no weights, a tailContinue outside [0,1), a
+// weight that is negative, NaN or infinite, or weights whose sum is zero
+// or overflows. NewDist panics on the error and Profile.Validate returns
+// it. Each test is written so that NaN fails it.
+func checkDist(weights []float64, tailContinue float64) (float64, error) {
+	if len(weights) == 0 {
+		return 0, errors.New("empty distribution")
+	}
+	if !(tailContinue >= 0 && tailContinue < 1) {
+		return 0, fmt.Errorf("tailContinue %v outside [0,1)", tailContinue)
+	}
+	var sum float64
+	for _, w := range weights {
+		if !(w >= 0 && w <= math.MaxFloat64) {
+			return 0, fmt.Errorf("weight %v is not finite and non-negative", w)
+		}
+		sum += w
+	}
+	if !(sum > 0 && sum <= math.MaxFloat64) {
+		return 0, fmt.Errorf("weights sum to %v, not to a positive finite total", sum)
+	}
+	return sum, nil
 }
 
 // Sample draws a value >= 1.
