@@ -142,12 +142,11 @@ func (c *Cache) find(l mem.Line) (set, way int) {
 	return set, -1
 }
 
-// touchMRU moves way to the front of set's recency order.
+// touchMRU moves way to the front of set's recency order. The MRU way
+// needs no test of its own: posOf gives it position 0, and the update
+// is then the identity.
 func (c *Cache) touchMRU(set, way int) {
 	ord := c.order[set]
-	if int(ord&0xF) == way {
-		return
-	}
 	p := posOf(ord, way)
 	low := ord & (1<<(4*p) - 1)
 	c.order[set] = ord&^(1<<(4*(p+1))-1) | low<<4 | uint64(way)

@@ -43,3 +43,50 @@ func TestSteadyStateStepDoesNotAllocate(t *testing.T) {
 		t.Errorf("steady-state MC step allocates %.3f allocs/op, want 0", avg)
 	}
 }
+
+// TestSteadyStateStepDoesNotAllocateLatePBHit extends the gate to the
+// second Prefetch Buffer check, which the stream above never reaches: a
+// Read that waits in the CAQ behind a same-bank head while its line
+// lands in the Prefetch Buffer is delivered by finalIssue's late hit. No
+// Enqueue traffic stages that (see TestNextWakeWakesForPBHeldCAQHead),
+// so each round installs the line itself. The measured rounds must take
+// late hits and must not allocate.
+func TestSteadyStateStepDoesNotAllocateLatePBHit(t *testing.T) {
+	d := dram.New(dram.DefaultConfig())
+	sched := core.NewAdaptiveScheduler(core.DefaultSchedulerConfig())
+	h := &harness{c: New(DefaultConfig(), d, asdEngines(1), sched), d: d}
+	h.c.SetReadDone(func(mem.Command, uint64) {})
+
+	// Lines 0, 512 and 1024 share bank 0 on different rows: the first
+	// holds the bank, and the other two wait in the CAQ behind it.
+	lines := [...]mem.Line{0, 512, 1024}
+	step := func() {
+		h.now += mem.CPUCyclesPerMCCycle
+		h.c.Step(h.now)
+	}
+	round := func() {
+		for _, l := range lines {
+			h.read(l)
+		}
+		for i := 0; h.c.caq.Len() < 2; i++ {
+			if i == 64 {
+				t.Fatal("the second and third Reads never queued in the CAQ")
+			}
+			step()
+		}
+		h.c.pb.Insert(h.c.caq.At(1).cmd.Line, 1)
+		for h.holdsWork() {
+			step()
+		}
+	}
+	for i := 0; i < 200; i++ {
+		round()
+	}
+	late := h.c.Stats().PBHitsLate
+	if avg := testing.AllocsPerRun(500, round); avg != 0 {
+		t.Errorf("a round with a late PB hit allocates %.3f allocs/op, want 0", avg)
+	}
+	if h.c.Stats().PBHitsLate == late {
+		t.Error("no late PB hit in the measured rounds")
+	}
+}

@@ -62,6 +62,58 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxQueueCap bounds ReadQueueCap, WriteQueueCap, CAQCap and LPQCap.
+// Each queue is a ring buffer sized up front to the next power of two
+// at or above its capacity, and the controller scans its queues
+// linearly, so the bound sits far above the paper's 3-8 entries while
+// keeping a mistyped capacity from sizing a huge buffer.
+const MaxQueueCap = 1 << 12
+
+// MaxPBLines bounds PBLines (the fig14 sweep reaches 1024). The buffer's
+// entries are allocated up front.
+const MaxPBLines = 1 << 16
+
+// Validate reports the first capacity New would reject: a Reorder
+// Queue or CAQ capacity outside [1, MaxQueueCap] and, when prefetching,
+// an LPQ capacity outside that range or a Prefetch Buffer whose lines
+// are not a positive multiple of PBAssoc up to MaxPBLines.
+func (c *Config) Validate(prefetching bool) error {
+	for _, q := range [...]struct {
+		name string
+		n    int
+	}{{"ReadQueueCap", c.ReadQueueCap}, {"WriteQueueCap", c.WriteQueueCap}, {"CAQCap", c.CAQCap}} {
+		if err := checkQueueCap(q.name, q.n); err != nil {
+			return err
+		}
+	}
+	if !prefetching {
+		return nil
+	}
+	if err := checkQueueCap("LPQCap", c.LPQCap); err != nil {
+		return err
+	}
+	return checkPBGeometry(c.PBLines, c.PBAssoc)
+}
+
+// checkQueueCap reports a queue capacity outside [1, MaxQueueCap].
+func checkQueueCap(name string, n int) error {
+	if n <= 0 || n > MaxQueueCap {
+		return fmt.Errorf("mc: %s %d outside [1, %d]", name, n, MaxQueueCap)
+	}
+	return nil
+}
+
+// checkPBGeometry reports a Prefetch Buffer geometry NewPBuffer cannot
+// build: lines must be a positive multiple of a positive assoc, and at
+// most MaxPBLines.
+func checkPBGeometry(lines, assoc int) error {
+	if lines <= 0 || assoc <= 0 || lines%assoc != 0 || lines > MaxPBLines {
+		return fmt.Errorf("mc: prefetch buffer of %d lines is not a positive multiple of associativity %d up to %d lines",
+			lines, assoc, MaxPBLines)
+	}
+	return nil
+}
+
 // cmdState wraps a queued regular command. Instances are pooled by the
 // controller: a cmdState is live from Enqueue until its command leaves
 // the system (PB hit, prefetch merge, write issue, or demand-read
@@ -155,18 +207,14 @@ type Controller struct {
 
 // New returns a controller over d. engines supplies one memory-side
 // prefetch engine per hardware thread (nil or empty disables memory-side
-// prefetching). adaptive must be non-nil when engines are present.
+// prefetching). adaptive must be non-nil when engines are present. It
+// panics on a cfg that Validate rejects.
 func New(cfg Config, d *dram.DRAM, engines []prefetch.MSEngine, adaptive *core.AdaptiveScheduler) *Controller {
-	if cfg.ReadQueueCap <= 0 || cfg.WriteQueueCap <= 0 || cfg.CAQCap <= 0 {
-		panic(fmt.Sprintf("mc: invalid queue capacities %+v", cfg))
+	if err := cfg.Validate(len(engines) > 0); err != nil {
+		panic(err.Error())
 	}
-	if len(engines) > 0 {
-		if cfg.LPQCap <= 0 || cfg.PBLines <= 0 {
-			panic("mc: prefetching enabled but LPQ/PB not sized")
-		}
-		if adaptive == nil {
-			panic("mc: prefetching enabled without an adaptive scheduler")
-		}
+	if len(engines) > 0 && adaptive == nil {
+		panic("mc: prefetching enabled without an adaptive scheduler")
 	}
 	c := &Controller{
 		cfg: cfg, dram: d, engines: engines, adaptive: adaptive,
@@ -259,22 +307,29 @@ func (c *Controller) Enqueue(cmd mem.Command) {
 // NextWake returns the MC-aligned CPU cycle of the next Step that can
 // change anything, never earlier than the next MC cycle; ^uint64(0)
 // when the controller holds no work. A command in the inbox or a
-// Reorder Queue wants the next cycle. Otherwise only three events can
-// move the controller on, and it wakes at the earliest: a completion,
-// the CAQ head's bank turning ready, and the LPQ head's bank turning
-// ready while the active policy lets the LPQ issue under the current
-// queues (they change only when the controller steps or flushes the
-// LPQ). Two CAQ heads also want
-// the next cycle: a Read the Prefetch Buffer holds, which the second PB
-// check delivers, and a head not yet counted in DelayedRegular whose
-// bank a prefetch still holds, which that Step counts.
+// Reorder Queue wants the next cycle. That test reads the rings' counts
+// directly, which keeps NextWake inlinable into the run loop; nextWake
+// answers the rest.
 //
 //asd:hotpath
 func (c *Controller) NextWake(cpuNow uint64) uint64 {
-	next := cpuNow + mem.CPUCyclesPerMCCycle
-	if c.inbox.Len()+c.readQ.Len()+c.writeQ.Len() > 0 {
-		return next
+	if c.inbox.n+c.readQ.n+c.writeQ.n > 0 {
+		return cpuNow + mem.CPUCyclesPerMCCycle
 	}
+	return c.nextWake(cpuNow)
+}
+
+// nextWake is NextWake with the inbox and Reorder Queues empty. Only
+// three events can move the controller on, and it wakes at the
+// earliest: a completion, the CAQ head's bank turning ready, and the
+// LPQ head's bank turning ready while the active policy lets the LPQ
+// issue under the current queues (they change only when the controller
+// steps or flushes the LPQ). Two CAQ heads also want the next cycle: a
+// Read the Prefetch Buffer holds, which the second PB check delivers,
+// and a head not yet counted in DelayedRegular whose bank a prefetch
+// still holds, which that Step counts.
+func (c *Controller) nextWake(cpuNow uint64) uint64 {
+	next := cpuNow + mem.CPUCyclesPerMCCycle
 	wake := min(c.nextDemandDone, c.nextPFDone)
 	if c.caq.Len() > 0 {
 		head := c.caq.Front()
@@ -312,35 +367,57 @@ func (c *Controller) FlushLPQ(cpuNow uint64) {
 		c.putPF(p)
 	}
 	c.lpq.Clear()
-	c.emitQueues(cpuNow)
+	if c.bus.On(obs.KindMCQueues) {
+		c.emitQueues(cpuNow)
+	}
 }
 
 // Step advances the controller by one MC cycle ending at CPU cycle
 // cpuNow. Callers step at mem.CPUCyclesPerMCCycle granularity.
+//
+// Step calls a stage only when it holds work: a completion due by
+// cpuNow, a command in the inbox, the Reorder Queues, the CAQ or the
+// LPQ, or a bus that reads the queue occupancy. The guards read the
+// rings' counts directly, as NextWake does, and each stage relies on
+// its guard here.
 //
 //asd:hotpath
 func (c *Controller) Step(cpuNow uint64) {
 	c.steps++
 	dramNow := cpuNow / mem.CPUCyclesPerDRAMCycle
 	c.dram.ObserveCycle(dramNow)
-	c.completePrefetches(cpuNow)
-	c.completeDemands(cpuNow)
-	c.drainInbox(cpuNow)
-	c.countConflicts(cpuNow, dramNow)
-	c.scheduleToCAQ(cpuNow, dramNow)
-	c.finalIssue(cpuNow, dramNow)
+	if c.nextPFDone <= cpuNow {
+		c.completePrefetches(cpuNow)
+	}
+	if c.nextDemandDone <= cpuNow {
+		c.completeDemands(cpuNow)
+	}
+	if c.inbox.n > 0 {
+		c.drainInbox(cpuNow)
+	}
+	if c.readQ.n+c.writeQ.n > 0 {
+		if c.adaptive != nil {
+			c.countConflicts(cpuNow, dramNow)
+		}
+		if c.caq.n < c.cfg.CAQCap {
+			c.scheduleToCAQ(cpuNow, dramNow)
+		}
+	}
+	if c.caq.n+c.lpq.n > 0 {
+		c.finalIssue(cpuNow, dramNow)
+	}
 	for _, e := range c.engines {
 		e.Tick(cpuNow)
 	}
-	c.emitQueues(cpuNow)
+	if c.bus.On(obs.KindMCQueues) {
+		c.emitQueues(cpuNow)
+	}
 }
 
 // emitQueues reads the queue occupancy onto the probe bus when it
-// differs from the last reading, which holds until then.
+// differs from the last reading, which holds until then. Callers check
+// that the bus reads KindMCQueues.
 func (c *Controller) emitQueues(cpuNow uint64) {
-	if !c.bus.On(obs.KindMCQueues) {
-		return
-	}
 	q := [3]int64{int64(c.readQ.Len() + c.writeQ.Len()), int64(c.caq.Len()), int64(c.lpq.Len())}
 	if q != c.queuesRead {
 		c.queuesRead = q
@@ -350,7 +427,7 @@ func (c *Controller) emitQueues(cpuNow uint64) {
 
 // drainInbox admits commands into the Reorder Queues, performing the
 // first Prefetch Buffer check and prefetch-merge check for Reads and the
-// PB invalidation rule for Writes.
+// PB invalidation rule for Writes. Step calls it with a non-empty inbox.
 func (c *Controller) drainInbox(cpuNow uint64) {
 	for c.inbox.Len() > 0 {
 		s := c.inbox.Front()
@@ -518,11 +595,9 @@ func (c *Controller) dropPendingPrefetch(line mem.Line, cpuNow uint64, cause obs
 
 // countConflicts implements the Adaptive Scheduling feedback (§3.5): each
 // regular command in the Reorder Queues that cannot proceed because its
-// bank is held by a previously issued prefetch counts once.
+// bank is held by a previously issued prefetch counts once. Step calls
+// it with an adaptive scheduler and non-empty Reorder Queues.
 func (c *Controller) countConflicts(cpuNow, dramNow uint64) {
-	if c.adaptive == nil {
-		return
-	}
 	for _, q := range [...]*ring[*cmdState]{&c.readQ, &c.writeQ} {
 		for i := 0; i < q.Len(); i++ {
 			s := q.At(i)
@@ -548,15 +623,10 @@ func (c *Controller) countConflicts(cpuNow, dramNow uint64) {
 // scheduleToCAQ moves at most one command per MC cycle from the Reorder
 // Queues to the CAQ, per the configured scheduling algorithm. The
 // arbiter sees one merged reads-then-writes view, rebuilt each cycle in
-// a scratch slice that is reused across cycles.
+// a scratch slice that is reused across cycles. Step calls it with room
+// in the CAQ and non-empty Reorder Queues.
 func (c *Controller) scheduleToCAQ(cpuNow, dramNow uint64) {
-	if c.caq.Len() >= c.cfg.CAQCap {
-		return
-	}
 	readLen := c.readQ.Len()
-	if readLen+c.writeQ.Len() == 0 {
-		return
-	}
 	merged := c.merged[:0]
 	for i := 0; i < readLen; i++ {
 		merged = append(merged, c.readQ.At(i))
@@ -590,6 +660,7 @@ func (c *Controller) scheduleToCAQ(cpuNow, dramNow uint64) {
 // finalIssue is the Final Scheduler: it transmits the CAQ head to DRAM
 // (performing the second Prefetch Buffer check first) and, when the
 // active Adaptive Scheduling policy permits, issues the LPQ head instead.
+// Step calls it when the CAQ or the LPQ holds a command.
 func (c *Controller) finalIssue(cpuNow, dramNow uint64) {
 	issued := false
 	if c.caq.Len() > 0 {
@@ -715,11 +786,9 @@ func (c *Controller) reorderHasIssuable(dramNow uint64) bool {
 // delivered directly (the data moves on-chip, so it does not linger in
 // the PB); otherwise the line is installed in the Prefetch Buffer.
 // Survivors are compacted in one pass, which also refreshes the cached
-// minimum completion cycle.
+// minimum completion cycle. Step calls it once the earliest prefetch
+// is due.
 func (c *Controller) completePrefetches(cpuNow uint64) {
-	if c.nextPFDone > cpuNow {
-		return
-	}
 	keep := c.pfFlight[:0]
 	minDone := ^uint64(0)
 	for _, p := range c.pfFlight {

@@ -1,10 +1,6 @@
 package mc
 
-import (
-	"fmt"
-
-	"asdsim/internal/mem"
-)
+import "asdsim/internal/mem"
 
 // pbEntry is one Prefetch Buffer line.
 type pbEntry struct {
@@ -37,10 +33,10 @@ type PBuffer struct {
 }
 
 // NewPBuffer builds a buffer of `lines` capacity with the given
-// associativity.
+// associativity. It panics on a geometry Config.Validate rejects.
 func NewPBuffer(lines, assoc int) *PBuffer {
-	if lines <= 0 || assoc <= 0 || lines%assoc != 0 {
-		panic(fmt.Sprintf("mc: bad prefetch buffer geometry %d/%d", lines, assoc))
+	if err := checkPBGeometry(lines, assoc); err != nil {
+		panic(err.Error())
 	}
 	b := &PBuffer{sets: lines / assoc, assoc: assoc, ways: make([]pbEntry, lines)}
 	if b.sets&(b.sets-1) == 0 {

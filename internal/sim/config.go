@@ -208,6 +208,9 @@ func (c *Config) Validate() error {
 	if err := c.Cache.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
+	if err := c.MC.Validate(c.msEnabled()); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"asdsim/internal/core"
+	"asdsim/internal/obs"
 )
 
 // updateGolden regenerates the committed golden Result files instead of
@@ -57,14 +58,57 @@ func goldenMatrix() []Config {
 	return append(cfgs, cfg)
 }
 
+// raiseCells are golden cells whose adaptive scheduler raises its
+// policy, one step more conservative after an epoch with at least
+// RaiseThreshold conflicts. No goldenMatrix cell takes that branch at
+// seed 1. Two threads press the DRAM harder, and each of these cells
+// raises twice at fixedPolicyBudget.
+var raiseCells = []struct {
+	bench string
+	mode  Mode
+}{{"tpcc", PMS}, {"is", MS}, {"cg", PMS}}
+
 // goldenName names a cell's golden file; a fixed-policy cell's name
-// also carries the policy and the thread count.
+// also carries the policy and the thread count, and an adaptive
+// two-thread cell's the thread count.
 func goldenName(bench string, cfg Config) string {
 	name := fmt.Sprintf("%s_%s_%s", bench, cfg.Mode, cfg.Engine)
-	if cfg.Sched.Fixed != 0 {
+	switch {
+	case cfg.Sched.Fixed != 0:
 		name += fmt.Sprintf("_%s_%dt", cfg.Sched.Fixed, cfg.Threads)
+	case cfg.Threads > 1:
+		name += fmt.Sprintf("_adaptive_%dt", cfg.Threads)
 	}
 	return name + ".json"
+}
+
+// matchGolden compares res's canonical JSON with the committed golden
+// file name, or rewrites the file under -update-golden.
+func matchGolden(t *testing.T, name string, res Result) {
+	t.Helper()
+	dir := filepath.Join("testdata", "golden")
+	got, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join(dir, name)
+	if *updateGolden {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update-golden): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("Result JSON diverged from golden %s;\nif the behavior change is intended, regenerate with -update-golden", name)
+	}
 }
 
 // TestGoldenDeterminism pins the simulator's observable behavior: the
@@ -73,12 +117,6 @@ func goldenName(bench string, cfg Config) string {
 // refactor that changes a single simulated outcome — a cycle count, a
 // queue decision, a histogram bucket — fails here loudly.
 func TestGoldenDeterminism(t *testing.T) {
-	dir := filepath.Join("testdata", "golden")
-	if *updateGolden {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for _, bench := range []string{"GemsFDTD", "milc"} {
 		for _, cfg := range goldenMatrix() {
 			name := goldenName(bench, cfg)
@@ -87,26 +125,43 @@ func TestGoldenDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := json.MarshalIndent(res, "", "  ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, '\n')
-				path := filepath.Join(dir, name)
-				if *updateGolden {
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden (regenerate with -update-golden): %v", err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("Result JSON diverged from golden %s;\nif the behavior change is intended, regenerate with -update-golden", name)
-				}
+				matchGolden(t, name, res)
 			})
 		}
+	}
+}
+
+// raiseCounter counts the adaptive scheduler's policy raises: epoch
+// rolls whose new policy is more conservative than the old.
+type raiseCounter struct{ raises int }
+
+func (c *raiseCounter) Kinds() obs.KindSet { return obs.KindsOf(obs.KindSchedPolicy) }
+
+func (c *raiseCounter) Emit(e obs.Event) {
+	if e.V1 < e.V3 {
+		c.raises++
+	}
+}
+
+// TestGoldenAdaptiveRaise pins the raiseCells as goldens, so a defect in
+// the Adaptive Scheduler's raise branch moves a golden Result, and
+// requires each cell to keep taking that branch.
+func TestGoldenAdaptiveRaise(t *testing.T) {
+	for _, c := range raiseCells {
+		cfg := Default(c.mode, fixedPolicyBudget)
+		cfg.Threads = 2
+		name := goldenName(c.bench, cfg)
+		t.Run(name, func(t *testing.T) {
+			var rc raiseCounter
+			cfg.Obs = obs.NewBus(&rc)
+			res, err := Run(c.bench, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rc.raises == 0 {
+				t.Error("the adaptive scheduler never raised its policy; pick a cell that does")
+			}
+			matchGolden(t, name, res)
+		})
 	}
 }

@@ -332,11 +332,11 @@ func (r *runner) loopUntil(ctx context.Context, target uint64) error {
 			default:
 			}
 		}
-		th := r.pickRunnable(target)
+		th, b := r.pickRunnable(target)
 		if th == nil {
 			break // all threads finished or past target
 		}
-		if b := th.BlockedOn(); b != nil {
+		if b != nil {
 			f := r.flights.get(b.Line)
 			if f == nil {
 				return fmt.Errorf("%w: thread %d blocked on line %d with no flight", ErrDeadlock, th.ID, b.Line)
@@ -380,11 +380,14 @@ func (r *runner) drainMC(ctx context.Context) error {
 }
 
 // pickRunnable returns the unfinished thread with the smallest clock that
-// is not blocked on memory, or nil. Threads at or past target
-// instructions are treated as paused and never picked.
+// is not blocked on memory (the smallest-clock one when all are
+// blocked), or nil, with the request the picked thread is blocked on
+// (nil when it can run), so the loop asks BlockedOn once per iteration.
+// Threads at or past target instructions are treated as paused and
+// never picked.
 //
 //asd:hotpath
-func (r *runner) pickRunnable(target uint64) *cpu.Thread {
+func (r *runner) pickRunnable(target uint64) (*cpu.Thread, *cpu.Pending) {
 	var best *cpu.Thread
 	for _, th := range r.threads {
 		if th.Finished() || th.Instructions >= target {
@@ -395,17 +398,18 @@ func (r *runner) pickRunnable(target uint64) *cpu.Thread {
 		}
 	}
 	if best == nil {
-		return nil
+		return nil, nil
 	}
 	// Prefer a non-blocked thread when the min-clock one is blocked.
-	if best.BlockedOn() != nil {
+	b := best.BlockedOn()
+	if b != nil {
 		for _, th := range r.threads {
-			if !th.Finished() && th.Instructions < target && th.BlockedOn() == nil {
-				return th
+			if th != best && !th.Finished() && th.Instructions < target && th.BlockedOn() == nil {
+				return th, nil
 			}
 		}
 	}
-	return best
+	return best, b
 }
 
 // stepMCTo processes memory-controller work in the background up to CPU

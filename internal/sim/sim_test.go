@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"asdsim/internal/mc"
 	"asdsim/internal/workload"
 )
 
@@ -50,9 +51,17 @@ func TestConfigValidate(t *testing.T) {
 		"L2 assoc":      func(c *Config) { c.Cache.L2Assoc = 17 },
 		"L3 ragged":     func(c *Config) { c.Cache.L3Size += 64 },
 		"L3 over 1 GiB": func(c *Config) { c.Cache.L3Size = 2 << 30 },
+		// Capacities mc.New panics on, in a mode that prefetches.
+		"read queue 0":    func(c *Config) { c.MC.ReadQueueCap = 0 },
+		"write queue big": func(c *Config) { c.MC.WriteQueueCap = mc.MaxQueueCap + 1 },
+		"CAQ 0":           func(c *Config) { c.MC.CAQCap = 0 },
+		"LPQ 0":           func(c *Config) { c.MC.LPQCap = 0 },
+		"PB 0":            func(c *Config) { c.MC.PBLines = 0 },
+		"PB ragged":       func(c *Config) { c.MC.PBLines = 18 },
+		"PB big":          func(c *Config) { c.MC.PBLines = 2 * mc.MaxPBLines },
 	}
 	for name, f := range cases {
-		c := Default(NP, 1000)
+		c := Default(PMS, 1000)
 		f(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", name)
@@ -60,6 +69,13 @@ func TestConfigValidate(t *testing.T) {
 		if _, err := Run("GemsFDTD", c); err == nil {
 			t.Errorf("%s: Run accepted the config", name)
 		}
+	}
+	// A mode without memory-side prefetching builds no LPQ or Prefetch
+	// Buffer, so their sizes are not checked.
+	np := Default(NP, 1000)
+	np.MC.LPQCap, np.MC.PBLines = 0, 0
+	if err := np.Validate(); err != nil {
+		t.Errorf("NP with an unsized LPQ and PB: %v", err)
 	}
 }
 

@@ -144,13 +144,19 @@ func (t *Table) Committed() int { return t.committed }
 // Expire vacates every slot whose lifetime has run out by cycle now,
 // passing each to end first (nil ends them silently). While the earliest
 // possible expiry is still in the future the sweep is skipped: no slot
-// can have run out, so skipping is invisible.
+// can have run out, so skipping is invisible. That test is all most
+// calls do, so it stays small enough to inline into the detectors.
 //
 //asd:hotpath
 func (t *Table) Expire(now uint64, end func(Slot)) {
-	if now < t.minExpiry {
-		return
+	if now >= t.minExpiry {
+		t.sweep(now, end)
 	}
+}
+
+// sweep is Expire's pass over the slots, once some slot may have run
+// out; it also recomputes the earliest expiry among the survivors.
+func (t *Table) sweep(now uint64, end func(Slot)) {
 	min := ^uint64(0)
 	for i := range t.Slots {
 		s := &t.Slots[i]
