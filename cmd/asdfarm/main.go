@@ -60,7 +60,6 @@ import (
 	"asdsim/internal/cluster/rpc"
 	"asdsim/internal/farm"
 	"asdsim/internal/obs"
-	"asdsim/internal/obs/span"
 	"asdsim/internal/report"
 	"asdsim/internal/sim"
 	"asdsim/internal/stats"
@@ -188,67 +187,73 @@ func runBatch(args []string) {
 	pool := farm.New(opts)
 	runMatrix(pool, specs, store, *outcomes, *quiet)
 	if bt != nil {
-		if err := bt.write(*tracePath, specs); err != nil {
+		if err := bt.write(*tracePath); err != nil {
 			fatal(err)
 		}
-		logger.Info("batch trace written", "path", *tracePath, "spans", bt.rec.Len())
+		logger.Info("batch trace written", "path", *tracePath, "cells", len(bt.tids))
 	}
 }
 
 // batchTracer implements the local -trace path: every attempt gets a
-// farm-level span plus a private sim-level Chrome-trace sink, and the
-// final file merges both — the span timeline in front, one child
-// process per run's cycle-level trace behind it.
+// host-time "run" slice on the "local" process plus a private sim-level
+// Chrome-trace sink, and the final file merges both — the run slices in
+// front, one child process per run's cycle-level trace behind it.
 type batchTracer struct {
-	rec *span.Recorder
+	start time.Time
 
 	mu   sync.Mutex
+	host *obs.TraceBuilder
+	tids map[string]int // host track by spec key
 	sims []*obs.TraceBuilder
 }
 
 func newBatchTracer() *batchTracer {
-	return &batchTracer{rec: span.NewRecorder("local", time.Now)}
+	host := obs.NewTraceBuilder()
+	host.StartProcess("local")
+	return &batchTracer{start: time.Now(), host: host, tids: map[string]int{}}
 }
 
 // instrument is a farm Options.Instrument hook.
 func (b *batchTracer) instrument(spec farm.Spec) (*obs.Bus, func(res *sim.Result, err error)) {
 	key := spec.Key()
-	traceID := span.TraceIDFromKey(key)
-	run := b.rec.Start(traceID, 0, "run", key,
-		span.Attr{Key: "benchmark", Value: spec.Benchmark},
-		span.Attr{Key: "mode", Value: spec.Mode.String()})
+	from := time.Since(b.start)
 	tb := obs.NewTraceBuilder()
 	tb.StartProcess("sim " + spec.Benchmark + "/" + spec.Mode.String())
 	fin := func(res *sim.Result, err error) {
+		dur := time.Since(b.start) - from
 		status := "ok"
 		if err != nil {
 			status = "failed"
 		}
-		run.End(span.Attr{Key: "status", Value: status})
 		b.mu.Lock()
+		defer b.mu.Unlock()
+		tid, ok := b.tids[key]
+		if !ok {
+			tid = len(b.tids)
+			b.tids[key] = tid
+			b.host.NameThread(tid, "trace "+short(key))
+		}
+		b.host.AddSlice("run", "run", float64(from.Microseconds()), float64(dur.Microseconds()), tid,
+			map[string]any{"key": key, "trace_id": farm.TraceID(key), "benchmark": spec.Benchmark,
+				"mode": spec.Mode.String(), "status": status})
 		b.sims = append(b.sims, tb)
-		b.mu.Unlock()
 	}
 	return obs.NewBus(tb), fin
 }
 
 // write renders the merged batch trace to path.
-func (b *batchTracer) write(path string, specs []farm.Spec) error {
-	keys := make([]string, len(specs))
-	for i := range specs {
-		keys[i] = specs[i].Key()
-	}
-	batch := span.BuildTrace(b.rec.SpansFor(keys))
+func (b *batchTracer) write(path string) error {
 	b.mu.Lock()
 	for _, tb := range b.sims {
-		batch.Merge(tb)
+		b.host.Merge(tb)
 	}
+	b.sims = nil
 	b.mu.Unlock()
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := batch.WriteJSON(f); err != nil {
+	if err := b.host.WriteJSON(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -322,9 +327,12 @@ func runOnCluster(base string, m farm.Matrix, total int, outcomesPath, tracePath
 				continue
 			}
 			lastSeq = ev.Seq
-			// Completions are the progress meter's job; surface the
-			// lease transitions that explain stalls and reruns.
-			if ev.Event == "complete" {
+			// Surface the lease transitions that explain stalls and
+			// reruns; completions are the progress meter's job, and a
+			// cell's submit, coalesce, cache-hit or cancel is not a lease's.
+			switch ev.Event {
+			case "grant", "steal", "expire", "late", "fail":
+			default:
 				continue
 			}
 			if !quiet {
@@ -581,7 +589,6 @@ func serve(args []string) {
 	workerTTL := fs.Duration("worker-ttl", 10*time.Second, "worker liveness TTL (coordinator)")
 	name := fs.String("name", "", "worker label shown by the coordinator (default hostname)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof endpoints under /debug/pprof/ and runtime memstats at /debug/vars")
-	observe := fs.Bool("observe", true, "attach per-run telemetry: flight recorder, sparklines, depth table (local role)")
 	fs.Parse(args)
 
 	var store *farm.Store
@@ -595,7 +602,7 @@ func serve(args []string) {
 
 	switch *role {
 	case "local":
-		serveLocal(*addr, *workers, store, *pprofOn, *observe)
+		serveLocal(*addr, *workers, store, *pprofOn)
 	case "coordinator":
 		serveCoordinator(*addr, store, *leaseTTL, *workerTTL, *pprofOn)
 	case "worker":
@@ -608,18 +615,13 @@ func serve(args []string) {
 	}
 }
 
-func serveLocal(addr string, workers int, store *farm.Store, pprofOn, observe bool) {
-	opts := farm.Options{Workers: workers}
-	var tel *farm.Telemetry
-	if observe {
-		tel = farm.NewTelemetry()
-		opts.Instrument = tel.Instrument
-	}
-	pool := farm.New(opts)
+// serveLocal runs the job API on an in-process pool. Every run feeds
+// the server's telemetry: flight recorder, sparklines and depth table.
+func serveLocal(addr string, workers int, store *farm.Store, pprofOn bool) {
+	tel := farm.NewTelemetry()
+	pool := farm.New(farm.Options{Workers: workers, Instrument: tel.Instrument})
 	api := farm.NewServer(pool, store)
-	if tel != nil {
-		api.AttachTelemetry(tel)
-	}
+	api.AttachTelemetry(tel)
 	if pprofOn {
 		api.EnablePprof()
 	}
@@ -660,7 +662,7 @@ func serveWorker(coordURL string, slots int, name string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	w := &cluster.Worker{Transport: rpc.New(strings.TrimRight(coordURL, "/")), Pool: pool, Name: name,
-		Spans: span.NewRecorder(name, time.Now), Logger: wlog}
+		Logger: wlog}
 	wlog.Info("joining coordinator", "coordinator", coordURL, "slots", slots)
 	errs := make(chan error, slots)
 	for i := 0; i < slots; i++ {

@@ -23,12 +23,10 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"asdsim/internal/farm"
-	"asdsim/internal/obs/span"
 )
 
 // Options configures a Coordinator.
@@ -45,9 +43,9 @@ type Options struct {
 	// Now is the injected clock; the default is the system clock. Tests
 	// substitute a fake to drive expiry deterministically.
 	Now func() time.Time
-	// Logger receives structured lifecycle records (worker join/leave,
-	// steals, late results, task failures) with trace-ID/worker/key
-	// fields. Optional; nil disables logging.
+	// Logger receives structured lifecycle records: worker join and
+	// leave, and the steal, expire, late and fail transitions with
+	// key/trace-ID/worker/lease fields. Optional; nil disables logging.
 	Logger *slog.Logger
 }
 
@@ -70,7 +68,6 @@ func New(opts Options) *Coordinator {
 		opts:           opts,
 		metrics:        farm.NewMetrics(),
 		maxLeaseLosses: maxLeaseLosses,
-		spans:          span.NewRecorder("coordinator", opts.Now),
 		workers:        make(map[string]*workerState),
 		tasks:          make(map[string]*ctask),
 		leases:         make(map[string]*lease),
@@ -82,10 +79,8 @@ func New(opts Options) *Coordinator {
 // under one mutex; public methods sweep expired leases/workers first,
 // mutate, then deliver completions outside the lock.
 type Coordinator struct {
-	opts     Options
-	metrics  *farm.Metrics // pool-equivalent counters
-	counters counters
-	spans    *span.Recorder
+	opts    Options
+	metrics *farm.Metrics // pool-equivalent counters
 	// maxLeaseLosses starts at the package constant; in-package tests
 	// lower it.
 	maxLeaseLosses int
@@ -102,8 +97,9 @@ type Coordinator struct {
 	// including workers whose liveness has expired, so a mid-run kill
 	// and the dead worker's runs stay visible on /metrics and the
 	// dashboard.
-	fleet  map[string]*workerHealth
-	events leaseEventLog
+	fleet map[string]*workerHealth
+	// log is the one record of every job and lease transition (note).
+	log transitionLog
 }
 
 // workerHealth is one worker's retained fleet entry: its liveness, and
@@ -121,25 +117,79 @@ type workerHealth struct {
 // dead entries are evicted beyond it.
 const maxFleetEntries = 64
 
-// leaseEventLog is a fixed-size ring of recent lease transitions,
-// consumed by the SSE stream and the job-status lease feed. Guarded by
-// the coordinator mutex.
-type leaseEventLog struct {
-	seq int64
-	buf []farm.LeaseEvent
+// event is one kind of job or lease transition.
+type event uint8
+
+const (
+	evSubmit   event = iota // a cell becomes a task
+	evCoalesce              // a cell joins an identical task
+	evCacheHit              // the store serves a cell
+	evGrant                 // a task is leased
+	evSteal                 // a reclaimed task is leased to another worker
+	evComplete              // a lease returns its outcome
+	evExpire                // a lease is reclaimed by TTL or worker death
+	evLate                  // a completion arrives for a reclaimed lease
+	evFail                  // a task exhausts its lease-loss budget
+	evCancel                // a pending task loses its last waiter
+	numEvents
+)
+
+// eventNames name the events in lease_events and in the trace export.
+var eventNames = [numEvents]string{"submit", "coalesce", "cache-hit", "grant", "steal",
+	"complete", "expire", "late", "fail", "cancel"}
+
+// eventLogs are the slog messages of the transitions that explain a
+// stall or a rerun; the others are not logged.
+var eventLogs = [numEvents]string{evSteal: "lease stolen", evExpire: "lease expired",
+	evLate: "late result rejected", evFail: "task failed: lease-loss budget exhausted"}
+
+// maxTransitions bounds the transition log; older entries are
+// overwritten.
+const maxTransitions = 65536
+
+// transitionLog is a ring of the newest maxTransitions transitions plus
+// each event's lifetime tally. Entry seq s sits at ring[(s-1) %
+// maxTransitions]. Guarded by the coordinator mutex.
+type transitionLog struct {
+	seq     int64
+	ring    []farm.LeaseEvent
+	tallies [numEvents]uint64
 }
 
-const maxLeaseEvents = 256
-
-func (l *leaseEventLog) add(now time.Time, event, key, worker string) {
+// note records one transition: it is the only place a job or lease
+// transition is recorded, and the cluster_* counters, lease_events, the
+// trace export and the coordinator's log lines all render from it.
+// Callers hold c.mu.
+func (c *Coordinator) note(now time.Time, ev event, key, worker, lease string) {
+	l := &c.log
 	l.seq++
-	e := farm.LeaseEvent{Seq: l.seq, Event: event, Key: key, Worker: worker, AtUS: now.UnixMicro()}
-	if len(l.buf) >= maxLeaseEvents {
-		copy(l.buf, l.buf[1:])
-		l.buf[len(l.buf)-1] = e
-		return
+	l.tallies[ev]++
+	e := farm.LeaseEvent{Seq: l.seq, Event: eventNames[ev], Key: key, Worker: worker, Lease: lease,
+		AtUS: now.UnixMicro()}
+	if len(l.ring) < maxTransitions {
+		l.ring = append(l.ring, e)
+	} else {
+		l.ring[(l.seq-1)%maxTransitions] = e
 	}
-	l.buf = append(l.buf, e)
+	if msg := eventLogs[ev]; msg != "" {
+		c.logInfo(msg, "key", key, "trace_id", farm.TraceID(key), "worker", worker, "lease", lease)
+	}
+}
+
+// entries returns the retained transitions whose key want holds (every
+// one when want is nil), oldest first; when newest > 0, only the newest
+// that many.
+func (l *transitionLog) entries(want map[string]bool, newest int) []farm.LeaseEvent {
+	out := []farm.LeaseEvent{}
+	for i := 0; i < len(l.ring) && (newest <= 0 || len(out) < newest); i++ {
+		if e := l.ring[(l.seq-1-int64(i))%maxTransitions]; want == nil || want[e.Key] {
+			out = append(out, e)
+		}
+	}
+	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
+		out[i], out[j] = out[j], out[i]
+	}
+	return out
 }
 
 // workerState is one registered node.
@@ -166,11 +216,6 @@ type ctask struct {
 	lastWorker string // previous lease holder; a different next holder is a steal
 	losses     int    // leases lost to expiry or worker death
 	waiters    []waiterRef
-
-	// root is the job-lifecycle span, opened at first submission and
-	// closed when the terminal outcome lands (or the batch cancels).
-	root    *span.Active
-	traceID string
 }
 
 // lease is one outstanding grant.
@@ -179,11 +224,6 @@ type lease struct {
 	key    string
 	worker string
 	expiry time.Time
-
-	// sp is the lease span, recorded under the holder's name so a
-	// worker that dies mid-lease still appears in the merged trace.
-	sp       *span.Active
-	renewals int
 }
 
 // waiterRef points at one slot of one waiting batch.
@@ -325,8 +365,8 @@ func (c *Coordinator) liveNodesLocked() int {
 	return len(labels)
 }
 
-// ClusterSnapshot exports the fleet state for /metrics, the job-status
-// lease feed and the SSE lease_events (farm.ClusterSource).
+// ClusterSnapshot exports the fleet state and the transition tallies
+// for /metrics (farm.ClusterSource).
 func (c *Coordinator) ClusterSnapshot() farm.ClusterSnapshot {
 	now := c.opts.Now()
 	c.mu.Lock()
@@ -335,11 +375,10 @@ func (c *Coordinator) ClusterSnapshot() farm.ClusterSnapshot {
 		Workers:          c.liveNodesLocked(),
 		TasksPending:     len(c.pending),
 		LeasesActive:     len(c.leases),
-		LeaseExpirations: c.counters.expirations.Load(),
-		Steals:           c.counters.steals.Load(),
-		LateResults:      c.counters.late.Load(),
-		Completed:        c.counters.completed.Load(),
-		LeaseEvents:      append([]farm.LeaseEvent(nil), c.events.buf...),
+		LeaseExpirations: c.log.tallies[evExpire],
+		Steals:           c.log.tallies[evSteal],
+		LateResults:      c.log.tallies[evLate],
+		Completed:        c.log.tallies[evComplete] + c.log.tallies[evFail],
 	}
 	leasesByWorker := make(map[string]int, len(c.workers))
 	lids := make([]string, 0, len(c.leases))
@@ -376,11 +415,24 @@ func (c *Coordinator) ClusterSnapshot() farm.ClusterSnapshot {
 	return snap
 }
 
-// Spans returns the collected spans for the given spec keys
-// (farm.TraceSource): the coordinator's own lifecycle spans plus every
-// worker span shipped back with completions.
-func (c *Coordinator) Spans(keys []string) []span.Span {
-	return c.spans.SpansFor(keys)
+// LeaseEvents returns the logged transitions of the given spec keys (of
+// every key when keys is nil), oldest first; when newest > 0, only the
+// newest that many (farm.LeaseLog).
+func (c *Coordinator) LeaseEvents(keys []string, newest int) []farm.LeaseEvent {
+	var want map[string]bool
+	if keys != nil {
+		want = make(map[string]bool, len(keys))
+		for _, k := range keys {
+			want[k] = true
+		}
+	}
+	now := c.opts.Now()
+	c.mu.Lock()
+	ds := c.sweepLocked(now)
+	out := c.log.entries(want, newest)
+	c.mu.Unlock()
+	deliverAll(ds)
+	return out
 }
 
 // Register admits a worker and hands it the timing contract.
@@ -430,11 +482,6 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 	for _, id := range lids {
 		if l := c.leases[id]; l.worker == w.id {
 			l.expiry = now.Add(c.opts.LeaseTTL)
-			l.renewals++
-			if l.sp != nil {
-				c.spans.Event(span.TraceIDFromKey(l.key), l.sp.ID(), "renew", l.key,
-					span.Attr{Key: "lease", Value: l.id})
-			}
 			held++
 		}
 	}
@@ -477,42 +524,20 @@ func (c *Coordinator) Acquire(req AcquireRequest) (AcquireResponse, error) {
 	l := &lease{id: fmt.Sprintf("l-%d", c.seq), key: t.key, worker: w.id, expiry: now.Add(c.opts.LeaseTTL)}
 	c.leases[l.id] = l
 	t.state = taskLeased
-	label := c.workerLabelLocked(w.id)
-	stolen := t.lastWorker != "" && t.lastWorker != w.id
-	if stolen {
-		c.counters.noteSteal()
-		c.spans.Event(t.traceID, rootID(t), "steal", t.key,
-			span.Attr{Key: "from", Value: c.workerLabelLocked(t.lastWorker)},
-			span.Attr{Key: "to", Value: label})
-		c.events.add(now, "steal", t.key, label)
-	} else {
-		c.events.add(now, "grant", t.key, label)
+	ev := evGrant
+	if t.lastWorker != "" && t.lastWorker != w.id {
+		ev = evSteal
 	}
-	l.sp = c.spans.StartOn(label, t.traceID, rootID(t), "lease", t.key,
-		span.Attr{Key: "lease", Value: l.id})
+	c.note(now, ev, t.key, c.workerLabelLocked(w.id), l.id)
 	t.lastWorker = w.id
 	resp := AcquireResponse{
-		Grant: &Grant{LeaseID: l.id, Key: t.key, Spec: t.spec, TTLMS: ms(c.opts.LeaseTTL),
-			Trace: &span.Context{TraceID: t.traceID, Parent: l.sp.ID()}},
+		Grant:   &Grant{LeaseID: l.id, Key: t.key, Spec: t.spec, TTLMS: ms(c.opts.LeaseTTL)},
 		Pending: len(c.pending),
 	}
 	c.updateGaugesLocked()
 	c.mu.Unlock()
 	deliverAll(ds)
-	if stolen {
-		c.logInfo("lease stolen", "key", t.key, "trace_id", t.traceID, "worker", label, "lease", l.id)
-	}
 	return resp, nil
-}
-
-// rootID returns the job span id of t, zero when tracing never opened
-// one (a task created before spans existed cannot occur today, but the
-// guard keeps the call total).
-func rootID(t *ctask) span.ID {
-	if t.root == nil {
-		return 0
-	}
-	return t.root.ID()
 }
 
 // Complete accepts a leased task's outcome: counts it under the
@@ -530,17 +555,10 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	}
 	l := c.leases[req.LeaseID]
 	if l == nil || l.worker != req.WorkerID {
-		c.counters.noteLate()
-		label := c.workerLabelLocked(req.WorkerID)
-		c.spans.Event(span.TraceIDFromKey(req.Outcome.Key), 0, "late-result", req.Outcome.Key,
-			span.Attr{Key: "worker", Value: label},
-			span.Attr{Key: "lease", Value: req.LeaseID})
-		c.events.add(now, "late", req.Outcome.Key, label)
+		c.note(now, evLate, req.Outcome.Key, c.workerLabelLocked(req.WorkerID), req.LeaseID)
 		c.updateGaugesLocked()
 		c.mu.Unlock()
 		deliverAll(ds)
-		c.logInfo("late result rejected", "key", req.Outcome.Key,
-			"trace_id", span.TraceIDFromKey(req.Outcome.Key), "worker", label, "lease", req.LeaseID)
 		return CompleteResponse{}, fmt.Errorf("%w: lease %q", ErrLeaseExpired, req.LeaseID)
 	}
 	if req.Outcome.Key != l.key {
@@ -558,17 +576,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 			h.failed++
 		}
 	}
-	spans := req.Spans
-	if len(spans) > maxSpansPerComplete {
-		spans = spans[:maxSpansPerComplete]
-	}
-	c.spans.Ingest(spans)
-	label := c.workerLabelLocked(req.WorkerID)
-	if l.sp != nil {
-		l.sp.End(span.Attr{Key: "status", Value: "completed"},
-			span.Attr{Key: "renewals", Value: strconv.Itoa(l.renewals)})
-	}
-	c.events.add(now, "complete", l.key, label)
+	c.note(now, evComplete, l.key, c.workerLabelLocked(req.WorkerID), l.id)
 	t := c.tasks[l.key]
 	if t != nil {
 		ds = append(ds, c.finishTaskLocked(t, req.Outcome))
@@ -588,16 +596,6 @@ func (c *Coordinator) finishTaskLocked(t *ctask, o farm.Outcome) delivery {
 		}
 	}
 	c.metrics.RecordOutcome(&t.spec, &o)
-	c.counters.noteCompleted()
-	if t.root != nil {
-		status := "ok"
-		if o.Err != "" {
-			status = "failed"
-		}
-		t.root.End(span.Attr{Key: "status", Value: status},
-			span.Attr{Key: "attempts", Value: strconv.Itoa(o.Attempts)})
-		t.root = nil
-	}
 	delete(c.tasks, t.key)
 	return delivery{refs: t.waiters, o: o}
 }
@@ -635,22 +633,12 @@ func (c *Coordinator) sweepLocked(now time.Time) []delivery {
 			continue
 		}
 		delete(c.leases, id)
-		c.counters.noteExpiration()
 		label := c.workerLabelLocked(l.worker)
-		if l.sp != nil {
-			l.sp.End(span.Attr{Key: "status", Value: "expired"},
-				span.Attr{Key: "renewals", Value: strconv.Itoa(l.renewals)})
-		}
-		c.events.add(now, "expire", l.key, label)
-		c.logInfo("lease expired", "key", l.key,
-			"trace_id", span.TraceIDFromKey(l.key), "worker", label, "lease", l.id)
+		c.note(now, evExpire, l.key, label, l.id)
 		t := c.tasks[l.key]
 		if t == nil || t.state != taskLeased {
 			continue
 		}
-		c.spans.Event(t.traceID, rootID(t), "expire", t.key,
-			span.Attr{Key: "worker", Value: label},
-			span.Attr{Key: "lease", Value: l.id})
 		t.losses++
 		t.lastWorker = l.worker
 		if t.losses >= c.maxLeaseLosses {
@@ -658,9 +646,7 @@ func (c *Coordinator) sweepLocked(now time.Time) []delivery {
 				Engine: t.spec.Config.Engine.String(), Seed: t.spec.Config.Seed,
 				Err:      fmt.Sprintf("cluster: lease lost %d times (workers keep dying mid-run)", t.losses),
 				Attempts: t.losses}
-			c.events.add(now, "fail", t.key, label)
-			c.logInfo("task failed: lease-loss budget exhausted", "key", t.key,
-				"trace_id", t.traceID, "losses", t.losses)
+			c.note(now, evFail, t.key, label, l.id)
 			ds = append(ds, c.finishTaskLocked(t, o))
 			continue
 		}
@@ -697,31 +683,27 @@ func (c *Coordinator) RunBatch(ctx context.Context, specs []farm.Spec, store *fa
 	}
 	var resumed []resumedSlot
 	created := 0
+	now := c.opts.Now()
 	c.mu.Lock()
 	for i, spec := range specs {
 		key := spec.Key()
-		traceID := span.TraceIDFromKey(key)
 		if store != nil {
 			if prev, ok := store.Lookup(key); ok {
 				prev.Resumed = true
-				c.spans.Event(traceID, 0, "cache-hit", key)
+				c.note(now, evCacheHit, key, "", "")
 				resumed = append(resumed, resumedSlot{i, prev})
 				continue
 			}
 		}
 		t := c.tasks[key]
 		if t == nil {
-			t = &ctask{key: key, spec: spec, state: taskPending, traceID: traceID}
-			t.root = c.spans.Start(traceID, 0, "job", key,
-				span.Attr{Key: "benchmark", Value: spec.Benchmark},
-				span.Attr{Key: "mode", Value: spec.Mode.String()},
-				span.Attr{Key: "engine", Value: spec.Config.Engine.String()})
-			c.spans.Event(traceID, t.root.ID(), "submit", key)
+			t = &ctask{key: key, spec: spec, state: taskPending}
+			c.note(now, evSubmit, key, "", "")
 			c.tasks[key] = t
 			c.pending = append(c.pending, key)
 			created++
 		} else {
-			c.spans.Event(traceID, rootID(t), "coalesce", key)
+			c.note(now, evCoalesce, key, "", "")
 		}
 		t.waiters = append(t.waiters, waiterRef{b: b, i: i})
 	}
@@ -754,6 +736,7 @@ func (c *Coordinator) RunBatch(ctx context.Context, specs []farm.Spec, store *fa
 // are dropped from the queue (leased ones run to completion — their
 // results are still worth storing).
 func (c *Coordinator) cancelBatch(b *batch) {
+	now := c.opts.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	keys := make([]string, 0, len(c.tasks))
@@ -772,10 +755,7 @@ func (c *Coordinator) cancelBatch(b *batch) {
 		}
 		t.waiters = kept
 		if len(kept) == 0 && t.state == taskPending {
-			if t.root != nil {
-				t.root.End(span.Attr{Key: "status", Value: "cancelled"})
-				t.root = nil
-			}
+			c.note(now, evCancel, key, "", "")
 			delete(c.tasks, key)
 			drop[key] = true
 		}

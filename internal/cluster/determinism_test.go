@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"asdsim/internal/farm"
-	"asdsim/internal/obs/span"
 	"asdsim/internal/sim"
 )
 
@@ -101,8 +100,7 @@ func TestMultiNodeBitIdenticalToSerial(t *testing.T) {
 	bDone := make(chan struct{})
 	go func() {
 		defer close(bDone)
-		(&Worker{Transport: &Loopback{C: coord}, Pool: bPool, Name: "survivor", poll: 10 * time.Millisecond,
-			Spans: span.NewRecorder("survivor", time.Now)}).Run(bCtx)
+		(&Worker{Transport: &Loopback{C: coord}, Pool: bPool, Name: "survivor", poll: 10 * time.Millisecond}).Run(bCtx)
 	}()
 
 	r := <-retCh
@@ -127,46 +125,38 @@ func TestMultiNodeBitIdenticalToSerial(t *testing.T) {
 		t.Errorf("steals = %d, want >= 1 (worker B must inherit A's cell)", snap.Steals)
 	}
 
-	// The distributed trace caught the whole story — and the outcome
-	// bytes above already proved tracing perturbs nothing. Lease spans
-	// are attributed to both workers even though the doomed one never
-	// shipped a span itself; the survivor's execute spans arrived with
-	// its completions; the steal transition is on the timeline.
+	// The trace rendered from the transition log caught the whole story
+	// — and the outcome bytes above already proved the log perturbs
+	// nothing. Lease spans sit on both workers although the doomed one
+	// died holding its lease, and the steal is on the timeline.
 	keys := make([]string, len(specs))
 	for i := range specs {
 		keys[i] = specs[i].Key()
 	}
-	spans := coord.Spans(keys)
-	if len(spans) == 0 {
-		t.Fatal("coordinator collected no spans")
-	}
-	nodes, names := map[string]bool{}, map[string]bool{}
-	for _, sp := range spans {
-		nodes[sp.Node] = true
-		names[sp.Name] = true
-	}
-	for _, n := range []string{"coordinator", "doomed", "survivor"} {
-		if !nodes[n] {
-			t.Errorf("trace has no spans on node %q (nodes: %v)", n, nodes)
-		}
-	}
-	for _, n := range []string{"job", "submit", "lease", "steal", "expire", "execute"} {
-		if !names[n] {
-			t.Errorf("trace has no %q span (names: %v)", n, names)
-		}
-	}
 	var tbuf bytes.Buffer
-	if err := span.WriteChromeTrace(&tbuf, spans); err != nil {
+	if err := farm.BuildLeaseTrace(coord.LeaseEvents(keys, 0)).WriteJSON(&tbuf); err != nil {
 		t.Fatalf("trace export: %v", err)
 	}
-	var tr struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
+	var tr chromeTrace
 	if err := json.Unmarshal(tbuf.Bytes(), &tr); err != nil {
 		t.Fatalf("exported trace is not valid JSON: %v", err)
 	}
-	if len(tr.TraceEvents) < len(spans) {
-		t.Errorf("exported trace has %d events for %d spans", len(tr.TraceEvents), len(spans))
+	nodes, names := map[string]bool{}, map[string]bool{}
+	for _, e := range tr.TraceEvents {
+		if e.Ph != "M" {
+			nodes[tr.node(e.Pid)] = true
+			names[e.Name] = true
+		}
+	}
+	for _, n := range []string{"coordinator", "doomed", "survivor"} {
+		if !nodes[n] {
+			t.Errorf("trace has no events on node %q (nodes: %v)", n, nodes)
+		}
+	}
+	for _, n := range []string{"job", "lease", "steal", "expire"} {
+		if !names[n] {
+			t.Errorf("trace has no %q event (names: %v)", n, names)
+		}
 	}
 
 	// Identical matrix again: the read-through store serves every cell;

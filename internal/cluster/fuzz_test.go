@@ -1,12 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"asdsim/internal/farm"
-	"asdsim/internal/obs/span"
 	"asdsim/internal/sim"
 )
 
@@ -28,14 +29,57 @@ const oldHeartbeat = `{"kind":"heartbeat","heartbeat":{"worker_id":"w-1","stats"
 	`"pool":{"workers":2,"completed":9,"sim_instructions":360000000},` +
 	`"wall":{"counts":[0,0,3,6],"sum":4.25,"max":1.7}}}}`
 
-// seedMessages covers every envelope kind, including the two payloads
-// that embed full farm types (a Grant's Spec, a completion's Outcome),
-// and an older worker's heartbeat, which must still decode.
-func seedMessages(t testing.TB) [][]byte {
-	t.Helper()
+// oldGrant is a grant as coordinators built before the transition log
+// sent it: with the trace context of a coordinator-side lease span.
+const oldGrant = `{"kind":"acquire_ok","acquire_ok":{"grant":{"lease_id":"l-8","key":"k",` +
+	`"spec":{"benchmark":"GemsFDTD"},"ttl_ms":15000,` +
+	`"trace":{"trace_id":"00112233445566778899aabbccddeeff","parent":"00000000feedface"}},"pending":1}}`
+
+// oldComplete is a completion as workers built before the transition
+// log sent it: with the execute span the worker recorded (%s is the
+// lease's key).
+const oldComplete = `{"kind":"complete","complete":{"worker_id":"%s","lease_id":"%s",` +
+	`"outcome":{"key":"%s","benchmark":"milc","mode":0,"result":{},"attempts":1},` +
+	`"spans":[{"trace_id":"00112233445566778899aabbccddeeff","id":"00000000feedface",` +
+	`"parent":"00000000abad1dea","name":"execute","node":"w2","key":"%[3]s",` +
+	`"start_us":1700000000000000,"dur_us":2500,"attrs":[{"k":"lease","v":"%[2]s"}]}]}}`
+
+// Envelopes from peers built before the transition log still decode,
+// and an older worker's completion, spans and all, is accepted.
+func TestOlderPeersStillDecode(t *testing.T) {
 	if m, err := DecodeMessage([]byte(oldHeartbeat)); err != nil || m.Heartbeat.WorkerID != "w-1" {
 		t.Fatalf("an older worker's heartbeat does not decode: %+v, %v", m, err)
 	}
+	if m, err := DecodeMessage([]byte(oldGrant)); err != nil || m.AcquireOK.Grant.LeaseID != "l-8" {
+		t.Fatalf("an older coordinator's grant does not decode: %+v, %v", m, err)
+	}
+
+	c := New(Options{Now: newFakeClock().Now})
+	spec := testSpec("milc", sim.NP)
+	ret := startBatch(c, context.Background(), []farm.Spec{spec}, nil)
+	waitPending(t, c, 1)
+	w := mustRegister(t, c, "w2")
+	g, err := c.Acquire(AcquireRequest{WorkerID: w.WorkerID})
+	if err != nil || g.Grant == nil {
+		t.Fatalf("acquire: %+v %v", g, err)
+	}
+	m, err := DecodeMessage([]byte(fmt.Sprintf(oldComplete, w.WorkerID, g.Grant.LeaseID, spec.Key())))
+	if err != nil {
+		t.Fatalf("an older worker's completion does not decode: %v", err)
+	}
+	if _, err := c.Complete(*m.Complete); err != nil {
+		t.Fatalf("an older worker's completion is refused: %v", err)
+	}
+	if r := <-ret; r.err != nil || !r.out[0].OK() {
+		t.Fatalf("batch %+v", r)
+	}
+}
+
+// seedMessages covers every envelope kind, including the two payloads
+// that embed full farm types (a Grant's Spec, a completion's Outcome),
+// and older peers' envelopes, which must still decode.
+func seedMessages(t testing.TB) [][]byte {
+	t.Helper()
 	spec := testSpec("GemsFDTD", sim.PMS)
 	res := sim.Result{Cycles: 123456, Instructions: 654321}
 	return [][]byte{
@@ -47,19 +91,12 @@ func seedMessages(t testing.TB) [][]byte {
 		encodeSeed(t, &Message{Kind: "acquire", Acquire: &AcquireRequest{WorkerID: "w-1"}}),
 		encodeSeed(t, &Message{Kind: "acquire_ok", AcquireOK: &AcquireResponse{
 			Grant: &Grant{LeaseID: "l-7", Key: spec.Key(), Spec: spec, TTLMS: 15000}, Pending: 4}}),
-		encodeSeed(t, &Message{Kind: "acquire_ok", AcquireOK: &AcquireResponse{
-			Grant: &Grant{LeaseID: "l-8", Key: spec.Key(), Spec: spec, TTLMS: 15000,
-				Trace: &span.Context{TraceID: span.TraceIDFromKey(spec.Key()), Parent: 0xfeedface}}}}),
+		[]byte(oldGrant),
 		encodeSeed(t, &Message{Kind: "acquire_ok", AcquireOK: &AcquireResponse{}}),
 		encodeSeed(t, &Message{Kind: "complete", Complete: &CompleteRequest{WorkerID: "w-1", LeaseID: "l-7",
 			Outcome: farm.Outcome{Key: spec.Key(), Benchmark: spec.Benchmark, Mode: spec.Mode,
 				Engine: spec.Config.Engine.String(), Seed: spec.Config.Seed, Result: &res, Attempts: 1}}}),
-		encodeSeed(t, &Message{Kind: "complete", Complete: &CompleteRequest{WorkerID: "w-2", LeaseID: "l-8",
-			Outcome: farm.Outcome{Key: spec.Key(), Benchmark: spec.Benchmark, Mode: spec.Mode,
-				Engine: spec.Config.Engine.String(), Seed: spec.Config.Seed, Result: &res, Attempts: 1},
-			Spans: []span.Span{{TraceID: span.TraceIDFromKey(spec.Key()), ID: 0xfeedface, Parent: 0xabad1dea,
-				Name: "execute", Node: "w2", Key: spec.Key(), StartUS: 1_700_000_000_000_000, DurUS: 2500,
-				Attrs: []span.Attr{{Key: "lease", Value: "l-8"}}}}}}),
+		[]byte(fmt.Sprintf(oldComplete, "w-2", "l-8", spec.Key())),
 		encodeSeed(t, &Message{Kind: "complete_ok", CompleteOK: &CompleteResponse{}}),
 		encodeSeed(t, &Message{Kind: "error", Error: &WireError{Code: CodeLeaseExpired, Message: "lease l-7 reclaimed"}}),
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"asdsim/internal/farm"
-	"asdsim/internal/obs/span"
 )
 
 // ProtocolVersion gates coordinator/worker compatibility; a worker
@@ -73,7 +72,8 @@ type AcquireResponse struct {
 	Pending int `json:"pending"`
 }
 
-// Grant is one leased unit of work.
+// Grant is one leased unit of work. The trace context an older
+// coordinator sends with it is ignored on decode.
 type Grant struct {
 	LeaseID string `json:"lease_id"`
 	// Key is the spec's content address (farm.Spec.Key()); Complete
@@ -81,26 +81,15 @@ type Grant struct {
 	Key   string    `json:"key"`
 	Spec  farm.Spec `json:"spec"`
 	TTLMS int64     `json:"ttl_ms"`
-	// Trace is the distributed-tracing context: the spec's trace ID and
-	// the coordinator-side lease span to parent worker spans under.
-	// Optional so pre-tracing peers stay wire-compatible.
-	Trace *span.Context `json:"trace,omitempty"`
 }
 
-// CompleteRequest returns a leased task's terminal outcome.
+// CompleteRequest returns a leased task's terminal outcome. The spans
+// an older worker sends with it are ignored on decode.
 type CompleteRequest struct {
 	WorkerID string       `json:"worker_id"`
 	LeaseID  string       `json:"lease_id"`
 	Outcome  farm.Outcome `json:"outcome"`
-	// Spans carries the worker-side spans recorded while executing the
-	// lease (bounded by maxSpansPerComplete on ingest).
-	Spans []span.Span `json:"spans,omitempty"`
 }
-
-// maxSpansPerComplete bounds how many worker spans one completion may
-// ship; the coordinator truncates beyond it rather than letting a
-// buggy worker balloon the envelope's span buffer.
-const maxSpansPerComplete = 256
 
 // CompleteResponse acknowledges an accepted completion.
 type CompleteResponse struct{}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"asdsim/internal/farm"
-	"asdsim/internal/obs/span"
 )
 
 // Worker is one executor node: it registers with a coordinator over a
@@ -23,10 +22,6 @@ type Worker struct {
 	Pool      *farm.Pool
 	// Name labels the worker in coordinator logs and dashboards.
 	Name string
-	// Spans, when set, records an "execute" span per lease (parented on
-	// the coordinator's lease span via the grant's trace context) and
-	// ships the trace's spans back with the completion.
-	Spans *span.Recorder
 	// Logger receives structured lease-lifecycle records. Optional.
 	Logger *slog.Logger
 
@@ -119,13 +114,6 @@ func (w *Worker) Run(ctx context.Context) error {
 // reclaims it at TTL and another worker's bit-identical rerun replaces
 // the lost result.
 func (w *Worker) runLease(ctx context.Context, id string, g *Grant, hbEvery time.Duration) {
-	var exec *span.Active
-	if w.Spans != nil && g.Trace != nil {
-		exec = w.Spans.Start(g.Trace.TraceID, g.Trace.Parent, "execute", g.Key,
-			span.Attr{Key: "lease", Value: g.LeaseID},
-			span.Attr{Key: "benchmark", Value: g.Spec.Benchmark},
-			span.Attr{Key: "mode", Value: g.Spec.Mode.String()})
-	}
 	done := make(chan farm.Outcome, 1)
 	if err := w.Pool.Submit(ctx, g.Spec, func(o farm.Outcome) { done <- o }); err != nil {
 		return // pool closed; the lease expires and is stolen
@@ -142,14 +130,6 @@ func (w *Worker) runLease(ctx context.Context, id string, g *Grant, hbEvery time
 				return
 			}
 			req := CompleteRequest{WorkerID: id, LeaseID: g.LeaseID, Outcome: o}
-			if exec != nil {
-				status := "ok"
-				if o.Err != "" {
-					status = "failed"
-				}
-				exec.End(span.Attr{Key: "status", Value: status})
-				req.Spans = w.Spans.DrainTrace(g.Trace.TraceID)
-			}
 			if _, err := w.Transport.Complete(ctx, req); err != nil {
 				if errors.Is(err, ErrLeaseExpired) {
 					w.stats.noteExpired()
@@ -162,9 +142,6 @@ func (w *Worker) runLease(ctx context.Context, id string, g *Grant, hbEvery time
 		case <-tick.C:
 			// Best-effort: a failed heartbeat just means the lease may be
 			// stolen, which is safe.
-			if exec != nil {
-				w.Spans.Event(g.Trace.TraceID, exec.ID(), "heartbeat", g.Key)
-			}
 			w.Transport.Heartbeat(ctx, HeartbeatRequest{WorkerID: id})
 		case <-ctx.Done():
 			return

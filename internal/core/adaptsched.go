@@ -129,14 +129,25 @@ type AdaptiveScheduler struct {
 	bus *obs.Bus // nil when no observer is attached
 }
 
-// NewAdaptiveScheduler returns a scheduler; adaptive mode starts at the
-// most conservative policy and loosens as evidence allows.
-func NewAdaptiveScheduler(cfg SchedulerConfig) *AdaptiveScheduler {
-	if cfg.EpochReads <= 0 {
-		panic(fmt.Sprintf("core: EpochReads must be positive, got %d", cfg.EpochReads))
+// Validate reports the first problem NewAdaptiveScheduler would
+// reject: a non-positive EpochReads, or a Fixed policy that is neither
+// zero nor one of the five.
+func (c *SchedulerConfig) Validate() error {
+	if c.EpochReads <= 0 {
+		return fmt.Errorf("core: EpochReads must be positive, got %d", c.EpochReads)
 	}
-	if cfg.Fixed != 0 && (cfg.Fixed < PolicyIdleSystem || cfg.Fixed > PolicyTimestamp) {
-		panic(fmt.Sprintf("core: invalid fixed policy %d", cfg.Fixed))
+	if c.Fixed != 0 && (c.Fixed < PolicyIdleSystem || c.Fixed > PolicyTimestamp) {
+		return fmt.Errorf("core: invalid fixed policy %d", c.Fixed)
+	}
+	return nil
+}
+
+// NewAdaptiveScheduler returns a scheduler; adaptive mode starts at the
+// most conservative policy and loosens as evidence allows. It panics on
+// a cfg that Validate rejects.
+func NewAdaptiveScheduler(cfg SchedulerConfig) *AdaptiveScheduler {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	s := &AdaptiveScheduler{cfg: cfg, policy: PolicyIdleSystem}
 	if cfg.Fixed != 0 {

@@ -78,10 +78,24 @@ type Engine struct {
 	out []mem.Line // reusable nomination scratch
 }
 
-// NewEngine returns an Engine for cfg.
+// Validate reports the first problem NewEngine would reject: a
+// MaxDegree below 1, or a Stream Filter or SLH config that
+// stream.NewFilter or slh.New would reject.
+func (c *Config) Validate() error {
+	if c.MaxDegree < 1 {
+		return fmt.Errorf("core: MaxDegree must be >= 1, got %d", c.MaxDegree)
+	}
+	if err := c.Filter.Validate(); err != nil {
+		return err
+	}
+	return c.SLH.Validate()
+}
+
+// NewEngine returns an Engine for cfg. It panics on a cfg that Validate
+// rejects.
 func NewEngine(cfg Config) *Engine {
-	if cfg.MaxDegree < 1 {
-		panic(fmt.Sprintf("core: MaxDegree must be >= 1, got %d", cfg.MaxDegree))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	e := &Engine{
 		cfg:           cfg,

@@ -123,16 +123,26 @@ type DRAM struct {
 	bus          *obs.Bus // nil when no observer is attached
 }
 
-// New returns a DRAM model for cfg.
+// Validate reports the first problem New would reject: a geometry
+// without ranks or banks or with rows shorter than a line, or a
+// non-positive tRCD, tCL, tRP, tBurst or tRC.
+func (c *Config) Validate() error {
+	if g := c.Geometry; g.Ranks <= 0 || g.BanksPerRank <= 0 || g.RowBytes < mem.LineSize {
+		return fmt.Errorf("dram: invalid geometry %+v", g)
+	}
+	if t := c.Timing; t.TRCD <= 0 || t.TCL <= 0 || t.TRP <= 0 || t.TBurst <= 0 || t.TRC <= 0 {
+		return fmt.Errorf("dram: invalid timing %+v", t)
+	}
+	return nil
+}
+
+// New returns a DRAM model for cfg. It panics on a cfg that Validate
+// rejects.
 func New(cfg Config) *DRAM {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	g := cfg.Geometry
-	if g.Ranks <= 0 || g.BanksPerRank <= 0 || g.RowBytes < mem.LineSize {
-		panic(fmt.Sprintf("dram: invalid geometry %+v", g))
-	}
-	t := cfg.Timing
-	if t.TRCD <= 0 || t.TCL <= 0 || t.TRP <= 0 || t.TBurst <= 0 || t.TRC <= 0 {
-		panic(fmt.Sprintf("dram: invalid timing %+v", t))
-	}
 	total := g.Ranks * g.BanksPerRank
 	d := &DRAM{
 		cfg:         cfg,

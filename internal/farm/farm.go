@@ -67,6 +67,10 @@ func (s Spec) Key() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// TraceID is the trace ID of the spec whose key is key: the key's first
+// 32 hex digits, 128 bits of the content address.
+func TraceID(key string) string { return key[:min(len(key), 32)] }
+
 // Outcome is the terminal state of one job.
 type Outcome struct {
 	Key       string      `json:"key"`

@@ -70,20 +70,16 @@ type Metrics struct {
 	simInstructions atomic.Uint64
 	simCycles       atomic.Uint64
 
-	// slo receives every terminal outcome for burn-rate accounting.
-	slo *sloTracker
-
 	mu      sync.Mutex
 	cells   map[cellKey]*cellStats
 	wall    *stats.Histogram // all runs
 	wallMax float64
 }
 
-// NewMetrics returns a zeroed metrics block, tracking the SLOs and
-// stamped with the current time.
+// NewMetrics returns a zeroed metrics block stamped with the current
+// time.
 func NewMetrics() *Metrics {
 	m := &Metrics{
-		slo:   newSLOTracker(),
 		cells: make(map[cellKey]*cellStats),
 		wall:  stats.NewHistogram(len(latencyBounds) + 1),
 	}
@@ -126,7 +122,6 @@ func (m *Metrics) finish(spec *Spec, o *Outcome) {
 		m.failed.Add(1)
 	}
 	sec := o.WallMS / 1e3
-	m.slo.recordRun(o.OK(), sec)
 	key := cellKey{bench: spec.Benchmark, mode: spec.Mode, engine: spec.Config.Engine}
 
 	m.mu.Lock()

@@ -36,8 +36,6 @@ func (m *Metrics) AddTo(reg *prom.Registry) {
 	counter("farm_sim_instructions_total", "Simulated instructions aggregated over completed runs.", float64(s.SimInstructions))
 	counter("farm_sim_cycles_total", "Simulated CPU cycles aggregated over completed runs.", float64(s.SimCycles))
 
-	m.slo.addTo(reg)
-
 	m.mu.Lock()
 	defer m.mu.Unlock()
 

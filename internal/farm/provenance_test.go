@@ -18,8 +18,7 @@ import (
 )
 
 // startReplayServer serves a real-simulator pool with no telemetry
-// attached: /explain and /diff replay without it, as under
-// `asdfarm serve -observe=false`.
+// attached: /explain and /diff replay without it, as on a coordinator.
 func startReplayServer(t *testing.T) (*httptest.Server, *Server) {
 	t.Helper()
 	pool := New(Options{Workers: 2})

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"asdsim/internal/obs/prov"
-	"asdsim/internal/obs/span"
 	"asdsim/internal/sim"
 )
 
@@ -115,7 +114,7 @@ func (s *Server) replayProv(ctx context.Context, runs ...heldRun) ([]provReplay,
 	defer s.replaying.leave()
 	out := make([]provReplay, len(runs))
 	for i, run := range runs {
-		rec := prov.New(prov.Options{TraceID: span.TraceIDFromKey(run.key), RingSize: replayRing})
+		rec := prov.New(prov.Options{TraceID: TraceID(run.key), RingSize: replayRing})
 		spec := run.spec
 		spec.Config.Prov = rec
 		res, err := runOnce(ctx, spec)

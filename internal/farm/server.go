@@ -17,7 +17,6 @@ import (
 
 	"asdsim/internal/mem"
 	"asdsim/internal/obs/prov"
-	"asdsim/internal/obs/span"
 	"asdsim/internal/sim"
 )
 
@@ -526,17 +525,16 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		WriteCanonical(w, outcomes)
 		return
 	case "trace":
-		// The merged Perfetto/Chrome trace of the job's distributed
-		// lifecycle: coordinator spans plus every worker span shipped
-		// back with completions.
-		ts, ok := s.runner.(TraceSource)
+		// The Perfetto/Chrome trace of the job's distributed lifecycle,
+		// rendered from the coordinator's transition log.
+		ll, ok := s.runner.(LeaseLog)
 		if !ok {
 			writeErr(w, http.StatusNotImplemented,
-				fmt.Errorf("runner does not collect distributed spans (not a cluster coordinator)"))
+				fmt.Errorf("runner keeps no transition log (not a cluster coordinator)"))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		span.WriteChromeTrace(w, ts.Spans(j.specKeys()))
+		BuildLeaseTrace(ll.LeaseEvents(j.specKeys(), 0)).WriteJSON(w)
 		return
 	}
 
@@ -552,27 +550,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"runs":  j.pageLocked(q, limit, after),
 	}
 	j.mu.Unlock()
-	if cs := s.clusterSnapshot(); cs != nil {
-		resp["lease_events"] = filterLeaseEvents(cs.LeaseEvents, j.specKeys())
+	if ll, ok := s.runner.(LeaseLog); ok {
+		// Never nil: the field's presence tells a cluster client the
+		// feed exists.
+		resp["lease_events"] = ll.LeaseEvents(j.specKeys(), 0)
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// filterLeaseEvents keeps the transitions belonging to the given spec
-// keys, preserving ring (seq) order. Never nil: the field's presence
-// tells a cluster client the feed exists.
-func filterLeaseEvents(events []LeaseEvent, keys []string) []LeaseEvent {
-	want := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		want[k] = true
-	}
-	kept := []LeaseEvent{}
-	for _, e := range events {
-		if want[e.Key] {
-			kept = append(kept, e)
-		}
-	}
-	return kept
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -6,13 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	prom "asdsim/internal/metrics"
-	"asdsim/internal/obs/span"
 	"asdsim/internal/sim"
 )
 
@@ -269,11 +269,13 @@ func TestServerOutcomesFormat(t *testing.T) {
 	}
 }
 
-// fakeClusterRunner wraps a pool with a canned fleet snapshot, standing
-// in for a cluster.Coordinator (which farm's tests cannot import).
+// fakeClusterRunner wraps a pool with a canned fleet snapshot and
+// transition log, standing in for a cluster.Coordinator (which farm's
+// tests cannot import).
 type fakeClusterRunner struct {
-	pool *Pool
-	snap ClusterSnapshot
+	pool   *Pool
+	snap   ClusterSnapshot
+	events []LeaseEvent
 
 	mu      sync.Mutex
 	gotKeys []string
@@ -286,25 +288,27 @@ func (f *fakeClusterRunner) Metrics() *Metrics                { return f.pool.Me
 func (f *fakeClusterRunner) Workers() int                     { return f.pool.Workers() }
 func (f *fakeClusterRunner) ClusterSnapshot() ClusterSnapshot { return f.snap }
 
-// Spans implements TraceSource: two spans per requested key, one on the
-// coordinator and one on a worker, recording the keys it was asked for.
-func (f *fakeClusterRunner) Spans(keys []string) []span.Span {
+// LeaseEvents implements LeaseLog over the canned log, recording the
+// keys it was asked for.
+func (f *fakeClusterRunner) LeaseEvents(keys []string, newest int) []LeaseEvent {
 	f.mu.Lock()
 	f.gotKeys = append([]string(nil), keys...)
 	f.mu.Unlock()
-	out := []span.Span{}
-	for _, k := range keys {
-		tid := span.TraceIDFromKey(k)
-		out = append(out,
-			span.Span{TraceID: tid, ID: 1, Name: "job", Node: "coordinator", Key: k, StartUS: 1, DurUS: 10},
-			span.Span{TraceID: tid, ID: 2, Parent: 1, Name: "execute", Node: "w1", Key: k, StartUS: 2, DurUS: 5})
+	out := []LeaseEvent{}
+	for _, e := range f.events {
+		if keys == nil || slices.Contains(keys, e.Key) {
+			out = append(out, e)
+		}
+	}
+	if newest > 0 && len(out) > newest {
+		out = out[len(out)-newest:]
 	}
 	return out
 }
 
-// ?format=trace merges the coordinator's spans for the job's keys into
-// one Chrome trace; the plain-pool server says 501; the job status of a
-// cluster server carries the job-filtered lease-event feed.
+// ?format=trace renders the transition log of the job's keys as one
+// Chrome trace; the plain-pool server says 501; the job status of a
+// cluster server carries the job's lease-event feed.
 func TestServerTraceFormat(t *testing.T) {
 	m := Matrix{Benchmarks: []string{"GemsFDTD"}, Modes: []string{"NP"}, Budget: 1000}
 	specs, err := m.Specs()
@@ -317,17 +321,17 @@ func TestServerTraceFormat(t *testing.T) {
 		return fakeResult(1), nil
 	}})
 	defer pool.Close()
-	runner := &fakeClusterRunner{pool: pool, snap: ClusterSnapshot{
-		LeaseEvents: []LeaseEvent{
-			{Seq: 1, Event: "grant", Key: key, Worker: "w1"},
-			{Seq: 2, Event: "grant", Key: "someone-elses-job", Worker: "w2"},
-		},
+	runner := &fakeClusterRunner{pool: pool, events: []LeaseEvent{
+		{Seq: 1, Event: "submit", Key: key, AtUS: 1},
+		{Seq: 2, Event: "grant", Key: key, Worker: "w1", Lease: "l-2", AtUS: 2},
+		{Seq: 3, Event: "grant", Key: "someone-elses-job", Worker: "w2", Lease: "l-3", AtUS: 3},
+		{Seq: 4, Event: "complete", Key: key, Worker: "w1", Lease: "l-2", AtUS: 7},
 	}}
 	srv := httptest.NewServer(NewServer(runner, nil).Handler())
 	defer srv.Close()
 	id := submitAndFinish(t, srv, m)
 
-	// The status page filters the lease feed down to this job's keys.
+	// The status page carries this job's transitions only.
 	r, err := http.Get(srv.URL + "/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
@@ -335,8 +339,8 @@ func TestServerTraceFormat(t *testing.T) {
 	st := decode[struct {
 		LeaseEvents []LeaseEvent `json:"lease_events"`
 	}](t, r)
-	if len(st.LeaseEvents) != 1 || st.LeaseEvents[0].Key != key || st.LeaseEvents[0].Worker != "w1" {
-		t.Fatalf("lease_events = %+v, want just this job's grant", st.LeaseEvents)
+	if len(st.LeaseEvents) != 3 || st.LeaseEvents[1].Key != key || st.LeaseEvents[1].Worker != "w1" {
+		t.Fatalf("lease_events = %+v, want just this job's three transitions", st.LeaseEvents)
 	}
 
 	r, err = http.Get(srv.URL + "/jobs/" + id + "?format=trace")
@@ -368,13 +372,16 @@ func TestServerTraceFormat(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"job", "execute", "coordinator", "w1"} {
+	for _, want := range []string{"job", "lease", "coordinator", "w1"} {
 		if !seen[want] {
 			t.Errorf("trace missing %q; events: %v", want, seen)
 		}
 	}
+	if seen["w2"] {
+		t.Errorf("trace carries another job's lease: %v", seen)
+	}
 
-	// A plain in-process pool has no distributed spans to export.
+	// A plain in-process pool keeps no transition log to export.
 	plain := startTestServer(t, func(ctx context.Context, s Spec) (sim.Result, error) {
 		return fakeResult(1), nil
 	})

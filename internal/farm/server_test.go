@@ -290,6 +290,15 @@ func TestServerErrors(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// Every cell's config passes sim.Config.Validate before the job is
+	// accepted. Threads is the one matrix field besides the budget that
+	// reaches it; the sub-configs take their defaults.
+	resp = postJSON(t, srv.URL+"/jobs", Matrix{Benchmarks: []string{"tpcc"}, Threads: 3})
+	if body, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "Threads must be 1 or 2") {
+		t.Errorf("three threads: status %d %s, want a 400 naming Threads", resp.StatusCode, body)
+	}
+	resp.Body.Close()
+
 	// A sampled schedule with one measurement window in the budget
 	// cannot give a confidence interval; it is refused before any run.
 	one := Matrix{Benchmarks: []string{"GemsFDTD"}, Modes: []string{"MS"}, Budget: 400_000,

@@ -9,14 +9,18 @@ import (
 
 // eventsPayload is one SSE frame's body: what GET /metrics does not
 // carry. That is every job's live progress and gains, the sparklines
-// and the anomaly feed, plus a coordinator's recent lease transitions.
-// Counters are read from GET /metrics alone.
+// and the anomaly feed, plus a coordinator's newest frameLeaseEvents
+// transitions. Counters are read from GET /metrics alone.
 type eventsPayload struct {
 	Jobs        []eventsJob  `json:"jobs"`
 	Sparks      []Spark      `json:"sparks"`
 	Anomalies   []Anomaly    `json:"anomalies"`
 	LeaseEvents []LeaseEvent `json:"lease_events,omitempty"`
 }
+
+// frameLeaseEvents is how many of the newest transitions a frame
+// carries.
+const frameLeaseEvents = 256
 
 type eventsJob struct {
 	jobSummary
@@ -35,8 +39,8 @@ func (s *Server) eventsFrame() eventsPayload {
 		p.Sparks = s.telemetry.Sparks()
 		p.Anomalies = s.telemetry.Anomalies()
 	}
-	if cs := s.clusterSnapshot(); cs != nil {
-		p.LeaseEvents = cs.LeaseEvents
+	if ll, ok := s.runner.(LeaseLog); ok {
+		p.LeaseEvents = ll.LeaseEvents(nil, frameLeaseEvents)
 	}
 	return p
 }

@@ -10,7 +10,6 @@ import (
 	prom "asdsim/internal/metrics"
 	"asdsim/internal/obs"
 	"asdsim/internal/obs/flightrec"
-	"asdsim/internal/obs/span"
 	"asdsim/internal/sim"
 )
 
@@ -138,7 +137,7 @@ func (t *Telemetry) absorb(spec Spec, label string, rec *flightrec.Recorder) {
 			Engine: spec.Config.Engine.String(), Trigger: tr, BundleID: fmt.Sprintf("b%d", t.bundleSeq)}
 		key := spec.Key()
 		t.bundles = append(t.bundles, &TriageBundle{ID: a.BundleID, Label: label,
-			Key: key, TraceID: span.TraceIDFromKey(key), Trigger: tr, spec: spec})
+			Key: key, TraceID: TraceID(key), Trigger: tr, spec: spec})
 		t.anomalies = append(t.anomalies, a)
 	}
 	if len(t.anomalies) > maxAnomalies {

@@ -23,7 +23,6 @@ import (
 	"asdsim/internal/metrics"
 	"asdsim/internal/obs"
 	"asdsim/internal/obs/flightrec"
-	"asdsim/internal/obs/span"
 	"asdsim/internal/sim"
 )
 
@@ -196,8 +195,8 @@ func TestEventsFrameCarriesNoCounters(t *testing.T) {
 
 	pool := New(Options{Workers: 1, Run: run})
 	defer pool.Close()
-	capi := NewServer(&fakeClusterRunner{pool: pool, snap: ClusterSnapshot{Workers: 1,
-		LeaseEvents: []LeaseEvent{{Seq: 1, Event: "grant", Key: "k", Worker: "w1"}}}}, nil)
+	capi := NewServer(&fakeClusterRunner{pool: pool, snap: ClusterSnapshot{Workers: 1},
+		events: []LeaseEvent{{Seq: 1, Event: "grant", Key: "k", Worker: "w1"}}}, nil)
 	csrv := httptest.NewServer(capi.Handler())
 	defer csrv.Close()
 	submitAndFinish(t, csrv, m)
@@ -269,8 +268,8 @@ func TestFlightrecEndpointServesBundles(t *testing.T) {
 	if len(outs) != 1 {
 		t.Fatalf("got %d outcomes, want 1", len(outs))
 	}
-	if bundle["key"] != outs[0].Key || bundle["trace_id"] != span.TraceIDFromKey(outs[0].Key) {
-		t.Errorf("bundle key/trace_id = %v/%v, want %s/%s", bundle["key"], bundle["trace_id"], outs[0].Key, span.TraceIDFromKey(outs[0].Key))
+	if bundle["key"] != outs[0].Key || bundle["trace_id"] != TraceID(outs[0].Key) {
+		t.Errorf("bundle key/trace_id = %v/%v, want %s/%s", bundle["key"], bundle["trace_id"], outs[0].Key, TraceID(outs[0].Key))
 	}
 	if cfg, ok := bundle["config"].(map[string]any); !ok || cfg["Mode"] != float64(sim.MS) {
 		t.Errorf("bundle config = %v, want the run's MS config", bundle["config"])
@@ -592,9 +591,9 @@ func TestFlightrecBundleIsTheInlineCapture(t *testing.T) {
 	wantConfig, _ := json.Marshal(spec.Config)
 	var config bytes.Buffer
 	if err := json.Compact(&config, b.Config); err != nil || b.Key != spec.Key() ||
-		b.TraceID != span.TraceIDFromKey(spec.Key()) || !bytes.Equal(config.Bytes(), wantConfig) {
+		b.TraceID != TraceID(spec.Key()) || !bytes.Equal(config.Bytes(), wantConfig) {
 		t.Fatalf("bundle stamps key=%s trace=%s config=%.200s, want %s %s %.200s",
-			b.Key, b.TraceID, config.Bytes(), spec.Key(), span.TraceIDFromKey(spec.Key()), wantConfig)
+			b.Key, b.TraceID, config.Bytes(), spec.Key(), TraceID(spec.Key()), wantConfig)
 	}
 	// The farm stamps the config as json.Marshal writes it, compact.
 	b.Config = config.Bytes()

@@ -28,9 +28,6 @@ map iteration, and goroutine spawns inside the simulation packages`,
 		// requests interleave: no goroutines of its own, no wall-clock
 		// reads outside the injected Options.Now, no map-order effects.
 		"asdsim/internal/cluster",
-		// Span recording shares the coordinator's clock discipline: IDs
-		// derive from span content, timestamps only from injected nows.
-		"asdsim/internal/obs/span",
 		// Provenance records live on the simulation goroutine and their
 		// content-derived IDs must replay identically; any clock read or
 		// map iteration would leak into the stored lineage streams.

@@ -46,7 +46,6 @@ double-acquires on the same receiver path`,
 		"asdsim/internal/cluster",
 		"asdsim/internal/cluster/rpc",
 		"asdsim/internal/workload",
-		"asdsim/internal/obs/span",
 		"asdsim/cmd/asdfarm",
 	),
 	Run: runLockorder,

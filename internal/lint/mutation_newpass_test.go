@@ -62,27 +62,28 @@ func lintLockBA(a *lintCycA, b *lintCycB) {
 	}
 }
 
-// TestRenamedWireFieldFailsVet renames span.Span's Node field on the
-// wire (via its json tag) without touching any Go call site; the
-// wirecheck pass must flag the drift against the checked-in wire.lock.
+// TestRenamedWireFieldFailsVet gives stream.Config's Slots field a json
+// tag, which renames it on the wire (the leaf config structs carry no
+// tags, so their wire names are the Go names) without touching any Go
+// call site; the wirecheck pass must flag the drift against the
+// checked-in wire.lock.
 func TestRenamedWireFieldFailsVet(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks span from source")
+		t.Skip("type-checks stream from source")
 	}
 	l := newRealLoader(lint.WirecheckAnalyzer)
-	l.Dirs["asdsim/internal/obs/span"] = "../../internal/obs/span"
 	l.Transform = func(filename string, src []byte) []byte {
-		if filename != "span.go" {
+		if filename != "filter.go" {
 			return src
 		}
-		out := strings.Replace(string(src), "`json:\"node\"`", "`json:\"host\"`", 1)
+		out := strings.Replace(string(src), "\tSlots int\n", "\tSlots int `json:\"slots\"`\n", 1)
 		if out == string(src) {
-			t.Fatal("mutation did not apply; span.Span's Node field changed shape")
+			t.Fatal("mutation did not apply; stream.Config's Slots field changed shape")
 		}
 		return []byte(out)
 	}
-	if _, err := l.Load("asdsim/internal/obs/span"); err != nil {
-		t.Fatalf("loading mutated span: %v", err)
+	if _, err := l.Load("asdsim/internal/stream"); err != nil {
+		t.Fatalf("loading mutated stream: %v", err)
 	}
 	found := false
 	for _, d := range l.Diags() {
@@ -91,6 +92,6 @@ func TestRenamedWireFieldFailsVet(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("renaming Span.Node on the wire produced no wirecheck drift finding; diags: %v", l.Diags())
+		t.Errorf("renaming Config.Slots on the wire produced no wirecheck drift finding; diags: %v", l.Diags())
 	}
 }

@@ -40,7 +40,6 @@ var WirecheckAnalyzer = &Analyzer{
 		"asdsim/internal/dram",
 		"asdsim/internal/farm",
 		"asdsim/internal/mc",
-		"asdsim/internal/obs/span",
 		"asdsim/internal/prefetch",
 		"asdsim/internal/sim",
 		"asdsim/internal/slh",
@@ -57,13 +56,11 @@ var WirecheckAnalyzer = &Analyzer{
 const WireLockName = "wire.lock"
 
 // WireRoots names the types whose reachable closure defines the wire
-// surface: the cluster envelope, the farm job spec and outcome, and
-// the span codec records. `asdlint -write-wire-lock` regenerates
-// wire.lock from these.
+// surface: the cluster envelope and the farm job spec and outcome.
+// `asdlint -write-wire-lock` regenerates wire.lock from these.
 var WireRoots = map[string][]string{
-	"asdsim/internal/cluster":  {"Message"},
-	"asdsim/internal/farm":     {"Spec", "Outcome"},
-	"asdsim/internal/obs/span": {"Span", "Context"},
+	"asdsim/internal/cluster": {"Message"},
+	"asdsim/internal/farm":    {"Spec", "Outcome"},
 }
 
 func runWirecheck(pass *Pass) {

@@ -222,8 +222,9 @@ func (t *TraceBuilder) NameThread(tid int, name string) {
 }
 
 // AddSlice appends one complete ("X") slice with explicit microsecond
-// timestamps, for callers — such as obs/span — whose events live in
-// wall- or injected-clock time rather than the simulated cycle domain.
+// timestamps, for callers — such as the farm's lease trace — whose
+// events live in wall- or injected-clock time rather than the simulated
+// cycle domain.
 // Zero-length slices get a minimal duration so they stay selectable.
 func (t *TraceBuilder) AddSlice(name, cat string, tsMicro, durMicro float64, tid int, args map[string]any) {
 	if t.pid < 0 {

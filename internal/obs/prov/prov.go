@@ -8,9 +8,9 @@
 // late, wasted, invalidated).
 //
 // Records live in a drop-oldest ring of fixed-size structs and carry
-// content-derived IDs (FNV-64a over trace ID, op and sequence — the
-// same discipline as internal/obs/span), so a stream re-recorded from
-// the same deterministic run is byte-identical wherever it runs. The
+// content-derived IDs (FNV-64a over trace ID, op and sequence), so a
+// stream re-recorded from the same deterministic run is byte-identical
+// wherever it runs. The
 // Recorder is an obs.Sink for the MC-side lifecycle events: the runner
 // attaches it to the run's probe bus, which hands it only the kinds it
 // declares, so a provenance-only run keeps every other probe site dark.
@@ -193,7 +193,7 @@ type Stream struct {
 // Options tunes a Recorder; the zero value means defaults.
 type Options struct {
 	// TraceID seeds the content-derived record IDs; use
-	// span.TraceIDFromKey(spec key) under the farm, or any stable label.
+	// farm.TraceID(spec key) under the farm, or any stable label.
 	TraceID string
 	// RingSize bounds retained records, rounded up to a power of two
 	// (default 1 << 15 records of 64 B, a 2 MiB ring). Only rings no

@@ -5,6 +5,8 @@
 package prefetch
 
 import (
+	"fmt"
+
 	"asdsim/internal/mem"
 	"asdsim/internal/stream"
 )
@@ -57,10 +59,21 @@ type PS struct {
 	out []Request // reusable request scratch
 }
 
-// NewPS returns a processor-side prefetcher.
+// Validate reports whether NewPS would reject cfg: it needs detection
+// entries, concurrent streams, an L2-ahead distance of at least one
+// line and a lifetime.
+func (c *PSConfig) Validate() error {
+	if c.DetectEntries <= 0 || c.MaxStreams <= 0 || c.L2Ahead < 1 || c.Lifetime == 0 {
+		return fmt.Errorf("prefetch: invalid PS config %+v", *c)
+	}
+	return nil
+}
+
+// NewPS returns a processor-side prefetcher. It panics on a cfg that
+// Validate rejects.
 func NewPS(cfg PSConfig) *PS {
-	if cfg.DetectEntries <= 0 || cfg.MaxStreams <= 0 || cfg.L2Ahead < 1 || cfg.Lifetime == 0 {
-		panic("prefetch: invalid PS config")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	return &PS{cfg: cfg, t: stream.NewTable(cfg.DetectEntries, cfg.Lifetime)}
 }

@@ -205,10 +205,24 @@ func (c *Config) Validate() error {
 	case c.HitOverlap == 0:
 		return fmt.Errorf("sim: HitOverlap must be positive")
 	}
-	if err := c.Cache.Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
+	// Each sub-config is checked only where the mode builds its part.
+	err := c.Cache.Validate()
+	if err == nil {
+		err = c.DRAM.Validate()
 	}
-	if err := c.MC.Validate(c.msEnabled()); err != nil {
+	if err == nil {
+		err = c.MC.Validate(c.msEnabled())
+	}
+	if err == nil && c.msEnabled() {
+		err = c.Sched.Validate()
+	}
+	if err == nil && c.msEnabled() && c.Engine == EngineASD {
+		err = c.ASD.Validate()
+	}
+	if err == nil && c.psEnabled() {
+		err = c.PS.Validate()
+	}
+	if err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	return nil

@@ -59,6 +59,21 @@ func TestConfigValidate(t *testing.T) {
 		"PB 0":            func(c *Config) { c.MC.PBLines = 0 },
 		"PB ragged":       func(c *Config) { c.MC.PBLines = 18 },
 		"PB big":          func(c *Config) { c.MC.PBLines = 2 * mc.MaxPBLines },
+		// Fields dram.New, core.NewEngine (with its Stream Filter and
+		// SLH tables), core.NewAdaptiveScheduler and prefetch.NewPS
+		// panic on.
+		"DRAM banks 0":       func(c *Config) { c.DRAM.Geometry.BanksPerRank = 0 },
+		"DRAM short rows":    func(c *Config) { c.DRAM.Geometry.RowBytes = 32 },
+		"DRAM tCL 0":         func(c *Config) { c.DRAM.Timing.TCL = 0 },
+		"ASD degree 0":       func(c *Config) { c.ASD.MaxDegree = 0 },
+		"filter slots 0":     func(c *Config) { c.ASD.Filter.Slots = 0 },
+		"filter lifetime 0":  func(c *Config) { c.ASD.Filter.Lifetime = 0 },
+		"SLH length 1":       func(c *Config) { c.ASD.SLH.MaxLength = 1 },
+		"SLH epoch 0":        func(c *Config) { c.ASD.SLH.EpochLen = 0 },
+		"sched epoch 0":      func(c *Config) { c.Sched.EpochReads = 0 },
+		"sched fixed policy": func(c *Config) { c.Sched.Fixed = 9 },
+		"PS entries 0":       func(c *Config) { c.PS.DetectEntries = 0 },
+		"PS L2 ahead 0":      func(c *Config) { c.PS.L2Ahead = 0 },
 	}
 	for name, f := range cases {
 		c := Default(PMS, 1000)
@@ -70,12 +85,19 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("%s: Run accepted the config", name)
 		}
 	}
-	// A mode without memory-side prefetching builds no LPQ or Prefetch
-	// Buffer, so their sizes are not checked.
+	// A mode builds only its own prefetchers, so NP checks no LPQ,
+	// Prefetch Buffer, ASD, scheduler or PS config, and a non-ASD engine
+	// no ASD config.
 	np := Default(NP, 1000)
 	np.MC.LPQCap, np.MC.PBLines = 0, 0
+	np.ASD.MaxDegree, np.Sched.EpochReads, np.PS.DetectEntries = 0, 0, 0
 	if err := np.Validate(); err != nil {
-		t.Errorf("NP with an unsized LPQ and PB: %v", err)
+		t.Errorf("NP with unsized prefetchers: %v", err)
+	}
+	ghb := Default(PMS, 1000)
+	ghb.Engine, ghb.ASD.MaxDegree = EngineGHB, 0
+	if err := ghb.Validate(); err != nil {
+		t.Errorf("GHB engine with an unsized ASD config: %v", err)
 	}
 }
 

@@ -47,13 +47,23 @@ type Table struct {
 	Epochs uint64
 }
 
-// New returns a Table for cfg.
-func New(cfg Config) *Table {
-	if cfg.MaxLength < 2 {
-		panic(fmt.Sprintf("slh: MaxLength must be >= 2, got %d", cfg.MaxLength))
+// Validate reports the first problem New would reject: a MaxLength
+// below 2 or a non-positive EpochLen.
+func (c *Config) Validate() error {
+	if c.MaxLength < 2 {
+		return fmt.Errorf("slh: MaxLength must be >= 2, got %d", c.MaxLength)
 	}
-	if cfg.EpochLen < 1 {
-		panic(fmt.Sprintf("slh: EpochLen must be >= 1, got %d", cfg.EpochLen))
+	if c.EpochLen < 1 {
+		return fmt.Errorf("slh: EpochLen must be >= 1, got %d", c.EpochLen)
+	}
+	return nil
+}
+
+// New returns a Table for cfg. It panics on a cfg that Validate
+// rejects.
+func New(cfg Config) *Table {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	return &Table{
 		cfg:  cfg,

@@ -79,13 +79,23 @@ type Filter struct {
 	Repeats uint64
 }
 
-// NewFilter returns a filter with cfg; onEnd may be nil.
-func NewFilter(cfg Config, onEnd EndFunc) *Filter {
-	if cfg.Slots <= 0 {
-		panic(fmt.Sprintf("stream: Slots must be positive, got %d", cfg.Slots))
+// Validate reports the first problem NewFilter would reject: no slots
+// or a zero lifetime.
+func (c *Config) Validate() error {
+	if c.Slots <= 0 {
+		return fmt.Errorf("stream: Slots must be positive, got %d", c.Slots)
 	}
-	if cfg.Lifetime == 0 {
-		panic("stream: Lifetime must be positive")
+	if c.Lifetime == 0 {
+		return fmt.Errorf("stream: Lifetime must be positive")
+	}
+	return nil
+}
+
+// NewFilter returns a filter with cfg; onEnd may be nil. It panics on a
+// cfg that Validate rejects.
+func NewFilter(cfg Config, onEnd EndFunc) *Filter {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	return &Filter{t: NewTable(cfg.Slots, cfg.Lifetime), onEnd: onEnd}
 }
